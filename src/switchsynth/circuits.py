@@ -15,35 +15,61 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .linalg import H, I2, X, Y, Z, apply_matrix, rotation, state_num_qubits
+from .linalg import UNIT_VECTOR_ATOL, H, X, Y, Z, apply_matrix, rotation, state_num_qubits
 from .synthesis import barenco_matrix, cu_matrix, preset, preset_barenco, ControlledGateSpec
-
-# gate name -> (operand count, parameter names in canonical order)
-GATES: dict[str, tuple[int, tuple[str, ...]]] = {
-    "x": (1, ()),
-    "y": (1, ()),
-    "z": (1, ()),
-    "h": (1, ()),
-    "rx": (1, ("theta",)),
-    "ry": (1, ("theta",)),
-    "rz": (1, ("theta",)),
-    "rn": (1, ("theta", "nx", "ny", "nz")),
-    "cnot": (2, ()),
-    "cz": (2, ()),
-    "cu": (2, ("alpha", "theta", "nx", "ny", "nz")),
-    "barenco": (2, ("alpha", "phi", "theta")),
-}
-
-CONTROLLED_GATES = ("cnot", "cz", "cu", "barenco")
 
 CNOT_MATRIX = np.array([[1, 0, 0, 0],
                         [0, 1, 0, 0],
                         [0, 0, 0, 1],
                         [0, 0, 1, 0]], dtype=complex)
 CZ_MATRIX = np.diag([1, 1, 1, -1]).astype(complex)
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One gate of the circuit language.
+
+    ``matrix`` and ``spec`` take the parameters as a name -> value dict;
+    ``spec`` (the CU target the compiler synthesizes) is set only for
+    controlled gates, whose control is the first operand.
+    """
+
+    arity: int
+    params: tuple[str, ...]
+    matrix: Callable[[dict[str, float]], np.ndarray]
+    spec: Callable[[dict[str, float]], ControlledGateSpec] | None = None
+
+
+def _cu_spec(p: dict[str, float]) -> ControlledGateSpec:
+    return ControlledGateSpec(alpha=p["alpha"], theta=p["theta"],
+                              axis=(p["nx"], p["ny"], p["nz"]))
+
+
+# the gate set: name -> arity, parameter names in canonical order, matrix, spec
+GATES: dict[str, Gate] = {
+    "x": Gate(1, (), lambda p: X.copy()),
+    "y": Gate(1, (), lambda p: Y.copy()),
+    "z": Gate(1, (), lambda p: Z.copy()),
+    "h": Gate(1, (), lambda p: H.copy()),
+    "rx": Gate(1, ("theta",), lambda p: rotation((1.0, 0.0, 0.0), p["theta"])),
+    "ry": Gate(1, ("theta",), lambda p: rotation((0.0, 1.0, 0.0), p["theta"])),
+    "rz": Gate(1, ("theta",), lambda p: rotation((0.0, 0.0, 1.0), p["theta"])),
+    "rn": Gate(1, ("theta", "nx", "ny", "nz"),
+               lambda p: rotation((p["nx"], p["ny"], p["nz"]), p["theta"])),
+    "cnot": Gate(2, (), lambda p: CNOT_MATRIX.copy(), lambda p: preset("cnot")),
+    "cz": Gate(2, (), lambda p: CZ_MATRIX.copy(), lambda p: preset("cz")),
+    "cu": Gate(2, ("alpha", "theta", "nx", "ny", "nz"),
+               lambda p: cu_matrix(_cu_spec(p)), _cu_spec),
+    "barenco": Gate(2, ("alpha", "phi", "theta"),
+                    lambda p: barenco_matrix(p["alpha"], p["phi"], p["theta"]),
+                    lambda p: preset_barenco(p["alpha"], p["phi"], p["theta"])),
+}
+
+CONTROLLED_GATES = tuple(name for name, gate in GATES.items() if gate.spec is not None)
 
 _INT_RE = re.compile(r"^\d+$")
 _FLOAT_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
@@ -94,7 +120,7 @@ def _snap_axis(values: dict[str, float], line: int, column: int) -> None:
     if abs(norm - 1.0) > AXIS_NORM_ATOL:
         raise CircuitParseError(f"axis (nx, ny, nz) must be unit length, got |n| = {norm}",
                                 line, column)
-    if abs(norm - 1.0) > 1e-12:  # keep reparsing a printed circuit a fixed point
+    if abs(norm - 1.0) > UNIT_VECTOR_ATOL:  # keep reparsing a printed circuit a fixed point
         axis = axis / norm
         values["nx"], values["ny"], values["nz"] = (float(v) for v in axis)
 
@@ -127,7 +153,7 @@ def parse_circuit(text: str) -> Circuit:
         name, name_col = tokens[0]
         if name not in GATES:
             raise CircuitParseError(f"unknown gate {name!r}", line_no, name_col)
-        arity, param_names = GATES[name]
+        arity, param_names = GATES[name].arity, GATES[name].params
 
         if len(tokens) - 1 < arity:
             raise CircuitParseError(
@@ -190,47 +216,17 @@ def format_circuit(circuit: Circuit) -> str:
 
 def controlled_gate_spec(inst: Instruction) -> ControlledGateSpec:
     """Target spec of a controlled-gate instruction."""
-    if inst.gate in ("cnot", "cz"):
-        return preset(inst.gate)
-    if inst.gate == "cu":
-        return ControlledGateSpec(
-            alpha=inst.param("alpha"), theta=inst.param("theta"),
-            axis=(inst.param("nx"), inst.param("ny"), inst.param("nz")))
-    if inst.gate == "barenco":
-        return preset_barenco(inst.param("alpha"), inst.param("phi"),
-                              inst.param("theta"))
-    raise ValueError(f"{inst.gate} is not a controlled gate")
+    gate = GATES.get(inst.gate)
+    if gate is None or gate.spec is None:
+        raise ValueError(f"{inst.gate} is not a controlled gate")
+    return gate.spec(dict(inst.params))
 
 
 def instruction_matrix(inst: Instruction) -> np.ndarray:
     """Direct matrix of one instruction (2x2 or 4x4, control first)."""
-    if inst.gate == "x":
-        return X.copy()
-    if inst.gate == "y":
-        return Y.copy()
-    if inst.gate == "z":
-        return Z.copy()
-    if inst.gate == "h":
-        return H.copy()
-    if inst.gate == "rx":
-        return rotation((1.0, 0.0, 0.0), inst.param("theta"))
-    if inst.gate == "ry":
-        return rotation((0.0, 1.0, 0.0), inst.param("theta"))
-    if inst.gate == "rz":
-        return rotation((0.0, 0.0, 1.0), inst.param("theta"))
-    if inst.gate == "rn":
-        return rotation((inst.param("nx"), inst.param("ny"), inst.param("nz")),
-                        inst.param("theta"))
-    if inst.gate == "cnot":
-        return CNOT_MATRIX.copy()
-    if inst.gate == "cz":
-        return CZ_MATRIX.copy()
-    if inst.gate == "cu":
-        return cu_matrix(controlled_gate_spec(inst))
-    if inst.gate == "barenco":
-        return barenco_matrix(inst.param("alpha"), inst.param("phi"),
-                              inst.param("theta"))
-    raise ValueError(f"unknown gate {inst.gate!r}")
+    if inst.gate not in GATES:
+        raise ValueError(f"unknown gate {inst.gate!r}")
+    return GATES[inst.gate].matrix(dict(inst.params))
 
 
 def simulate_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .circuits import CircuitParseError, parse_circuit
+from .circuits import CONTROLLED_GATES, GATES, CircuitParseError, parse_circuit
 from .jsonio import dumps, format_float
 from .lowering import check_equivalence, lower
 from .programs import (
@@ -28,23 +28,8 @@ from .programs import (
 )
 from .sampling import random_state
 from .suites import SUITE_NAMES, run_suite
-from .synthesis import (
-    ControlledGateSpec,
-    preset,
-    preset_barenco,
-    synthesize,
-    verify_synthesis,
-)
-from .linalg import basis_state
-
-GATE_CHOICES = ("cnot", "cz", "cu", "barenco")
-
-_GATE_FLAGS = {
-    "cnot": (),
-    "cz": (),
-    "cu": ("alpha", "theta", "nx", "ny", "nz"),
-    "barenco": ("alpha", "phi", "theta"),
-}
+from .synthesis import ControlledGateSpec, synthesize, verify_synthesis
+from .linalg import DEFAULT_TOLERANCE, basis_state
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -66,11 +51,21 @@ def _write_output(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def _add_common(parser: argparse.ArgumentParser, *, trials: bool = True) -> None:
+def _trial_count(text: str) -> int:
+    """argparse type for --trials: a check over zero trials examines nothing."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=42)
-    if trials:
-        parser.add_argument("--trials", type=int, default=100)
-    parser.add_argument("--tolerance", type=float, default=1e-10)
+    parser.add_argument("--trials", type=_trial_count, default=100)
+    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--output", default=None, metavar="PATH")
 
@@ -83,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     synth = sub.add_parser("synth", help="synthesize and certify one gate")
-    synth.add_argument("--gate", choices=GATE_CHOICES, required=True)
-    for flag in ("alpha", "theta", "phi", "nx", "ny", "nz"):
+    synth.add_argument("--gate", choices=CONTROLLED_GATES, required=True)
+    for flag in dict.fromkeys(p for g in CONTROLLED_GATES for p in GATES[g].params):
         synth.add_argument(f"--{flag}", type=float, default=None)
     _add_common(synth)
 
@@ -106,16 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_for_gate(args, parser: argparse.ArgumentParser) -> ControlledGateSpec:
-    needed = _GATE_FLAGS[args.gate]
-    missing = [f"--{name}" for name in needed if getattr(args, name) is None]
+    gate = GATES[args.gate]
+    missing = [f"--{name}" for name in gate.params if getattr(args, name) is None]
     if missing:
         parser.error(f"--gate {args.gate} requires {' '.join(missing)}")
-    if args.gate in ("cnot", "cz"):
-        return preset(args.gate)
-    if args.gate == "barenco":
-        return preset_barenco(args.alpha, args.phi, args.theta)
-    return ControlledGateSpec(alpha=args.alpha, theta=args.theta,
-                              axis=(args.nx, args.ny, args.nz))
+    return gate.spec({name: getattr(args, name) for name in gate.params})
 
 
 def cmd_synth(args, parser: argparse.ArgumentParser) -> int:

@@ -18,6 +18,8 @@ import numpy as np
 # Structural residuals (unitarity, normalization, density checks) are held to
 # 1e-10, exact algebraic identities to 1e-12.
 UNITARY_ATOL = 1e-10
+# default pass threshold of every certificate (synth, verify, equivalence)
+DEFAULT_TOLERANCE = 1e-10
 ALGEBRA_ATOL = 1e-12
 UNIT_VECTOR_ATOL = 1e-12
 DENSITY_ATOL = 1e-10

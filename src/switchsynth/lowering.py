@@ -20,7 +20,7 @@ from .circuits import (
     instruction_matrix,
     simulate_circuit,
 )
-from .linalg import fidelity
+from .linalg import DEFAULT_TOLERANCE, fidelity
 from .programs import (
     AllocAncilla,
     ApplyLocal,
@@ -97,7 +97,7 @@ class EquivalenceReport:
 
 def check_equivalence(circuit: Circuit, program: SwitchProgram,
                       trials: int = 100, seed: int = 42,
-                      tolerance: float = 1e-10) -> EquivalenceReport:
+                      tolerance: float = DEFAULT_TOLERANCE) -> EquivalenceReport:
     """Compare program output against reference circuit semantics.
 
     For each random input the program runs once per measurement-branch

@@ -8,7 +8,9 @@ repeated gates share entries.
 
 The serialized form is JSON: ``num_data_qubits``, ``matrices`` mapping id to
 a row-major list of [re, im] pairs (17 significant digits), and tagged
-``instructions`` records.
+``instructions`` records. ``OPS`` maps each record's ``op`` tag to its
+instruction dataclass; the record's other keys are that dataclass's fields
+in declaration order, with tuples written as lists.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -71,6 +73,18 @@ class Discard:
 
 ProgramInstruction = (AllocAncilla | ApplyLocal | SwitchApply | MeasureAncilla
                       | CondApply | Discard)
+
+# the instruction set: serialized tag -> dataclass
+OPS: dict[str, type] = {
+    "alloc_ancilla": AllocAncilla,
+    "apply_local": ApplyLocal,
+    "switch_apply": SwitchApply,
+    "measure_ancilla": MeasureAncilla,
+    "cond_apply": CondApply,
+    "discard": Discard,
+}
+_TAGS = {cls: tag for tag, cls in OPS.items()}
+_FIELDS = {cls: fields(cls) for cls in OPS.values()}
 
 
 def matrix_entries(m: np.ndarray) -> list[list[float]]:
@@ -184,37 +198,23 @@ def validate_program(program: SwitchProgram) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _record(inst: ProgramInstruction) -> dict:
+    if type(inst) not in _TAGS:
+        raise ProgramError(f"unknown instruction {inst!r}")
+    # a dataclass instance's __dict__ holds its fields in declaration order
+    record = {"op": _TAGS[type(inst)], **vars(inst)}
+    if "qubits" in record:
+        record["qubits"] = list(record["qubits"])
+    return record
+
+
 def program_document(program: SwitchProgram) -> dict:
     """Plain-data document for a program (dict of JSON-compatible values)."""
-    instructions = []
-    for inst in program.instructions:
-        if isinstance(inst, AllocAncilla):
-            instructions.append({"op": "alloc_ancilla", "ancilla": inst.ancilla,
-                                 "state": inst.state})
-        elif isinstance(inst, ApplyLocal):
-            instructions.append({"op": "apply_local", "matrix": inst.matrix,
-                                 "qubits": list(inst.qubits)})
-        elif isinstance(inst, SwitchApply):
-            instructions.append({"op": "switch_apply", "gate_a": inst.gate_a,
-                                 "gate_b": inst.gate_b,
-                                 "qubits": list(inst.qubits),
-                                 "ancilla": inst.ancilla})
-        elif isinstance(inst, MeasureAncilla):
-            instructions.append({"op": "measure_ancilla", "theta": inst.theta,
-                                 "ancilla": inst.ancilla, "result": inst.result})
-        elif isinstance(inst, CondApply):
-            instructions.append({"op": "cond_apply", "result": inst.result,
-                                 "outcome": inst.outcome, "matrix": inst.matrix,
-                                 "qubits": list(inst.qubits)})
-        elif isinstance(inst, Discard):
-            instructions.append({"op": "discard", "ancilla": inst.ancilla})
-        else:
-            raise ProgramError(f"unknown instruction {inst!r}")
     return {
         "num_data_qubits": program.num_data_qubits,
         "matrices": {key: matrix_entries(m)
                      for key, m in sorted(program.matrices.items())},
-        "instructions": instructions,
+        "instructions": [_record(inst) for inst in program.instructions],
     }
 
 
@@ -232,6 +232,21 @@ def _matrix_from_entries(entries, key: str) -> np.ndarray:
     return flat.reshape(dim, dim)
 
 
+def _coerce(values: dict) -> dict:
+    """Convert and check an instruction's qubits and angle where they enter."""
+    if "qubits" in values:
+        qubits = tuple(values["qubits"])
+        if not all(type(q) is int for q in qubits):
+            raise ProgramError(f"qubit indices must be integers, got {qubits}")
+        values["qubits"] = qubits
+    if "theta" in values:
+        theta = float(values["theta"])
+        if not math.isfinite(theta):
+            raise ProgramError(f"measurement angle must be finite, got {theta}")
+        values["theta"] = theta
+    return values
+
+
 def parse_program(text: str) -> SwitchProgram:
     """Parse serialized JSON back into a validated SwitchProgram."""
     try:
@@ -247,28 +262,12 @@ def parse_program(text: str) -> SwitchProgram:
         instructions: list[ProgramInstruction] = []
         for record in doc["instructions"]:
             op = record["op"]
-            if op == "alloc_ancilla":
-                instructions.append(AllocAncilla(record["ancilla"],
-                                                 record.get("state", "plus")))
-            elif op == "apply_local":
-                instructions.append(ApplyLocal(record["matrix"],
-                                               tuple(record["qubits"])))
-            elif op == "switch_apply":
-                instructions.append(SwitchApply(record["gate_a"], record["gate_b"],
-                                                tuple(record["qubits"]),
-                                                record["ancilla"]))
-            elif op == "measure_ancilla":
-                instructions.append(MeasureAncilla(float(record["theta"]),
-                                                   record["ancilla"],
-                                                   record["result"]))
-            elif op == "cond_apply":
-                instructions.append(CondApply(record["result"], record["outcome"],
-                                              record["matrix"],
-                                              tuple(record["qubits"])))
-            elif op == "discard":
-                instructions.append(Discard(record["ancilla"]))
-            else:
+            if op not in OPS:
                 raise ProgramError(f"unknown instruction op {op!r}")
+            cls = OPS[op]
+            instructions.append(cls(**_coerce({
+                f.name: record[f.name] for f in _FIELDS[cls]
+                if f.name in record or f.default is MISSING})))
     except (KeyError, TypeError, ValueError) as err:
         if isinstance(err, ProgramError):
             raise

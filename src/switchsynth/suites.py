@@ -15,6 +15,8 @@ import numpy as np
 
 from .linalg import (
     ALGEBRA_ATOL,
+    DEFAULT_TOLERANCE,
+    DENSITY_EIGVAL_FLOOR,
     I2,
     PLUS,
     X,
@@ -55,8 +57,6 @@ from .synthesis import (
     synthesize,
     verify_synthesis,
 )
-
-CHOI_EIGVAL_FLOOR = -1e-9
 
 
 @dataclass(frozen=True)
@@ -278,7 +278,7 @@ def suite_channels(trials: int, seed: int, tolerance: float) -> list[PropertyRes
     return [
         _result("channels", "four_term_vs_kraus_form", forms, ALGEBRA_ATOL),
         _result("channels", "trace_preserving", trace, tolerance),
-        _result("channels", "choi_positive", choi_floor, -CHOI_EIGVAL_FLOOR),
+        _result("channels", "choi_positive", choi_floor, -DENSITY_EIGVAL_FLOOR),
         _result("channels", "output_hermitian", hermiticity, tolerance),
         _result("channels", "definite_order_reduces", definite_order, ALGEBRA_ATOL),
     ]
@@ -294,7 +294,7 @@ SUITE_NAMES = (*SUITES, "all")
 
 
 def run_suite(name: str, trials: int = 100, seed: int = 42,
-              tolerance: float = 1e-10) -> list[PropertyResult]:
+              tolerance: float = DEFAULT_TOLERANCE) -> list[PropertyResult]:
     """Run one suite (or 'all') and return its property results."""
     if name == "all":
         results = []

@@ -12,14 +12,12 @@ The ancilla (control) is always the LAST tensor factor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import permutations, product
 
 import numpy as np
 
 from .linalg import (
-    ALGEBRA_ATOL,
     P0,
     P1,
     UNITARY_ATOL,

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    DEFAULT_TOLERANCE,
     PLUS,
     X,
     bloch_dot,
@@ -288,7 +289,7 @@ def random_spec(rng: np.random.Generator) -> ControlledGateSpec:
 
 
 def verify_synthesis(spec: ControlledGateSpec, *, trials: int = 100,
-                     seed: int = 42, tolerance: float = 1e-10,
+                     seed: int = 42, tolerance: float = DEFAULT_TOLERANCE,
                      target_name: str = "cu") -> VerificationReport:
     """Certify a plan against the direct target matrix.
 

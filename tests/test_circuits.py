@@ -6,7 +6,10 @@ from numpy.testing import assert_allclose
 
 from switchsynth.circuits import (
     CNOT_MATRIX,
+    CONTROLLED_GATES,
     CZ_MATRIX,
+    GATES,
+    Circuit,
     CircuitParseError,
     Instruction,
     controlled_gate_spec,
@@ -166,3 +169,39 @@ def test_simulate_rejects_wrong_state_size():
     circuit = parse_circuit(BELL_TEXT)
     with pytest.raises(ValueError):
         simulate_circuit(circuit, basis_state(3, 0))
+
+
+# one valid value per parameter name in the gate table (the axis is unit)
+SAMPLE_PARAMS = {"alpha": 0.3, "theta": 0.8, "phi": 0.5,
+                 "nx": 0.0, "ny": 0.6, "nz": 0.8}
+
+
+def sample_instruction(name):
+    gate = GATES[name]
+    return Instruction(name, tuple(range(gate.arity)),
+                       tuple((key, SAMPLE_PARAMS[key]) for key in gate.params))
+
+
+def test_controlled_gates_are_the_table_entries_with_a_spec():
+    assert CONTROLLED_GATES == ("cnot", "cz", "cu", "barenco")
+    assert all(GATES[name].arity == 2 for name in CONTROLLED_GATES)
+
+
+@pytest.mark.parametrize("name", list(GATES))
+def test_gate_table_matrix_is_unitary(name):
+    m = instruction_matrix(sample_instruction(name))
+    assert m.shape == (2 ** GATES[name].arity,) * 2
+    assert_allclose(m.conj().T @ m, np.eye(len(m)), atol=1e-12)
+
+
+@pytest.mark.parametrize("name", list(GATES))
+def test_gate_table_entry_round_trips_through_text(name):
+    circuit = Circuit(num_qubits=2, instructions=(sample_instruction(name),))
+    assert parse_circuit(format_circuit(circuit)) == circuit
+
+
+@pytest.mark.parametrize("name", CONTROLLED_GATES)
+def test_gate_table_matrix_equals_spec_including_phase(name):
+    inst = sample_instruction(name)
+    assert_allclose(instruction_matrix(inst),
+                    cu_matrix(controlled_gate_spec(inst)), atol=1e-12)

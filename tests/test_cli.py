@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from switchsynth.circuits import CONTROLLED_GATES, GATES
 from switchsynth.cli import main
 
 BELL_TEXT = "qubits 2\nh 0\ncnot 0 1\n"
@@ -214,3 +215,51 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+# one valid value per parameter name in the gate table (the axis is unit)
+SAMPLE_PARAMS = {"alpha": 0.3, "theta": 0.8, "phi": 0.5,
+                 "nx": 0.0, "ny": 0.6, "nz": 0.8}
+
+
+@pytest.mark.parametrize("gate", CONTROLLED_GATES)
+def test_synth_every_controlled_gate_in_the_table(capsys, gate):
+    flags = [arg for name in GATES[gate].params
+             for arg in (f"--{name}", repr(SAMPLE_PARAMS[name]))]
+    code, out, _ = run_cli(capsys, "synth", "--gate", gate, *flags,
+                           "--trials", "5")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["target"] == gate
+    assert doc["passed"] is True
+
+
+@pytest.mark.parametrize("command", [
+    ["synth", "--gate", "cnot"],
+    ["verify", "--suite", "switch"],
+    ["simulate", "PROGRAM"],
+])
+def test_trials_below_one_is_a_usage_error(tmp_path, capsys, command):
+    circ = tmp_path / "bell.circ"
+    circ.write_text(BELL_TEXT)
+    prog = tmp_path / "bell.json"
+    run_cli(capsys, "lower", str(circ), "--output", str(prog))
+    argv = [str(prog) if arg == "PROGRAM" else arg for arg in command]
+    code, out, err = run_cli(capsys, *argv, "--trials", "0")
+    assert code == 2
+    assert out == ""
+    assert "--trials: must be at least 1" in err
+
+
+def test_simulate_malformed_program_exits_2_without_traceback(tmp_path):
+    prog = tmp_path / "bad.json"
+    prog.write_text('{"num_data_qubits": 1, '
+                    '"matrices": {"m0": [[0, 0], [1, 0], [1, 0], [0, 0]]}, '
+                    '"instructions": [{"op": "apply_local", "matrix": "m0", '
+                    '"qubits": [0.5]}]}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "switchsynth", "simulate", str(prog)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from switchsynth.linalg import H, X, Z, basis_state, normalize, zero_state
 from switchsynth.programs import (
+    OPS,
     AllocAncilla,
     ApplyLocal,
     CondApply,
@@ -139,6 +142,22 @@ def test_program_document_sorts_matrices():
     ('{"num_data_qubits": 1, "matrices": {}, '
      '"instructions": [{"op": "alloc_ancilla", "ancilla": "a0"}]}',
      "never discarded"),
+    ('{"num_data_qubits": 1, "matrices": {"m0": [[0, 0], [1, 0], [1, 0], [0, 0]]}, '
+     '"instructions": [{"op": "apply_local", "matrix": "m0", "qubits": [0.5]}]}',
+     "qubit indices must be integers"),
+    ('{"num_data_qubits": 1, "matrices": {"m0": [[0, 0], [1, 0], [1, 0], [0, 0]]}, '
+     '"instructions": [{"op": "apply_local", "matrix": "m0", "qubits": [true]}]}',
+     "qubit indices must be integers"),
+    ('{"num_data_qubits": 1, "matrices": {}, "instructions": ['
+     '{"op": "alloc_ancilla", "ancilla": "a0"}, '
+     '{"op": "measure_ancilla", "theta": NaN, "ancilla": "a0", "result": "m0"}, '
+     '{"op": "discard", "ancilla": "a0"}]}',
+     "measurement angle must be finite"),
+    ('{"num_data_qubits": 1, "matrices": {}, "instructions": ['
+     '{"op": "alloc_ancilla", "ancilla": "a0"}, '
+     '{"op": "measure_ancilla", "theta": -Infinity, "ancilla": "a0", "result": "m0"}, '
+     '{"op": "discard", "ancilla": "a0"}]}',
+     "measurement angle must be finite"),
 ])
 def test_parse_program_rejects_malformed_documents(text, fragment):
     with pytest.raises(ProgramError) as err:
@@ -231,3 +250,17 @@ def test_simulate_rejects_bad_inputs():
         simulate_program(program, basis_state(2, 0))
     with pytest.raises(ProgramError):
         simulate_program(program, zero_state(1), forced="maybe")
+
+
+def test_every_op_round_trips_through_its_record():
+    program = SwitchProgram(num_data_qubits=1)
+    x = program.add_matrix(X)
+    instructions = [ApplyLocal(x, (0,))] + switch_block(program, X, Z, 0.25, (0,), 0)
+    instructions.insert(-1, CondApply("m0", "minus", x, (0,)))
+    program.instructions = tuple(instructions)
+    records = program_document(program)["instructions"]
+    assert {record["op"] for record in records} == set(OPS)
+    for record, inst in zip(records, program.instructions):
+        assert OPS[record["op"]] is type(inst)
+        assert list(record) == ["op", *(f.name for f in fields(inst))]
+    assert parse_program(serialize_program(program)).instructions == program.instructions
