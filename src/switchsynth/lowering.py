@@ -29,7 +29,8 @@ from .programs import (
     MeasureAncilla,
     SwitchApply,
     SwitchProgram,
-    simulate_program,
+    _assignment_tree,
+    _BoundProgram,
 )
 from .sampling import random_state
 from .synthesis import synthesize
@@ -100,32 +101,37 @@ def check_equivalence(circuit: Circuit, program: SwitchProgram,
                       tolerance: float = DEFAULT_TOLERANCE) -> EquivalenceReport:
     """Compare program output against reference circuit semantics.
 
-    For each random input the program runs once per measurement-branch
-    assignment, forcing every combination when there are at most 2**10 and a
+    For each random input the program's output is compared on every
+    measurement-branch assignment when there are at most 2**10, and on a
     seeded sample of 2**10 otherwise; per-branch global phases are ignored
     by the fidelity. Passes iff the worst 1 - fidelity is within tolerance.
+
+    The program is bound once per call, and each trial walks the branch tree
+    of the assignments, so a prefix they share runs once: 2**(k+1) - 1 block
+    runs per trial for all assignments of k measurements, not k * 2**k.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if circuit.num_qubits != program.num_data_qubits:
         raise ValueError(f"circuit has {circuit.num_qubits} qubits, program "
                          f"has {program.num_data_qubits}")
-    labels = [inst.result for inst in program.instructions
-              if isinstance(inst, MeasureAncilla)]
+    bound = _BoundProgram(program)
+    k = len(bound.labels)
     rng = np.random.default_rng(seed)
-    if 2 ** len(labels) <= MAX_EXHAUSTIVE_ASSIGNMENTS:
-        assignments = list(product(("plus", "minus"), repeat=len(labels)))
+    if 2 ** k <= MAX_EXHAUSTIVE_ASSIGNMENTS:
+        assignments = list(product(("plus", "minus"), repeat=k))
     else:
-        assignments = [tuple(rng.choice(("plus", "minus"), size=len(labels)))
+        assignments = [tuple(rng.choice(("plus", "minus"), size=k))
                        for _ in range(MAX_EXHAUSTIVE_ASSIGNMENTS)]
+    tree = _assignment_tree(assignments)
 
     max_infidelity = 0.0
     for _ in range(trials):
         psi = random_state(rng, circuit.num_qubits)
         expected = simulate_circuit(circuit, psi)
-        for assignment in assignments:
-            trace = simulate_program(program, psi,
-                                     forced=dict(zip(labels, assignment)))
+        for _, state in bound.walk(psi, tree):
             max_infidelity = max(max_infidelity,
-                                 1.0 - fidelity(expected, trace.final_state))
+                                 1.0 - fidelity(expected, state))
     return EquivalenceReport(
         max_infidelity=max_infidelity,
         trials=trials,

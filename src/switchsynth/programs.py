@@ -18,12 +18,21 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_left
 from dataclasses import MISSING, dataclass, field, fields
+from operator import itemgetter
 
 import numpy as np
 
 from .jsonio import dumps, format_float
-from .linalg import PLUS, apply_matrix, require_square, state_num_qubits
+from .linalg import (
+    PLUS,
+    UNITARY_ATOL,
+    apply_matrix,
+    is_unitary,
+    require_square,
+    state_num_qubits,
+)
 from .switch import measure_ancilla, switch_unitary
 
 
@@ -248,7 +257,10 @@ def _coerce(values: dict) -> dict:
 
 
 def parse_program(text: str) -> SwitchProgram:
-    """Parse serialized JSON back into a validated SwitchProgram."""
+    """Parse serialized JSON back into a validated SwitchProgram.
+
+    Every matrix in the table must be unitary within ``UNITARY_ATOL``.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -272,6 +284,10 @@ def parse_program(text: str) -> SwitchProgram:
         if isinstance(err, ProgramError):
             raise
         raise ProgramError(f"malformed program document: {err}") from None
+    for key, m in matrices.items():
+        if not is_unitary(m):
+            raise ProgramError(f"matrix {key!r} is not unitary within "
+                               f"{UNITARY_ATOL}")
     program = SwitchProgram(num_data_qubits=num_data_qubits, matrices=matrices,
                             instructions=tuple(instructions))
     validate_program(program)
@@ -281,6 +297,157 @@ def parse_program(text: str) -> SwitchProgram:
 # ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------
+#
+# One executor serves sampled, forced and exhaustive runs. Binding validates
+# the program once, builds each distinct switch joint once and resolves every
+# ancilla position, leaving segments: the state updates up to a measurement,
+# then that measurement. The walk runs the segments along the branch tree; at
+# each measurement a chooser names the branches to follow, and every followed
+# branch continues from the one post-measurement state, so a prefix shared by
+# many branch assignments runs once. Each update is the same numpy call on
+# the same operands as an instruction-by-instruction replay of one branch
+# assignment, so every leaf state is bit-identical to that replay.
+
+
+def _local(matrix: np.ndarray, qubits: tuple[int, ...]):
+    return lambda state, record: apply_matrix(state, matrix, qubits)
+
+
+def _alloc(state: np.ndarray, record) -> np.ndarray:
+    return np.kron(state, PLUS)
+
+
+def _to_last(pos: int, total: int):
+    """Move the ancilla at ``pos`` behind the ``total - 1`` other qubits."""
+    def step(state, record):
+        psi = state.reshape([2] * total)
+        return np.moveaxis(psi, pos, total - 1).reshape(-1)
+    return step
+
+
+def _conditional(index: int, outcome: str, matrix: np.ndarray,
+                 qubits: tuple[int, ...]):
+    """Apply ``matrix`` when measurement ``index`` of the path gave ``outcome``."""
+    def step(state, record):
+        if record[index][1] == outcome:
+            return apply_matrix(state, matrix, qubits)
+        return state
+    return step
+
+
+def _assignment_tree(assignments) -> tuple:
+    """Root of the branch tree over a set of branch assignments.
+
+    A node is ``(ordered, lo, hi, depth)``: the sorted assignments in
+    ``ordered[lo:hi]`` share their first ``depth`` branch names. Nodes are
+    index ranges rather than a trie of dicts, so a sample of long
+    assignments costs no memory beyond the sample itself.
+    """
+    ordered = sorted(assignments)
+    for assignment in ordered:
+        for name in assignment:
+            if name not in ("plus", "minus"):
+                raise ProgramError(f"unknown forced outcome {name!r}")
+    return ordered, 0, len(ordered), 0
+
+
+def _follow_tree(node: tuple, plus_probability: float):
+    ordered, lo, hi, depth = node
+    # "minus" sorts before "plus"
+    mid = bisect_left(ordered, "plus", lo, hi, key=itemgetter(depth))
+    return [(name, (ordered, start, stop, depth + 1))
+            for name, start, stop in (("plus", mid, hi), ("minus", lo, mid))
+            if start < stop]
+
+
+def _sampler(seed: int | None):
+    """Chooser drawing one branch per measurement from a seeded generator."""
+    rng = np.random.default_rng(seed)
+
+    def choose(node, plus_probability: float):
+        return (("plus" if rng.random() < plus_probability else "minus", None),)
+    return choose
+
+
+class _BoundProgram:
+    """A validated program bound for execution (see the section comment)."""
+
+    def __init__(self, program: SwitchProgram):
+        validate_program(program)
+        self.num_data_qubits = program.num_data_qubits
+        matrices = program.matrices
+        joints: dict[tuple[str, str], np.ndarray] = {}
+        positions: dict[str, int] = {}
+        total = program.num_data_qubits
+        measured: dict[str, int] = {}  # result label -> index in the record
+        self.segments: list[tuple[list, tuple[float, str] | None]] = []
+        steps: list = []
+        for inst in program.instructions:
+            if isinstance(inst, AllocAncilla):
+                steps.append(_alloc)
+                positions[inst.ancilla] = total
+                total += 1
+            elif isinstance(inst, ApplyLocal):
+                steps.append(_local(matrices[inst.matrix], inst.qubits))
+            elif isinstance(inst, SwitchApply):
+                key = (inst.gate_a, inst.gate_b)
+                if key not in joints:
+                    joints[key] = switch_unitary(matrices[inst.gate_a],
+                                                 matrices[inst.gate_b]).matrix
+                steps.append(_local(joints[key],
+                                    (*inst.qubits, positions[inst.ancilla])))
+            elif isinstance(inst, MeasureAncilla):
+                pos = positions.pop(inst.ancilla)
+                if pos != total - 1:
+                    steps.append(_to_last(pos, total))
+                    for label in positions:
+                        if positions[label] > pos:
+                            positions[label] -= 1
+                total -= 1
+                measured[inst.result] = len(measured)
+                self.segments.append((steps, (inst.theta, inst.result)))
+                steps = []
+            elif isinstance(inst, CondApply):
+                steps.append(_conditional(measured[inst.result], inst.outcome,
+                                          matrices[inst.matrix], inst.qubits))
+            # Discard: the state already lost the ancilla at its measurement
+        self.segments.append((steps, None))
+        self.labels = tuple(measured)
+
+    def walk(self, input_state: np.ndarray, root, choose=_follow_tree):
+        """Yield (measurement record, final state) at every leaf reached.
+
+        ``choose(node, plus_probability)`` returns the (branch name, child
+        node) pairs to follow at a measurement, starting from ``root``; by
+        default the nodes are those of an ``_assignment_tree``.
+        The tree is walked with an explicit stack, so depth is not bounded by
+        the interpreter's recursion limit.
+        """
+        state = np.asarray(input_state, dtype=complex).copy()
+        if state_num_qubits(state) != self.num_data_qubits:
+            raise ProgramError(f"input has {state_num_qubits(state)} qubits, "
+                               f"program needs {self.num_data_qubits}")
+        stack = [(0, state, (), root)]
+        while stack:
+            index, state, record, node = stack.pop()
+            steps, measurement = self.segments[index]
+            for step in steps:
+                state = step(state, record)
+            if measurement is None:
+                yield record, state
+                continue
+            theta, label = measurement
+            plus, minus = measure_ancilla(state, theta)
+            followed = []
+            for name, child in choose(node, plus.probability):
+                picked = plus if name == "plus" else minus
+                if picked.post_state is None:
+                    raise ProgramError(f"branch {name!r} of {label!r} has "
+                                       f"probability 0")
+                followed.append((index + 1, picked.post_state,
+                                 record + ((label, name, picked.probability),),
+                                 child))
+            stack += followed
 
 
 def simulate_program(program: SwitchProgram, input_state: np.ndarray,
@@ -292,60 +459,17 @@ def simulate_program(program: SwitchProgram, input_state: np.ndarray,
     seeded by ``seed``; ``forced`` (a branch name, or a mapping from result
     label to branch name) pins outcomes instead, in which case the recorded
     probability is still the true probability of the forced branch.
-    """
-    validate_program(program)
-    state = np.asarray(input_state, dtype=complex).copy()
-    if state_num_qubits(state) != program.num_data_qubits:
-        raise ProgramError(f"input has {state_num_qubits(state)} qubits, "
-                           f"program needs {program.num_data_qubits}")
-    rng = np.random.default_rng(seed)
-    positions: dict[str, int] = {}
-    total = program.num_data_qubits
-    outcomes: dict[str, str] = {}
-    record: list[tuple[str, str, float]] = []
 
-    for inst in program.instructions:
-        if isinstance(inst, AllocAncilla):
-            state = np.kron(state, PLUS)
-            positions[inst.ancilla] = total
-            total += 1
-        elif isinstance(inst, ApplyLocal):
-            state = apply_matrix(state, program.matrices[inst.matrix], inst.qubits)
-        elif isinstance(inst, SwitchApply):
-            joint = switch_unitary(program.matrices[inst.gate_a],
-                                   program.matrices[inst.gate_b])
-            state = apply_matrix(state, joint.matrix,
-                                 (*inst.qubits, positions[inst.ancilla]))
-        elif isinstance(inst, MeasureAncilla):
-            pos = positions.pop(inst.ancilla)
-            if pos != total - 1:
-                psi = state.reshape([2] * total)
-                state = np.moveaxis(psi, pos, total - 1).reshape(-1)
-                for label in positions:
-                    if positions[label] > pos:
-                        positions[label] -= 1
-            plus, minus = measure_ancilla(state, inst.theta)
-            if forced is None:
-                name = "plus" if rng.random() < plus.probability else "minus"
-            elif isinstance(forced, str):
-                name = forced
-            else:
-                name = forced[inst.result]
-            if name not in ("plus", "minus"):
-                raise ProgramError(f"unknown forced outcome {name!r}")
-            picked = plus if name == "plus" else minus
-            if picked.post_state is None:
-                raise ProgramError(f"branch {name!r} of {inst.result!r} has "
-                                   f"probability 0")
-            state = picked.post_state
-            total -= 1
-            outcomes[inst.result] = name
-            record.append((inst.result, name, picked.probability))
-        elif isinstance(inst, CondApply):
-            if outcomes[inst.result] == inst.outcome:
-                state = apply_matrix(state, program.matrices[inst.matrix],
-                                     inst.qubits)
-        elif isinstance(inst, Discard):
-            pass  # state change already happened at measurement
-    return SimulationTrace(final_state=state, measurement_record=tuple(record),
+    The program is bound once (validated, each distinct switch joint built
+    once) and one path of its branch tree is walked.
+    """
+    bound = _BoundProgram(program)
+    if forced is None:
+        leaves = bound.walk(input_state, None, _sampler(seed))
+    else:
+        path = [forced if isinstance(forced, str) else forced[label]
+                for label in bound.labels]
+        leaves = bound.walk(input_state, _assignment_tree([path]))
+    (record, state), = leaves
+    return SimulationTrace(final_state=state, measurement_record=record,
                            seed=seed)

@@ -263,3 +263,19 @@ def test_simulate_malformed_program_exits_2_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_simulate_non_unitary_program_exits_2_without_traceback(tmp_path):
+    # diag(2, 2) would otherwise return a state of norm 2 and pass
+    prog = tmp_path / "scaled.json"
+    prog.write_text('{"num_data_qubits": 1, '
+                    '"matrices": {"m0": [[2, 0], [0, 0], [0, 0], [2, 0]]}, '
+                    '"instructions": [{"op": "apply_local", "matrix": "m0", '
+                    '"qubits": [0]}]}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "switchsynth", "simulate", str(prog)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: matrix 'm0' is not unitary")
+    assert "Traceback" not in proc.stderr

@@ -1,10 +1,13 @@
+from dataclasses import replace
+from itertools import product
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from switchsynth.circuits import parse_circuit
-from switchsynth.linalg import basis_state, fidelity
-from switchsynth.lowering import check_equivalence, lower
+from switchsynth.circuits import parse_circuit, simulate_circuit
+from switchsynth.linalg import X, basis_state, fidelity
+from switchsynth.lowering import MAX_EXHAUSTIVE_ASSIGNMENTS, check_equivalence, lower
 from switchsynth.programs import (
     AllocAncilla,
     ApplyLocal,
@@ -17,6 +20,7 @@ from switchsynth.programs import (
     simulate_program,
     validate_program,
 )
+from switchsynth.sampling import random_state
 
 BELL_TEXT = "qubits 2\nh 0\ncnot 0 1\n"
 
@@ -135,3 +139,95 @@ def test_lowered_mixed_circuit_matches_reference():
     report = check_equivalence(circuit, lower(circuit), trials=10, seed=5)
     assert report.passed
     assert report.max_infidelity < 1e-10
+
+
+THREE_GATE_TEXT = ("qubits 2\n"
+                   "cnot 0 1\n"
+                   "cu 1 0 alpha=0.4 theta=0.9 nx=0.0 ny=0.0 nz=1.0\n"
+                   "barenco 0 1 alpha=1.2 phi=0.3 theta=2.0\n")
+FOUR_GATE_TEXT = THREE_GATE_TEXT + "cz 1 0\n"
+CZ11_TEXT = "qubits 2\n" + "cz 0 1\n" * 11
+
+
+def interleaved(program):
+    """The program with every ancilla allocated first and discarded last, so
+    each measurement removes an ancilla that has live ones behind it."""
+    allocs = [i for i in program.instructions if isinstance(i, AllocAncilla)]
+    discards = [i for i in program.instructions if isinstance(i, Discard)]
+    body = [i for i in program.instructions
+            if not isinstance(i, (AllocAncilla, Discard))]
+    return replace(program, instructions=tuple(allocs + body + discards))
+
+
+def replayed_max_infidelity(circuit, program, trials, seed):
+    """check_equivalence by one forced simulate_program per assignment."""
+    labels = [inst.result for inst in program.instructions
+              if isinstance(inst, MeasureAncilla)]
+    rng = np.random.default_rng(seed)
+    if 2 ** len(labels) <= MAX_EXHAUSTIVE_ASSIGNMENTS:
+        assignments = list(product(("plus", "minus"), repeat=len(labels)))
+    else:
+        assignments = [tuple(rng.choice(("plus", "minus"), size=len(labels)))
+                       for _ in range(MAX_EXHAUSTIVE_ASSIGNMENTS)]
+    worst = 0.0
+    for _ in range(trials):
+        psi = random_state(rng, circuit.num_qubits)
+        expected = simulate_circuit(circuit, psi)
+        for assignment in assignments:
+            trace = simulate_program(program, psi,
+                                     forced=dict(zip(labels, assignment)))
+            worst = max(worst, 1.0 - fidelity(expected, trace.final_state))
+    return worst
+
+
+def corrupt_last_minus_correction(program):
+    """Swap X on the target in for the minus-branch correction of the last
+    controlled gate."""
+    insts = list(program.instructions)
+    index = max(i for i, inst in enumerate(insts)
+                if isinstance(inst, CondApply) and inst.outcome == "minus")
+    program = replace(program, matrices=dict(program.matrices))
+    insts[index] = replace(insts[index], matrix=program.add_matrix(X),
+                           qubits=insts[index].qubits[1:])
+    return replace(program, instructions=tuple(insts))
+
+
+def test_check_equivalence_rejects_zero_trials():
+    circuit = parse_circuit(BELL_TEXT)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        check_equivalence(circuit, lower(circuit), trials=0)
+
+
+@pytest.mark.parametrize("text,make_program,trials,assignments", [
+    (THREE_GATE_TEXT, lambda c: interleaved(lower(c)), 3, 8),
+    (CZ11_TEXT, lower, 1, 1024),
+], ids=["interleaved_exhaustive", "sampled_k11"])
+def test_check_equivalence_is_bit_identical_to_forced_replay(
+        text, make_program, trials, assignments):
+    circuit = parse_circuit(text)
+    program = make_program(circuit)
+    validate_program(program)
+    report = check_equivalence(circuit, program, trials=trials, seed=6)
+    assert report.branch_assignments == assignments
+    assert report.max_infidelity == replayed_max_infidelity(
+        circuit, program, trials, seed=6)
+
+
+@pytest.mark.parametrize("text", [FOUR_GATE_TEXT, CZ11_TEXT],
+                         ids=["four_gates", "sampled_k11"])
+def test_check_equivalence_visits_the_last_minus_branch(text):
+    circuit = parse_circuit(text)
+    program = corrupt_last_minus_correction(lower(circuit))
+    validate_program(program)
+    report = check_equivalence(circuit, program, trials=1, seed=7)
+    assert not report.passed
+    assert report.max_infidelity > 1e-3
+
+
+def test_simulate_deep_program_without_recursion():
+    circuit = parse_circuit("qubits 2\n" + "cz 0 1\n" * 1200)
+    psi = random_state(np.random.default_rng(8), 2)
+    trace = simulate_program(lower(circuit), psi, seed=8)
+    assert len(trace.measurement_record) == 1200
+    assert 1.0 - fidelity(simulate_circuit(circuit, psi),
+                          trace.final_state) < 1e-10

@@ -158,6 +158,9 @@ def test_program_document_sorts_matrices():
      '{"op": "measure_ancilla", "theta": -Infinity, "ancilla": "a0", "result": "m0"}, '
      '{"op": "discard", "ancilla": "a0"}]}',
      "measurement angle must be finite"),
+    ('{"num_data_qubits": 1, "matrices": {"m0": [[2, 0], [0, 0], [0, 0], [2, 0]]}, '
+     '"instructions": [{"op": "apply_local", "matrix": "m0", "qubits": [0]}]}',
+     "matrix 'm0' is not unitary"),
 ])
 def test_parse_program_rejects_malformed_documents(text, fragment):
     with pytest.raises(ProgramError) as err:
