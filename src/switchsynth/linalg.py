@@ -56,7 +56,13 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
         raise ValueError("tensor() needs at least one factor")
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=complex))
+        f = np.asarray(f, dtype=complex)
+        if out.ndim == f.ndim == 2:
+            # np.kron's own elementwise product, without its axis bookkeeping
+            out = (out[:, None, :, None] * f[None, :, None, :]).reshape(
+                out.shape[0] * f.shape[0], out.shape[1] * f.shape[1])
+        else:
+            out = np.kron(out, f)
     return out
 
 
@@ -260,13 +266,29 @@ def apply_matrix(state: np.ndarray, matrix: np.ndarray, qubits) -> np.ndarray:
         raise ValueError(f"qubit index out of range for {n} qubits: {qubits}")
     if matrix.shape[0] != 2 ** k:
         raise ValueError(f"matrix dim {matrix.shape[0]} does not act on {k} qubits")
-    psi = state.reshape([2] * n)
-    front = list(range(k))
-    psi = np.moveaxis(psi, qubits, front)
-    psi = matrix @ psi.reshape(2 ** k, -1)
-    psi = psi.reshape([2] * n)
-    psi = np.moveaxis(psi, front, qubits)
-    return psi.reshape(-1)
+    order, inverse = axis_orders(qubits, n)
+    return apply_ordered(state, matrix, (2,) * n, order, inverse)
+
+
+def axis_orders(qubits, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Transpose order that brings ``qubits`` of an n-qubit tensor to the
+    front, in the order listed, and the inverse order that moves them back."""
+    order = (*qubits, *(q for q in range(n) if q not in qubits))
+    inverse = [0] * n
+    for axis, q in enumerate(order):
+        inverse[q] = axis
+    return order, tuple(inverse)
+
+
+def apply_ordered(state: np.ndarray, matrix: np.ndarray, shape: tuple[int, ...],
+                  order: tuple[int, ...], inverse: tuple[int, ...]) -> np.ndarray:
+    """``apply_matrix`` without its checks, on resolved axis orders.
+
+    ``shape`` is ``(2,) * n``, ``order, inverse`` are ``axis_orders(qubits,
+    n)`` and ``matrix`` is a complex 2^k x 2^k array for the k listed qubits.
+    """
+    psi = state.reshape(shape).transpose(order).reshape(matrix.shape[0], -1)
+    return (matrix @ psi).reshape(shape).transpose(inverse).reshape(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,8 @@ def check_equivalence(circuit: Circuit, program: SwitchProgram,
     if 2 ** k <= MAX_EXHAUSTIVE_ASSIGNMENTS:
         assignments = list(product(("plus", "minus"), repeat=k))
     else:
-        assignments = [tuple(rng.choice(("plus", "minus"), size=k))
+        # tolist(): plain str, not 1024 * k numpy string scalars
+        assignments = [tuple(rng.choice(("plus", "minus"), size=k).tolist())
                        for _ in range(MAX_EXHAUSTIVE_ASSIGNMENTS)]
     tree = _assignment_tree(assignments)
 

@@ -28,7 +28,8 @@ from .jsonio import dumps, format_float
 from .linalg import (
     PLUS,
     UNITARY_ATOL,
-    apply_matrix,
+    apply_ordered,
+    axis_orders,
     is_unitary,
     require_square,
     state_num_qubits,
@@ -98,7 +99,8 @@ _FIELDS = {cls: fields(cls) for cls in OPS.values()}
 
 def matrix_entries(m: np.ndarray) -> list[list[float]]:
     """Row-major [re, im] pairs of a matrix."""
-    return [[float(z.real), float(z.imag)] for z in np.asarray(m).reshape(-1)]
+    flat = np.asarray(m, dtype=complex).reshape(-1)
+    return [[re, im] for re, im in zip(flat.real.tolist(), flat.imag.tolist())]
 
 
 def matrix_id(m: np.ndarray) -> str:
@@ -113,11 +115,17 @@ class SwitchProgram:
     num_data_qubits: int
     matrices: dict[str, np.ndarray] = field(default_factory=dict)
     instructions: tuple[ProgramInstruction, ...] = ()
+    # (shape, bytes) of each matrix added -> its id, so each is hashed once
+    _ids: dict[tuple, str] = field(default_factory=dict, init=False,
+                                   repr=False, compare=False)
 
     def add_matrix(self, m: np.ndarray) -> str:
         """Intern a matrix in the content-addressed table; returns its id."""
         m = require_square(np.asarray(m, dtype=complex))
-        key = matrix_id(m)
+        content = (m.shape, m.tobytes())
+        key = self._ids.get(content)
+        if key is None:
+            key = self._ids[content] = matrix_id(m)
         self.matrices.setdefault(key, m)
         return key
 
@@ -300,17 +308,24 @@ def parse_program(text: str) -> SwitchProgram:
 #
 # One executor serves sampled, forced and exhaustive runs. Binding validates
 # the program once, builds each distinct switch joint once and resolves every
-# ancilla position, leaving segments: the state updates up to a measurement,
-# then that measurement. The walk runs the segments along the branch tree; at
-# each measurement a chooser names the branches to follow, and every followed
-# branch continues from the one post-measurement state, so a prefix shared by
-# many branch assignments runs once. Each update is the same numpy call on
-# the same operands as an instruction-by-instruction replay of one branch
-# assignment, so every leaf state is bit-identical to that replay.
+# ancilla position and every update's axis orders, leaving segments: the
+# state updates up to a measurement, then that measurement. Each update is
+# then a transpose, a matrix product and a transpose back. The walk runs the
+# segments along the branch tree; at each measurement a chooser names the
+# branches to follow, and every followed branch continues from the one
+# post-measurement state, so a prefix shared by many branch assignments runs
+# once. Each update is the same numpy call on the same operands as an
+# instruction-by-instruction replay of one branch assignment, so every leaf
+# state is bit-identical to that replay.
 
 
-def _local(matrix: np.ndarray, qubits: tuple[int, ...]):
-    return lambda state, record: apply_matrix(state, matrix, qubits)
+def _local(matrix: np.ndarray, qubits: tuple[int, ...], total: int):
+    """``apply_matrix`` on a ``total``-qubit state, resolved at bind time."""
+    matrix = np.asarray(matrix, dtype=complex)
+    shape = (2,) * total
+    order, inverse = axis_orders(qubits, total)
+    return lambda state, record: apply_ordered(state, matrix, shape, order,
+                                               inverse)
 
 
 def _alloc(state: np.ndarray, record) -> np.ndarray:
@@ -319,18 +334,19 @@ def _alloc(state: np.ndarray, record) -> np.ndarray:
 
 def _to_last(pos: int, total: int):
     """Move the ancilla at ``pos`` behind the ``total - 1`` other qubits."""
-    def step(state, record):
-        psi = state.reshape([2] * total)
-        return np.moveaxis(psi, pos, total - 1).reshape(-1)
-    return step
+    shape = (2,) * total
+    order = (*range(pos), *range(pos + 1, total), pos)
+    return lambda state, record: state.reshape(shape).transpose(order).reshape(-1)
 
 
 def _conditional(index: int, outcome: str, matrix: np.ndarray,
-                 qubits: tuple[int, ...]):
+                 qubits: tuple[int, ...], total: int):
     """Apply ``matrix`` when measurement ``index`` of the path gave ``outcome``."""
+    apply = _local(matrix, qubits, total)
+
     def step(state, record):
         if record[index][1] == outcome:
-            return apply_matrix(state, matrix, qubits)
+            return apply(state, record)
         return state
     return step
 
@@ -388,14 +404,15 @@ class _BoundProgram:
                 positions[inst.ancilla] = total
                 total += 1
             elif isinstance(inst, ApplyLocal):
-                steps.append(_local(matrices[inst.matrix], inst.qubits))
+                steps.append(_local(matrices[inst.matrix], inst.qubits, total))
             elif isinstance(inst, SwitchApply):
                 key = (inst.gate_a, inst.gate_b)
                 if key not in joints:
                     joints[key] = switch_unitary(matrices[inst.gate_a],
                                                  matrices[inst.gate_b]).matrix
                 steps.append(_local(joints[key],
-                                    (*inst.qubits, positions[inst.ancilla])))
+                                    (*inst.qubits, positions[inst.ancilla]),
+                                    total))
             elif isinstance(inst, MeasureAncilla):
                 pos = positions.pop(inst.ancilla)
                 if pos != total - 1:
@@ -409,7 +426,8 @@ class _BoundProgram:
                 steps = []
             elif isinstance(inst, CondApply):
                 steps.append(_conditional(measured[inst.result], inst.outcome,
-                                          matrices[inst.matrix], inst.qubits))
+                                          matrices[inst.matrix], inst.qubits,
+                                          total))
             # Discard: the state already lost the ancilla at its measurement
         self.segments.append((steps, None))
         self.labels = tuple(measured)

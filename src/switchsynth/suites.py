@@ -296,6 +296,8 @@ SUITE_NAMES = (*SUITES, "all")
 def run_suite(name: str, trials: int = 100, seed: int = 42,
               tolerance: float = DEFAULT_TOLERANCE) -> list[PropertyResult]:
     """Run one suite (or 'all') and return its property results."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if name == "all":
         results = []
         for suite_name in SUITES:

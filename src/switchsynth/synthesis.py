@@ -300,6 +300,8 @@ def verify_synthesis(spec: ControlledGateSpec, *, trials: int = 100,
     random input states, recording branch probabilities and the worst-case
     infidelity against CU acting directly.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     plan = synthesize(spec)
     target = cu_matrix(spec)
     s_plus, s_minus = plan.branch_operators()

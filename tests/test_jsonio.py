@@ -63,3 +63,62 @@ def test_dumps_is_deterministic():
     doc = {"floats": [math.pi, math.e, 1 / 3], "flag": False}
     assert dumps(doc) == dumps(doc)
     assert dumps(json.loads(dumps(doc))) == dumps(doc)
+
+
+def test_dumps_is_unchanged_on_a_mixed_document():
+    doc = {
+        "name": "café ☃ \"q\"\n",
+        "flags": (True, False, None),
+        "ints": [0, -7, 10 ** 20],
+        "floats": [0.1, -0.0, 1e-300, -2.5e+17],
+        "nested": [[1, [2.5, -0.0]], (3, ()), [], [[[]]]],
+        "empty": {},
+        "records": [{"a": [1.0, [None]], "b": {}}, {"ü": -0.0}, ()],
+        "dict_in_nested_list": [0.5, [{"deep": [1]}, 2]],
+        "scalar": -0.0,
+    }
+    assert dumps(doc) == (
+        '{\n'
+        '  "name": "caf\\u00e9 \\u2603 \\"q\\"\\n",\n'
+        '  "flags": [true, false, null],\n'
+        '  "ints": [0, -7, 100000000000000000000],\n'
+        '  "floats": [0.10000000000000001, 0, 1e-300, -2.5e+17],\n'
+        '  "nested": [[1, [2.5, 0]], [3, []], [], [[[]]]],\n'
+        '  "empty": {},\n'
+        '  "records": [\n'
+        '    {\n'
+        '      "a": [1, [null]],\n'
+        '      "b": {}\n'
+        '    },\n'
+        '    {\n'
+        '      "\\u00fc": 0\n'
+        '    },\n'
+        '    []\n'
+        '  ],\n'
+        # a dict inside an inline list is written in block form at level 0
+        '  "dict_in_nested_list": [0.5, [\n'
+        '  {\n'
+        '    "deep": [1]\n'
+        '  },\n'
+        '  2\n'
+        ']],\n'
+        '  "scalar": 0\n'
+        '}\n')
+
+
+@pytest.mark.parametrize("doc,error", [
+    ([[1.0, [math.nan]]], ValueError),
+    ({"a": [[object()]]}, TypeError),
+    ({"a": {1: 2}}, TypeError),
+    ([np.int64(1)], TypeError),
+], ids=["nested_nan", "nested_object", "int_key", "numpy_int"])
+def test_dumps_rejects_unserializable_values(doc, error):
+    with pytest.raises(error):
+        dumps(doc)
+
+
+def test_dumps_rejects_a_circular_list():
+    inner = [1.0]
+    inner.append(inner)
+    with pytest.raises(RecursionError):
+        dumps({"a": [inner]})

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -54,6 +56,27 @@ def test_tensor_mixed_product_property():
                 for _ in range(2))
         assert np.linalg.norm(tensor(a, b) @ tensor(c, d)
                               - tensor(a @ c, b @ d)) < 1e-12
+
+
+@pytest.mark.parametrize("shapes", [
+    [(2, 2), (2, 2)],
+    [(4, 4), (2, 2)],
+    [(2, 2), (4, 4)],
+    [(2, 2), (4, 4), (2, 2)],
+    [(2,), (4,)],
+    [(2, 3), (3, 2)],
+], ids=["2x2_2x2", "4x4_2x2", "2x2_4x4", "three_factors", "vectors",
+        "non_square"])
+def test_tensor_is_bit_identical_to_kron(shapes):
+    rng = np.random.default_rng(len(shapes) * 10 + shapes[0][0])
+    factors = [rng.standard_normal(s) + 1j * rng.standard_normal(s)
+               for s in shapes]
+    expected = factors[0]
+    for f in factors[1:]:
+        expected = np.kron(expected, f)
+    out = tensor(*factors)
+    assert out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_tensor_needs_a_factor():
@@ -239,6 +262,26 @@ def test_apply_matrix_matches_kron_embedding():
         v = oracles.haar_unitary(rng, 4)
         assert_allclose(apply_matrix(state, v, [0, 1]),
                         tensor(v, I2) @ state, atol=1e-12)
+
+
+def moveaxis_apply(state, matrix, qubits):
+    """apply_matrix as written with np.moveaxis, the reference for its bytes."""
+    n = state.size.bit_length() - 1
+    front = list(range(len(qubits)))
+    psi = np.moveaxis(state.reshape([2] * n), qubits, front)
+    psi = (matrix @ psi.reshape(matrix.shape[0], -1)).reshape([2] * n)
+    return np.moveaxis(psi, front, qubits).reshape(-1)
+
+
+def test_apply_matrix_is_bit_identical_to_moveaxis_reference():
+    rng = np.random.default_rng(54)
+    for n in range(1, 7):
+        state = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+        for k in range(1, min(n, 3) + 1):
+            u = oracles.haar_unitary(rng, 2 ** k)
+            for qubits in permutations(range(n), k):
+                out = apply_matrix(state, u, qubits)
+                assert out.tobytes() == moveaxis_apply(state, u, qubits).tobytes()
 
 
 def test_apply_matrix_qubit_order_matters():

@@ -15,6 +15,8 @@ from switchsynth.programs import (
     Discard,
     MeasureAncilla,
     SwitchApply,
+    SwitchProgram,
+    matrix_id,
     parse_program,
     serialize_program,
     simulate_program,
@@ -23,6 +25,12 @@ from switchsynth.programs import (
 from switchsynth.sampling import random_state
 
 BELL_TEXT = "qubits 2\nh 0\ncnot 0 1\n"
+ALL_GATES_BODY = ("h 0\nx 1\ny 2\nz 0\n"
+                  "rx 0 theta=0.3\nry 1 theta=-1.2\nrz 2 theta=2.5\n"
+                  "rn 0 theta=0.7 nx=0.0 ny=0.6 nz=0.8\n"
+                  "cnot 0 1\ncz 1 2\n"
+                  "cu 2 0 alpha=0.4 theta=1.1 nx=0.6 ny=0.0 nz=0.8\n"
+                  "barenco 0 2 alpha=0.2 phi=0.9 theta=-0.5\n")
 
 
 def test_lower_bell_structure():
@@ -57,6 +65,21 @@ def test_lower_single_qubit_gates_pass_through():
     program = lower(parse_circuit("qubits 1\nh 0\nrx 0 theta=0.5\n"))
     assert all(isinstance(inst, ApplyLocal) for inst in program.instructions)
     assert len(program.matrices) == 2
+
+
+def test_lowered_program_serializes_as_without_the_id_memo(monkeypatch):
+    # every gate twice, so the second of each is answered by the memo
+    circuit = parse_circuit("qubits 3\n" + ALL_GATES_BODY * 2)
+    text = serialize_program(lower(circuit))
+
+    def add_matrix(self, m):  # content addressing alone, hashing every call
+        m = np.asarray(m, dtype=complex)
+        key = matrix_id(m)
+        self.matrices.setdefault(key, m)
+        return key
+
+    monkeypatch.setattr(SwitchProgram, "add_matrix", add_matrix)
+    assert serialize_program(lower(circuit)) == text
 
 
 def test_lowered_bell_gives_bell_state_on_both_branches():
@@ -222,6 +245,16 @@ def test_check_equivalence_visits_the_last_minus_branch(text):
     report = check_equivalence(circuit, program, trials=1, seed=7)
     assert not report.passed
     assert report.max_infidelity > 1e-3
+
+
+def test_sampled_k11_report_is_unchanged():
+    circuit = parse_circuit("qubits 2\n" + THREE_GATE_TEXT.split("\n", 1)[1] * 3
+                            + "cz 1 0\ncnot 1 0\n")
+    report = check_equivalence(circuit, lower(circuit), trials=2, seed=12)
+    assert report.as_dict() == {
+        "max_infidelity": 1.1102230246251565e-15, "trials": 2,
+        "branch_assignments": 1024, "seed": 12, "tolerance": 1e-10,
+        "passed": True}
 
 
 def test_simulate_deep_program_without_recursion():

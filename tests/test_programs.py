@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from switchsynth.linalg import H, X, Z, basis_state, normalize, zero_state
+from switchsynth.linalg import H, X, Z, basis_state, normalize, rotation, zero_state
 from switchsynth.programs import (
     OPS,
     AllocAncilla,
@@ -59,6 +59,31 @@ def test_add_matrix_interns():
     assert len(program.matrices) == 1
     with pytest.raises(ValueError):
         program.add_matrix(np.ones((2, 3)))
+
+
+def test_add_matrix_ids_are_matrix_ids_with_or_without_the_memo():
+    mats = [H, X, Z, rotation((0.6, 0.0, 0.8), 0.7), np.kron(H, X)]
+    program = SwitchProgram(num_data_qubits=2)
+    for m in mats + mats:  # the second round is answered by the memo
+        assert program.add_matrix(m.copy()) == matrix_id(m)
+    assert len(program.matrices) == len(mats)
+    fresh = SwitchProgram(num_data_qubits=2)
+    assert [fresh.add_matrix(m) for m in reversed(mats)] == [
+        matrix_id(m) for m in reversed(mats)]
+
+
+def test_add_matrix_gives_zero_and_negative_zero_one_id():
+    zero = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    negative_zero = np.array([[complex(-0.0, -0.0), 1.0],
+                              [1.0, complex(0.0, -0.0)]])
+    assert zero.tobytes() != negative_zero.tobytes()
+    program = SwitchProgram(num_data_qubits=1)
+    keys = [program.add_matrix(m)
+            for m in (zero, negative_zero, negative_zero, zero)]
+    assert keys == [matrix_id(zero)] * 4
+    assert list(program.matrices) == [matrix_id(zero)]
+    # the table keeps the first matrix added under an id
+    assert program.matrices[keys[0]].tobytes() == zero.tobytes()
 
 
 def test_validate_accepts_full_lifecycle():

@@ -48,3 +48,9 @@ def test_property_result_dict_shape():
     result = run_suite("channels", trials=4, seed=11)[0]
     doc = result.as_dict()
     assert set(doc) == {"suite", "name", "max_residual", "tolerance", "passed"}
+
+
+@pytest.mark.parametrize("name", ["switch", "all"])
+def test_run_suite_rejects_zero_trials(name):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        run_suite(name, trials=0)

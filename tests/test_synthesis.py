@@ -258,3 +258,8 @@ def test_verify_synthesis_is_deterministic():
 def test_verify_synthesis_unreachable_tolerance_fails():
     report = verify_synthesis(preset("cz"), trials=5, tolerance=1e-300)
     assert not report.passed
+
+
+def test_verify_synthesis_rejects_zero_trials():
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        verify_synthesis(preset("cnot"), trials=0)
