@@ -1,7 +1,8 @@
 """Tiny gate-circuit IR with a line-oriented text format.
 
-Format: a ``qubits N`` header, then one gate per line as
-``name operand... key=value...`` with angles in radians and ``#`` comments.
+Format: a ``qubits N`` header (N at most ``MAX_QUBITS``), then one gate per
+line as ``name operand... key=value...`` with angles in radians and ``#``
+comments.
 
     qubits 2
     h 0
@@ -19,7 +20,17 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import UNIT_VECTOR_ATOL, H, X, Y, Z, apply_matrix, rotation, state_num_qubits
+from .linalg import (
+    MAX_QUBITS,
+    UNIT_VECTOR_ATOL,
+    H,
+    X,
+    Y,
+    Z,
+    apply_matrix,
+    rotation,
+    state_num_qubits,
+)
 from .synthesis import barenco_matrix, cu_matrix, preset, preset_barenco, ControlledGateSpec
 
 CNOT_MATRIX = np.array([[1, 0, 0, 0],
@@ -147,6 +158,9 @@ def parse_circuit(text: str) -> Circuit:
             if not _INT_RE.match(count):
                 raise CircuitParseError(f"malformed qubit count {count!r}", line_no, ccol)
             num_qubits = int(count)
+            if num_qubits > MAX_QUBITS:
+                raise CircuitParseError(f"qubit count {num_qubits} exceeds the "
+                                        f"maximum of {MAX_QUBITS}", line_no, ccol)
             header_seen = True
             continue
 

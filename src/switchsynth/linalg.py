@@ -25,6 +25,10 @@ UNIT_VECTOR_ATOL = 1e-12
 DENSITY_ATOL = 1e-10
 DENSITY_EIGVAL_FLOOR = -1e-9
 
+# Largest qubit count a circuit or program may declare; a dense state on
+# MAX_QUBITS qubits takes 16 MiB, and each extra qubit doubles that.
+MAX_QUBITS = 20
+
 # ---------------------------------------------------------------------------
 # fixed single-qubit operators
 # ---------------------------------------------------------------------------
@@ -57,10 +61,12 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:
         f = np.asarray(f, dtype=complex)
+        # np.kron's own elementwise product, without its axis bookkeeping
         if out.ndim == f.ndim == 2:
-            # np.kron's own elementwise product, without its axis bookkeeping
             out = (out[:, None, :, None] * f[None, :, None, :]).reshape(
                 out.shape[0] * f.shape[0], out.shape[1] * f.shape[1])
+        elif out.ndim == f.ndim == 1:
+            out = (out[:, None] * f[None, :]).reshape(-1)
         else:
             out = np.kron(out, f)
     return out

@@ -26,15 +26,18 @@ import numpy as np
 
 from .jsonio import dumps, format_float
 from .linalg import (
+    MAX_QUBITS,
     PLUS,
     UNITARY_ATOL,
     apply_ordered,
     axis_orders,
     is_unitary,
+    require_normalized,
     require_square,
     state_num_qubits,
+    tensor,
 )
-from .switch import measure_ancilla, switch_unitary
+from .switch import branch_functionals, project_ancilla, switch_unitary
 
 
 class ProgramError(ValueError):
@@ -267,7 +270,8 @@ def _coerce(values: dict) -> dict:
 def parse_program(text: str) -> SwitchProgram:
     """Parse serialized JSON back into a validated SwitchProgram.
 
-    Every matrix in the table must be unitary within ``UNITARY_ATOL``.
+    ``num_data_qubits`` must be an integer from 0 to ``MAX_QUBITS`` and
+    every matrix in the table must be unitary within ``UNITARY_ATOL``.
     """
     try:
         doc = json.loads(text)
@@ -276,7 +280,13 @@ def parse_program(text: str) -> SwitchProgram:
     if not isinstance(doc, dict):
         raise ProgramError("program document must be a JSON object")
     try:
-        num_data_qubits = int(doc["num_data_qubits"])
+        num_data_qubits = doc["num_data_qubits"]
+        if type(num_data_qubits) is not int or num_data_qubits < 0:
+            raise ProgramError(f"num_data_qubits must be a non-negative "
+                               f"integer, got {num_data_qubits!r}")
+        if num_data_qubits > MAX_QUBITS:
+            raise ProgramError(f"num_data_qubits {num_data_qubits} exceeds the "
+                               f"maximum of {MAX_QUBITS}")
         matrices = {key: _matrix_from_entries(entries, key)
                     for key, entries in doc["matrices"].items()}
         instructions: list[ProgramInstruction] = []
@@ -308,15 +318,18 @@ def parse_program(text: str) -> SwitchProgram:
 #
 # One executor serves sampled, forced and exhaustive runs. Binding validates
 # the program once, builds each distinct switch joint once and resolves every
-# ancilla position and every update's axis orders, leaving segments: the
-# state updates up to a measurement, then that measurement. Each update is
-# then a transpose, a matrix product and a transpose back. The walk runs the
-# segments along the branch tree; at each measurement a chooser names the
-# branches to follow, and every followed branch continues from the one
-# post-measurement state, so a prefix shared by many branch assignments runs
-# once. Each update is the same numpy call on the same operands as an
-# instruction-by-instruction replay of one branch assignment, so every leaf
-# state is bit-identical to that replay.
+# ancilla position, every update's axis orders and every measurement's branch
+# functionals, leaving segments: the state updates up to a measurement, then
+# that measurement. Each update is then a transpose, a matrix product and a
+# transpose back; each measurement is a normalization check and the
+# projection kernel, since the measured ancilla is by construction the last
+# qubit of a state on at least one. The walk runs the segments along the
+# branch tree; at each measurement a chooser names the branches to follow,
+# and every followed branch continues from the one post-measurement state, so
+# a prefix shared by many branch assignments runs once. Each update is the
+# same numpy call on the same operands as an instruction-by-instruction
+# replay of one branch assignment, so every leaf state is bit-identical to
+# that replay.
 
 
 def _local(matrix: np.ndarray, qubits: tuple[int, ...], total: int):
@@ -329,7 +342,7 @@ def _local(matrix: np.ndarray, qubits: tuple[int, ...], total: int):
 
 
 def _alloc(state: np.ndarray, record) -> np.ndarray:
-    return np.kron(state, PLUS)
+    return tensor(state, PLUS)
 
 
 def _to_last(pos: int, total: int):
@@ -396,7 +409,7 @@ class _BoundProgram:
         positions: dict[str, int] = {}
         total = program.num_data_qubits
         measured: dict[str, int] = {}  # result label -> index in the record
-        self.segments: list[tuple[list, tuple[float, str] | None]] = []
+        self.segments: list[tuple[list, tuple[tuple, str] | None]] = []
         steps: list = []
         for inst in program.instructions:
             if isinstance(inst, AllocAncilla):
@@ -422,7 +435,8 @@ class _BoundProgram:
                             positions[label] -= 1
                 total -= 1
                 measured[inst.result] = len(measured)
-                self.segments.append((steps, (inst.theta, inst.result)))
+                self.segments.append(
+                    (steps, (branch_functionals(inst.theta), inst.result)))
                 steps = []
             elif isinstance(inst, CondApply):
                 steps.append(_conditional(measured[inst.result], inst.outcome,
@@ -454,8 +468,8 @@ class _BoundProgram:
             if measurement is None:
                 yield record, state
                 continue
-            theta, label = measurement
-            plus, minus = measure_ancilla(state, theta)
+            functionals, label = measurement
+            plus, minus = project_ancilla(require_normalized(state), functionals)
             followed = []
             for name, child in choose(node, plus.probability):
                 picked = plus if name == "plus" else minus

@@ -122,7 +122,7 @@ def apply_switch(joint: SwitchJoint, psi: np.ndarray, omega: np.ndarray) -> np.n
         raise ValueError(f"target state has dim {psi.size}, expected {joint.target_dim}")
     if omega.size != 2:
         raise ValueError("control state must be a single qubit")
-    return joint.matrix @ np.kron(psi, omega)
+    return joint.matrix @ tensor(psi, omega)
 
 
 def branch_functionals(theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -149,9 +149,19 @@ def measure_ancilla(state: np.ndarray,
     state = require_normalized(state)
     if state_num_qubits(state) < 1:
         raise ValueError("state has no qubit to measure")
+    return project_ancilla(state, branch_functionals(theta))
+
+
+def project_ancilla(state: np.ndarray, functionals: tuple[np.ndarray, np.ndarray]
+                    ) -> tuple[MeasurementOutcome, MeasurementOutcome]:
+    """``measure_ancilla`` without its checks, on precomputed functionals.
+
+    ``state`` is a normalized complex vector on at least one qubit and
+    ``functionals`` is ``branch_functionals(theta)``.
+    """
     psi = state.reshape(-1, 2)
     outcomes = []
-    for branch, f in zip(("plus", "minus"), branch_functionals(theta)):
+    for branch, f in zip(("plus", "minus"), functionals):
         amp = psi @ f
         prob = float(np.vdot(amp, amp).real)
         if prob <= ZERO_BRANCH_ATOL:

@@ -29,6 +29,7 @@ from .linalg import (
     canonical_perp,
     distance_up_to_phase,
     fidelity,
+    require_normalized,
     rotation,
     rotation_z,
     tensor,
@@ -39,7 +40,7 @@ from .linalg import (
     P1,
 )
 from .sampling import random_bloch, random_state
-from .switch import apply_switch, branch_gates, measure_ancilla, switch_unitary
+from .switch import branch_functionals, branch_gates, project_ancilla, switch_unitary
 
 TWO_PI = 2.0 * math.pi
 ORTHOGONALITY_ATOL = 1e-10
@@ -317,7 +318,13 @@ def verify_synthesis(spec: ControlledGateSpec, *, trials: int = 100,
         distance_up_to_phase(bare_minus @ s_minus @ pre, rzn),
     )
 
+    # apply_switch then measure_ancilla, bound once: their checks that hold by
+    # construction run here, not per trial; normalization is checked per trial.
     joint = switch_unitary(plan.gate_a, plan.gate_b)
+    if joint.target_dim != pre.shape[0] or PLUS.shape != (2,):
+        raise ValueError("switch joint does not act on the pre-gated state "
+                         "and a single control qubit")
+    functionals = branch_functionals(plan.measurement_theta)
     corrections = {"plus": plan.post_plus, "minus": plan.post_minus}
     rng = np.random.default_rng(seed)
     worst_dev = -1.0
@@ -326,8 +333,8 @@ def verify_synthesis(spec: ControlledGateSpec, *, trials: int = 100,
     for _ in range(trials):
         psi = random_state(rng, 2)
         expected = target @ psi
-        staged = apply_switch(joint, pre @ psi, PLUS)
-        outcomes = measure_ancilla(staged, plan.measurement_theta)
+        staged = require_normalized(joint.matrix @ tensor(pre @ psi, PLUS))
+        outcomes = project_ancilla(staged, functionals)
         for outcome in outcomes:
             if outcome.post_state is None:
                 max_infidelity = 1.0

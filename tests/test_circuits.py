@@ -18,7 +18,7 @@ from switchsynth.circuits import (
     parse_circuit,
     simulate_circuit,
 )
-from switchsynth.linalg import H, X, Y, Z, basis_state, rotation
+from switchsynth.linalg import MAX_QUBITS, H, X, Y, Z, basis_state, rotation
 from switchsynth.synthesis import barenco_matrix, cu_matrix, preset
 
 BELL_TEXT = """\
@@ -104,6 +104,15 @@ def test_parse_errors_carry_location(text, fragment, line, column):
     assert f"line {line}, column {column}" in str(err.value)
     assert err.value.line == line
     assert err.value.column == column
+
+
+@pytest.mark.parametrize("count", [MAX_QUBITS + 1, 10 ** 12])
+def test_parse_circuit_caps_the_qubit_count(count):
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit(f"qubits {count}\nh 0\n")
+    assert (f"qubit count {count} exceeds the maximum of {MAX_QUBITS}"
+            in str(err.value))
+    assert (err.value.line, err.value.column) == (1, 8)
 
 
 def test_instruction_matrices_fixed_gates():

@@ -7,6 +7,7 @@ import pytest
 
 from switchsynth.circuits import CONTROLLED_GATES, GATES
 from switchsynth.cli import main
+from switchsynth.linalg import MAX_QUBITS
 
 BELL_TEXT = "qubits 2\nh 0\ncnot 0 1\n"
 CNOT_TEXT = "qubits 2\ncnot 0 1\n"
@@ -279,3 +280,27 @@ def test_simulate_non_unitary_program_exits_2_without_traceback(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: matrix 'm0' is not unitary")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("count", ["-1", "2.7", "true", str(MAX_QUBITS + 1)])
+def test_simulate_bad_qubit_count_exits_2_without_traceback(tmp_path, count):
+    # -1 used to reach basis_state and exit 1 through a TypeError traceback
+    prog = tmp_path / "bad.json"
+    prog.write_text(f'{{"num_data_qubits": {count}, "matrices": {{}}, '
+                    f'"instructions": []}}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "switchsynth", "simulate", str(prog)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: num_data_qubits")
+    assert "Traceback" not in proc.stderr
+
+
+def test_lower_above_the_qubit_cap_exits_2(tmp_path, capsys):
+    circ = tmp_path / "wide.circ"
+    circ.write_text(f"qubits {MAX_QUBITS + 1}\nh 0\n")
+    code, out, err = run_cli(capsys, "lower", str(circ))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: qubit count {MAX_QUBITS + 1} exceeds")

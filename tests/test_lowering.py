@@ -264,3 +264,9 @@ def test_simulate_deep_program_without_recursion():
     assert len(trace.measurement_record) == 1200
     assert 1.0 - fidelity(simulate_circuit(circuit, psi),
                           trace.final_state) < 1e-10
+
+
+def test_simulate_rejects_a_non_normalized_input():
+    program = lower(parse_circuit("qubits 2\ncnot 0 1\n"))
+    with pytest.raises(ValueError, match="not normalized"):
+        simulate_program(program, 2 * basis_state(2, 0), seed=0)

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from switchsynth.linalg import H, X, Z, basis_state, normalize, rotation, zero_state
+from switchsynth.linalg import (
+    MAX_QUBITS,
+    H,
+    X,
+    Z,
+    basis_state,
+    normalize,
+    rotation,
+    zero_state,
+)
 from switchsynth.programs import (
     OPS,
     AllocAncilla,
@@ -186,6 +195,20 @@ def test_program_document_sorts_matrices():
     ('{"num_data_qubits": 1, "matrices": {"m0": [[2, 0], [0, 0], [0, 0], [2, 0]]}, '
      '"instructions": [{"op": "apply_local", "matrix": "m0", "qubits": [0]}]}',
      "matrix 'm0' is not unitary"),
+    ('{"num_data_qubits": -1, "matrices": {}, "instructions": []}',
+     "num_data_qubits must be a non-negative integer, got -1"),
+    ('{"num_data_qubits": 2.7, "matrices": {}, "instructions": []}',
+     "num_data_qubits must be a non-negative integer, got 2.7"),
+    ('{"num_data_qubits": 2.0, "matrices": {}, "instructions": []}',
+     "num_data_qubits must be a non-negative integer, got 2.0"),
+    ('{"num_data_qubits": true, "matrices": {}, "instructions": []}',
+     "num_data_qubits must be a non-negative integer, got True"),
+    ('{"num_data_qubits": "2", "matrices": {}, "instructions": []}',
+     "num_data_qubits must be a non-negative integer, got '2'"),
+    (f'{{"num_data_qubits": {MAX_QUBITS + 1}, "matrices": {{}}, "instructions": []}}',
+     f"num_data_qubits {MAX_QUBITS + 1} exceeds the maximum of {MAX_QUBITS}"),
+    ('{"num_data_qubits": 1000000000000, "matrices": {}, "instructions": []}',
+     "num_data_qubits 1000000000000 exceeds the maximum"),
 ])
 def test_parse_program_rejects_malformed_documents(text, fragment):
     with pytest.raises(ProgramError) as err:

@@ -255,6 +255,34 @@ def test_verify_synthesis_is_deterministic():
     assert a.as_dict() == b.as_dict()
 
 
+@pytest.mark.parametrize("spec,seed,name,expected", [
+    (preset("cnot"), 42, "cnot", {
+        "residual_plus": 2.5685758932822867e-16,
+        "residual_minus": 2.5685758932822867e-16,
+        "bare_correction_residual": 3.1401849173675503e-16,
+        "branch_probabilities": [0.49999999999999967, 0.4999999999999999],
+        "max_infidelity": 8.881784197001252e-16}),
+    (preset_barenco(0.3, 1.1, -0.7), 7, "barenco", {
+        "residual_plus": 5.356892953237942e-16,
+        "residual_minus": 5.144769267725452e-16,
+        "bare_correction_residual": 3.005778677035688e-16,
+        "branch_probabilities": [0.49999999999999967, 0.49999999999999994],
+        "max_infidelity": 8.881784197001252e-16}),
+    (ControlledGateSpec(alpha=1.3, theta=-2.1, axis=(0.48, 0.6, 0.64)), 11,
+     "cu", {
+        "residual_plus": 4.579711878084121e-16,
+        "residual_minus": 4.150564991218456e-16,
+        "bare_correction_residual": 7.301351988545593e-16,
+        "branch_probabilities": [0.49999999999999944, 0.49999999999999956],
+        "max_infidelity": 4.440892098500626e-16}),
+])
+def test_verify_synthesis_report_is_unchanged(spec, seed, name, expected):
+    report = verify_synthesis(spec, trials=100, seed=seed, target_name=name)
+    assert report.as_dict() == {"target": name, **expected, "trials": 100,
+                                "seed": seed, "tolerance": 1e-10,
+                                "passed": True}
+
+
 def test_verify_synthesis_unreachable_tolerance_fails():
     report = verify_synthesis(preset("cz"), trials=5, tolerance=1e-300)
     assert not report.passed
