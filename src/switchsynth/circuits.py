@@ -157,10 +157,12 @@ def parse_circuit(text: str) -> Circuit:
             count, ccol = tokens[1]
             if not _INT_RE.match(count):
                 raise CircuitParseError(f"malformed qubit count {count!r}", line_no, ccol)
-            num_qubits = int(count)
-            if num_qubits > MAX_QUBITS:
-                raise CircuitParseError(f"qubit count {num_qubits} exceeds the "
+            digits = count.lstrip("0") or "0"
+            # by length first: int() refuses more than 4,300 digits
+            if len(digits) > len(str(MAX_QUBITS)) or int(digits) > MAX_QUBITS:
+                raise CircuitParseError(f"qubit count {digits} exceeds the "
                                         f"maximum of {MAX_QUBITS}", line_no, ccol)
+            num_qubits = int(digits)
             header_seen = True
             continue
 
@@ -177,10 +179,10 @@ def parse_circuit(text: str) -> Circuit:
         for token, col in tokens[1:1 + arity]:
             if not _INT_RE.match(token):
                 raise CircuitParseError(f"malformed qubit index {token!r}", line_no, col)
-            q = int(token)
-            if q >= num_qubits:
-                raise CircuitParseError(f"qubit {q} out of range", line_no, col)
-            qubits.append(q)
+            digits = token.lstrip("0") or "0"
+            if len(digits) > len(str(num_qubits)) or int(digits) >= num_qubits:
+                raise CircuitParseError(f"qubit {digits} out of range", line_no, col)
+            qubits.append(int(digits))
         if len(set(qubits)) != len(qubits):
             raise CircuitParseError("operands must be distinct qubits",
                                     line_no, name_col)

@@ -6,7 +6,7 @@ IEEE doubles exactly and keeps byte-for-byte output stable across runs.
 Output is parseable by ``json.loads``.
 
 Dicts, and lists that hold a dict, are written one entry per line; any
-other list is written on one line.
+other list is written on one line. A ``RawJSON`` value is written as is.
 """
 
 from __future__ import annotations
@@ -14,6 +14,14 @@ from __future__ import annotations
 import math
 import sys
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps(str)
+
+
+class RawJSON(str):
+    """Text already in document form, which ``dumps`` writes as is.
+
+    As simplejson's ``RawJSON``: the writer trusts the text, so only code
+    that rendered it with this module's rules should make one.
+    """
 
 
 def format_float(value: float) -> str:
@@ -28,7 +36,7 @@ def _scalar(obj) -> str:
     """Text of a value that is not a dict, list or tuple."""
     # no class inherits two of str, float and int; bool is an int
     if isinstance(obj, str):
-        return _quote(obj)
+        return obj if type(obj) is RawJSON else _quote(obj)
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, bool):

@@ -33,7 +33,7 @@ from .programs import (
     _BoundProgram,
 )
 from .sampling import random_state
-from .synthesis import synthesize
+from .synthesis import ControlledGateSpec, synthesize
 
 # beyond this many branch assignments, check_equivalence samples instead of
 # enumerating (2**10)
@@ -48,26 +48,36 @@ def lower(circuit: Circuit) -> SwitchProgram:
     """
     program = SwitchProgram(num_data_qubits=circuit.num_qubits)
     instructions = []
+    # spec -> (pre, gate_a, gate_b, measurement angle, post_plus, post_minus),
+    # the matrices as table ids, so each distinct spec is synthesized once;
+    # specs equal under == (where -0.0 == 0.0) share one entry
+    blocks: dict[ControlledGateSpec, tuple] = {}
     gate_index = 0
     for inst in circuit.instructions:
         if inst.gate not in CONTROLLED_GATES:
             instructions.append(ApplyLocal(
                 program.add_matrix(instruction_matrix(inst)), inst.qubits))
             continue
-        plan = synthesize(controlled_gate_spec(inst))
+        spec = controlled_gate_spec(inst)
+        block = blocks.get(spec)
+        if block is None:
+            plan = synthesize(spec)
+            block = blocks[spec] = (
+                program.add_matrix(plan.pre), program.add_matrix(plan.gate_a),
+                program.add_matrix(plan.gate_b), plan.measurement_theta,
+                program.add_matrix(plan.post_plus),
+                program.add_matrix(plan.post_minus))
+        pre, gate_a, gate_b, theta, post_plus, post_minus = block
         ancilla = f"a{gate_index}"
         result = f"m{gate_index}"
         gate_index += 1
         instructions += [
             AllocAncilla(ancilla),
-            ApplyLocal(program.add_matrix(plan.pre), inst.qubits),
-            SwitchApply(program.add_matrix(plan.gate_a),
-                        program.add_matrix(plan.gate_b), inst.qubits, ancilla),
-            MeasureAncilla(plan.measurement_theta, ancilla, result),
-            CondApply(result, "plus", program.add_matrix(plan.post_plus),
-                      inst.qubits),
-            CondApply(result, "minus", program.add_matrix(plan.post_minus),
-                      inst.qubits),
+            ApplyLocal(pre, inst.qubits),
+            SwitchApply(gate_a, gate_b, inst.qubits, ancilla),
+            MeasureAncilla(theta, ancilla, result),
+            CondApply(result, "plus", post_plus, inst.qubits),
+            CondApply(result, "minus", post_minus, inst.qubits),
             Discard(ancilla),
         ]
     program.instructions = tuple(instructions)

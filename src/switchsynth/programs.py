@@ -10,7 +10,8 @@ The serialized form is JSON: ``num_data_qubits``, ``matrices`` mapping id to
 a row-major list of [re, im] pairs (17 significant digits), and tagged
 ``instructions`` records. ``OPS`` maps each record's ``op`` tag to its
 instruction dataclass; the record's other keys are that dataclass's fields
-in declaration order, with tuples written as lists.
+in declaration order, with tuples written as lists. A matrix's id and its
+serialized entries are both made from one ``%`` format of its floats.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .jsonio import dumps, format_float
+from .jsonio import RawJSON, dumps, format_float
 from .linalg import (
     MAX_QUBITS,
     PLUS,
@@ -100,17 +101,42 @@ _TAGS = {cls: tag for tag, cls in OPS.items()}
 _FIELDS = {cls: fields(cls) for cls in OPS.values()}
 
 
+# data qubits plus the one ancilla a switch block holds, so a circuit of
+# MAX_QUBITS qubits lowers to a program within the cap
+MAX_HELD_QUBITS = MAX_QUBITS + 1
+
+
 def matrix_entries(m: np.ndarray) -> list[list[float]]:
     """Row-major [re, im] pairs of a matrix."""
     flat = np.asarray(m, dtype=complex).reshape(-1)
     return [[re, im] for re, im in zip(flat.real.tolist(), flat.imag.tolist())]
 
 
+def matrix_text(m: np.ndarray) -> str:
+    """Row-major ``re,im|re,im|...`` of a matrix in ``format_float`` text.
+
+    One ``%`` format over the interleaved floats; adding 0.0 turns -0.0
+    into 0.0, which prints as "0" as ``format_float`` does.
+    """
+    values = np.ascontiguousarray(m, dtype=complex).reshape(-1).view(float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        format_float(float(values[np.argmin(finite)]))  # raises its ValueError
+    return ("%.17g,%.17g|" * (values.size // 2))[:-1] % tuple(
+        (values + 0.0).tolist())
+
+
 def matrix_id(m: np.ndarray) -> str:
     """Content hash of a matrix at serialization precision."""
-    text = "|".join(f"{format_float(re)},{format_float(im)}"
-                    for re, im in matrix_entries(m))
-    return "m" + hashlib.sha256(text.encode()).hexdigest()[:12]
+    return "m" + hashlib.sha256(matrix_text(m).encode()).hexdigest()[:12]
+
+
+def _entries_json(m: np.ndarray) -> RawJSON:
+    """``matrix_entries(m)`` as ``dumps`` writes it, from ``matrix_text``."""
+    text = matrix_text(m)
+    if not text:
+        return RawJSON("[]")
+    return RawJSON("[[" + text.replace(",", ", ").replace("|", "], [") + "]]")
 
 
 @dataclass
@@ -147,9 +173,11 @@ def validate_program(program: SwitchProgram) -> None:
 
     Ancillas are allocated before use and discarded after their last use;
     measurements precede any conditional referencing their result; matrix
-    references resolve at matching dimensions.
+    references resolve at matching dimensions; the data qubits plus the
+    ancillas allocated and not yet measured never exceed ``MAX_HELD_QUBITS``.
     """
     n = program.num_data_qubits
+    held = n  # qubits in the state: measuring an ancilla removes it
     live: set[str] = set()
     measured: set[str] = set()
     done: set[str] = set()
@@ -177,13 +205,19 @@ def validate_program(program: SwitchProgram) -> None:
         if want_measured and label not in measured:
             raise ProgramError(f"{what} needs ancilla {label!r} measured first")
 
-    for inst in program.instructions:
+    for index, inst in enumerate(program.instructions):
         if isinstance(inst, AllocAncilla):
             if inst.state != "plus":
                 raise ProgramError(f"unsupported ancilla state {inst.state!r}")
             if inst.ancilla in live or inst.ancilla in done:
                 raise ProgramError(f"ancilla {inst.ancilla!r} allocated twice")
             live.add(inst.ancilla)
+            held += 1
+            if held > MAX_HELD_QUBITS:
+                raise ProgramError(f"instruction {index} (alloc_ancilla "
+                                   f"{inst.ancilla!r}) holds {held} qubits at "
+                                   f"once, above the maximum of "
+                                   f"{MAX_HELD_QUBITS}")
         elif isinstance(inst, ApplyLocal):
             check_matrix(inst.matrix, inst.qubits, "apply_local")
         elif isinstance(inst, SwitchApply):
@@ -196,6 +230,7 @@ def validate_program(program: SwitchProgram) -> None:
                 raise ProgramError(f"result label {inst.result!r} reused")
             results.add(inst.result)
             measured.add(inst.ancilla)
+            held -= 1
         elif isinstance(inst, CondApply):
             if inst.outcome not in ("plus", "minus"):
                 raise ProgramError(f"unknown outcome {inst.outcome!r}")
@@ -228,20 +263,26 @@ def _record(inst: ProgramInstruction) -> dict:
     return record
 
 
-def program_document(program: SwitchProgram) -> dict:
-    """Plain-data document for a program (dict of JSON-compatible values)."""
+def _document(program: SwitchProgram, entries) -> dict:
+    """The program's document, each matrix written as ``entries(m)``."""
     return {
         "num_data_qubits": program.num_data_qubits,
-        "matrices": {key: matrix_entries(m)
+        "matrices": {key: entries(m)
                      for key, m in sorted(program.matrices.items())},
         "instructions": [_record(inst) for inst in program.instructions],
     }
 
 
+def program_document(program: SwitchProgram) -> dict:
+    """Plain-data document for a program (dict of JSON-compatible values)."""
+    return _document(program, matrix_entries)
+
+
 def serialize_program(program: SwitchProgram) -> str:
-    """Serialize to deterministic JSON text."""
+    """Serialize to deterministic JSON text: ``dumps(program_document(...))``,
+    with each matrix's entries made by one ``%`` format."""
     validate_program(program)
-    return dumps(program_document(program))
+    return dumps(_document(program, _entries_json))
 
 
 def _matrix_from_entries(entries, key: str) -> np.ndarray:

@@ -115,6 +115,26 @@ def test_parse_circuit_caps_the_qubit_count(count):
     assert (err.value.line, err.value.column) == (1, 8)
 
 
+HUGE = "9" * 5000  # beyond int()'s 4,300-digit limit
+
+
+@pytest.mark.parametrize("text,fragment,line,column", [
+    (f"qubits {HUGE}\nh 0\n", f"qubit count {HUGE} exceeds the maximum", 1, 8),
+    (f"qubits 2\ncnot 0 {HUGE}\n", f"qubit {HUGE} out of range", 2, 8),
+], ids=["header", "operand"])
+def test_parse_circuit_rejects_oversized_integers(text, fragment, line, column):
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit(text)
+    assert fragment in str(err.value)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_parse_circuit_reads_leading_zeros_of_any_length():
+    zeros = "0" * 5000
+    circuit = parse_circuit(f"qubits {zeros}2\ncnot {zeros} {zeros}1\n")
+    assert circuit == parse_circuit("qubits 2\ncnot 0 1\n")
+
+
 def test_instruction_matrices_fixed_gates():
     assert_allclose(instruction_matrix(Instruction("x", (0,))), X, atol=0)
     assert_allclose(instruction_matrix(Instruction("y", (0,))), Y, atol=0)

@@ -304,3 +304,35 @@ def test_lower_above_the_qubit_cap_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: qubit count {MAX_QUBITS + 1} exceeds")
+
+
+def test_lower_oversized_integer_exits_2_without_traceback(tmp_path):
+    circ = tmp_path / "huge.circ"
+    circ.write_text("qubits 2\nh " + "9" * 5000 + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "switchsynth", "lower", str(circ)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: qubit 999")
+    assert proc.stderr.endswith("out of range, line 2, column 3\n")
+    assert "Traceback" not in proc.stderr
+
+
+def test_simulate_too_many_held_qubits_exits_2_without_traceback(tmp_path):
+    # one data qubit and 40 ancillas allocated before any is measured
+    labels = [f"a{i}" for i in range(40)]
+    prog = tmp_path / "wide.json"
+    prog.write_text(json.dumps({"num_data_qubits": 1, "matrices": {}, "instructions": [
+        *({"op": "alloc_ancilla", "ancilla": a} for a in labels),
+        *({"op": "measure_ancilla", "theta": 0.0, "ancilla": a, "result": "r" + a}
+          for a in labels),
+        *({"op": "discard", "ancilla": a} for a in labels)]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "switchsynth", "simulate", str(prog)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: instruction {MAX_QUBITS} "
+                                  f"(alloc_ancilla 'a{MAX_QUBITS}') holds")
+    assert "Traceback" not in proc.stderr

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from itertools import product
 
@@ -6,7 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from switchsynth.circuits import parse_circuit, simulate_circuit
-from switchsynth.linalg import X, basis_state, fidelity
+from switchsynth import lowering
+from switchsynth.linalg import MAX_QUBITS, X, basis_state, fidelity
 from switchsynth.lowering import MAX_EXHAUSTIVE_ASSIGNMENTS, check_equivalence, lower
 from switchsynth.programs import (
     AllocAncilla,
@@ -23,6 +25,7 @@ from switchsynth.programs import (
     validate_program,
 )
 from switchsynth.sampling import random_state
+from switchsynth.synthesis import synthesize
 
 BELL_TEXT = "qubits 2\nh 0\ncnot 0 1\n"
 ALL_GATES_BODY = ("h 0\nx 1\ny 2\nz 0\n"
@@ -80,6 +83,39 @@ def test_lowered_program_serializes_as_without_the_id_memo(monkeypatch):
 
     monkeypatch.setattr(SwitchProgram, "add_matrix", add_matrix)
     assert serialize_program(lower(circuit)) == text
+
+
+def test_all_gates_twice_program_bytes_are_unchanged():
+    # SHA-256 recorded when matrices were formatted at serialization
+    text = serialize_program(lower(parse_circuit("qubits 3\n" + ALL_GATES_BODY * 2)))
+    assert len(text) == 13636
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6e607ae246f12c96057391113e7eec90894e8c7c1ab2d93ecdc5b2b5a14dfbe1")
+
+
+def test_lower_synthesizes_each_distinct_spec_once(monkeypatch):
+    circuit = parse_circuit(
+        "qubits 3\n" + ALL_GATES_BODY * 2 + "cnot 1 0\ncz 2 0\ncnot 0 2\n"
+        "cu 0 1 alpha=0.4 theta=1.1 nx=0.6 ny=0.0 nz=0.8\n"
+        "cu 0 1 alpha=0.5 theta=1.1 nx=0.6 ny=0.0 nz=0.8\n")
+    text = serialize_program(lower(circuit))
+    specs = []
+
+    def counting(spec):
+        specs.append(spec)
+        return synthesize(spec)
+
+    monkeypatch.setattr(lowering, "synthesize", counting)
+    assert serialize_program(lower(circuit)) == text
+    # cnot, cz, two cu and one barenco, out of 12 controlled gates
+    assert len(specs) == len(set(specs)) == 5
+
+
+def test_max_qubit_circuit_with_a_controlled_gate_lowers_and_serializes():
+    # the switch block's ancilla is held beside every data qubit; the
+    # program is only validated here, never simulated
+    text = serialize_program(lower(parse_circuit(f"qubits {MAX_QUBITS}\ncnot 0 1\n")))
+    assert serialize_program(parse_program(text)) == text
 
 
 def test_lowered_bell_gives_bell_state_on_both_branches():

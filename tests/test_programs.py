@@ -1,9 +1,11 @@
-from dataclasses import fields
+import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from switchsynth.jsonio import dumps, format_float
 from switchsynth.linalg import (
     MAX_QUBITS,
     H,
@@ -15,6 +17,7 @@ from switchsynth.linalg import (
     zero_state,
 )
 from switchsynth.programs import (
+    MAX_HELD_QUBITS,
     OPS,
     AllocAncilla,
     ApplyLocal,
@@ -26,6 +29,7 @@ from switchsynth.programs import (
     SwitchProgram,
     matrix_entries,
     matrix_id,
+    matrix_text,
     parse_program,
     program_document,
     serialize_program,
@@ -44,6 +48,17 @@ def switch_block(program, mat_a, mat_b, theta, qubits, index):
         MeasureAncilla(theta, f"a{index}", f"m{index}"),
         Discard(f"a{index}"),
     ]
+
+
+def ancilla_stack_document(num_ancillas):
+    """One data qubit and ``num_ancillas`` ancillas allocated before any is
+    measured."""
+    labels = [f"a{i}" for i in range(num_ancillas)]
+    return json.dumps({"num_data_qubits": 1, "matrices": {}, "instructions": [
+        *({"op": "alloc_ancilla", "ancilla": a} for a in labels),
+        *({"op": "measure_ancilla", "theta": 0.0, "ancilla": a, "result": "r" + a}
+          for a in labels),
+        *({"op": "discard", "ancilla": a} for a in labels)]})
 
 
 def test_matrix_entries_row_major():
@@ -93,6 +108,62 @@ def test_add_matrix_gives_zero_and_negative_zero_one_id():
     assert list(program.matrices) == [matrix_id(zero)]
     # the table keeps the first matrix added under an id
     assert program.matrices[keys[0]].tobytes() == zero.tobytes()
+
+
+def test_matrix_text_is_format_float_text():
+    values = [-0.0, 5e-324, 1e-300, 1 / 3, -1e300, 0.1, 1.0, -2.5]
+    m = np.array(values[0::2]) + 1j * np.array(values[1::2])
+    m = m.reshape(2, 2)
+    assert matrix_text(m) == "|".join(
+        f"{format_float(re)},{format_float(im)}" for re, im in matrix_entries(m))
+    assert matrix_text(m.T.copy().T) == matrix_text(m)  # column-major input
+    program = SwitchProgram(num_data_qubits=1)
+    program.add_matrix(m)
+    # serialize_program's one-format entries are what dumps writes for the
+    # plain document
+    assert serialize_program(program) == dumps(program_document(program))
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(1.0, np.inf),
+                                 complex(-np.inf, np.nan)])
+def test_add_matrix_rejects_non_finite_as_format_float_does(bad):
+    m = np.array([[1.0, 0.0], [0.0, bad]], dtype=complex)
+    first = next(v for v in (bad.real, bad.imag) if not np.isfinite(v))
+    with pytest.raises(ValueError) as want:
+        format_float(first)
+    with pytest.raises(ValueError) as got:
+        SwitchProgram(num_data_qubits=1).add_matrix(m)
+    assert str(got.value) == str(want.value)
+
+
+def test_replaced_matrix_serializes_with_its_new_content():
+    program = SwitchProgram(num_data_qubits=1)
+    key = program.add_matrix(X)
+    program.instructions = (ApplyLocal(key, (0,)),)
+    program.matrices[key] = Z.copy()
+    text = serialize_program(program)
+    assert json.loads(text)["matrices"][key] == matrix_entries(Z)
+    assert text == dumps(program_document(program))
+    copied = replace(program, matrices={key: H.copy()})
+    assert json.loads(serialize_program(copied))["matrices"][key] == \
+        matrix_entries(H)
+
+
+def test_validate_caps_the_qubits_held_at_once():
+    program = SwitchProgram(num_data_qubits=1)
+    # measured ancillas leave the state, so undiscarded ones are not held
+    blocks = [switch_block(program, X, Z, 0.0, (0,), i)
+              for i in range(MAX_QUBITS + 5)]
+    program.instructions = tuple([i for b in blocks for i in b[:-1]]
+                                 + [b[-1] for b in blocks])
+    validate_program(program)
+    # one data qubit: the stack is refused at its MAX_QUBITS + 1st ancilla
+    assert MAX_HELD_QUBITS == MAX_QUBITS + 1
+    with pytest.raises(ProgramError) as err:
+        parse_program(ancilla_stack_document(MAX_QUBITS + 1))
+    assert (f"instruction {MAX_QUBITS} (alloc_ancilla 'a{MAX_QUBITS}') "
+            f"holds {MAX_HELD_QUBITS + 1} qubits at once, above the maximum "
+            f"of {MAX_HELD_QUBITS}") in str(err.value)
 
 
 def test_validate_accepts_full_lifecycle():
@@ -209,6 +280,9 @@ def test_program_document_sorts_matrices():
      f"num_data_qubits {MAX_QUBITS + 1} exceeds the maximum of {MAX_QUBITS}"),
     ('{"num_data_qubits": 1000000000000, "matrices": {}, "instructions": []}',
      "num_data_qubits 1000000000000 exceeds the maximum"),
+    pytest.param(ancilla_stack_document(40),
+                 f"qubits at once, above the maximum of {MAX_HELD_QUBITS}",
+                 id="forty_ancillas_held"),
 ])
 def test_parse_program_rejects_malformed_documents(text, fragment):
     with pytest.raises(ProgramError) as err:
