@@ -60,6 +60,7 @@ from .sampling import (
     random_density,
     random_kraus_channel,
     random_state,
+    random_states,
     random_unitary,
 )
 from .synthesis import (
@@ -116,7 +117,7 @@ __all__ = [
     "choi_matrix", "measure_ancilla", "switch_channel", "switch_channel_n",
     "switch_unitary", "uniform_control_state",
     "random_bloch", "random_density", "random_kraus_channel", "random_state",
-    "random_unitary",
+    "random_states", "random_unitary",
     "ControlledGateSpec", "SynthesisPlan", "VerificationReport",
     "conjugation_identities", "barenco_matrix", "cu_matrix",
     "cu_reference_decomposition", "normalize_angle", "preset",

@@ -14,6 +14,7 @@ Parsing and printing round-trip: parse(print(parse(text))) == parse(text).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -201,6 +202,9 @@ def parse_circuit(text: str) -> Circuit:
             if not _FLOAT_RE.match(raw_value):
                 raise CircuitParseError(f"malformed number {raw_value!r}", line_no, col)
             values[key] = float(raw_value)
+            if not math.isfinite(values[key]):  # an exponent that overflows
+                raise CircuitParseError(f"number {raw_value!r} is not finite",
+                                        line_no, col)
         for key in param_names:
             if key not in values:
                 raise CircuitParseError(f"missing parameter {key!r} for {name}",

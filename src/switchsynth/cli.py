@@ -29,7 +29,7 @@ from .programs import (
 from .sampling import random_state
 from .suites import SUITE_NAMES, run_suite
 from .synthesis import ControlledGateSpec, synthesize, verify_synthesis
-from .linalg import DEFAULT_TOLERANCE, basis_state
+from .linalg import DEFAULT_TOLERANCE, basis_state, require_tolerance
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -62,10 +62,22 @@ def _trial_count(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for --tolerance: finite and at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    try:
+        return require_tolerance(value)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--trials", type=_trial_count, default=100)
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    parser.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--output", default=None, metavar="PATH")
 

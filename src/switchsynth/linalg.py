@@ -13,6 +13,8 @@ Every function is pure; nothing here mutates its arguments.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Structural residuals (unitarity, normalization, density checks) are held to
@@ -121,7 +123,7 @@ def unit_bloch(n, name: str = "axis") -> np.ndarray:
     v = np.asarray(n, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must have exactly 3 components")
-    if abs(v @ v - 1.0) > UNIT_VECTOR_ATOL:
+    if not abs(v @ v - 1.0) <= UNIT_VECTOR_ATOL:  # NaN components fail too
         raise ValueError(f"{name} must be a unit vector, |{name}|^2 = {v @ v}")
     return v
 
@@ -244,16 +246,26 @@ def normalize(state: np.ndarray) -> np.ndarray:
     return state / norm
 
 
-def require_normalized(state: np.ndarray, atol: float = UNITARY_ATOL) -> np.ndarray:
-    state = np.asarray(state, dtype=complex)
-    if abs(np.linalg.norm(state) ** 2 - 1.0) > atol:
-        raise ValueError("state is not normalized")
-    return state
+def fidelity(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """|<a|b>|^2 for normalized state vectors; leading axes stack pairs.
+
+    A float for one pair, an array for a stack, with the same bits per pair:
+    ``abs`` of one complex number is ``hypot`` of its parts, while ``np.abs``
+    of a complex array can differ from it in the last bit.
+    """
+    overlap = np.vecdot(a, b)
+    if overlap.ndim == 0:
+        return float(abs(overlap) ** 2)
+    return np.hypot(overlap.real, overlap.imag) ** 2
 
 
-def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """|<a|b>|^2 for normalized state vectors."""
-    return float(abs(np.vdot(a, b)) ** 2)
+def matvecs(matrix: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``matrix @ state`` for each state stacked on the first axis.
+
+    Each product runs on the kernel numpy uses for one matrix-vector
+    product, so every row equals ``matrix @ states[i]`` bitwise.
+    """
+    return (matrix @ states[:, :, None])[:, :, 0]
 
 
 def apply_matrix(state: np.ndarray, matrix: np.ndarray, qubits) -> np.ndarray:
@@ -295,6 +307,31 @@ def apply_ordered(state: np.ndarray, matrix: np.ndarray, shape: tuple[int, ...],
     """
     psi = state.reshape(shape).transpose(order).reshape(matrix.shape[0], -1)
     return (matrix @ psi).reshape(shape).transpose(inverse).reshape(-1)
+
+
+# ---------------------------------------------------------------------------
+# inputs of a sampled check
+# ---------------------------------------------------------------------------
+
+
+def require_tolerance(tolerance: float) -> float:
+    """A certificate's pass threshold, returned unchanged.
+
+    It must be finite and at least 0: a NaN or negative threshold fails
+    every check, and an infinite one passes every check.
+    """
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and at least 0, "
+                         f"got {tolerance!r}")
+    return tolerance
+
+
+def require_check_inputs(trials: int, tolerance: float) -> None:
+    """Raise ValueError unless a sampled check runs at least one trial
+    against a valid tolerance; a check over zero trials examines nothing."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    require_tolerance(tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .circuits import (
     instruction_matrix,
     simulate_circuit,
 )
-from .linalg import DEFAULT_TOLERANCE, fidelity
+from .linalg import DEFAULT_TOLERANCE, fidelity, require_check_inputs
 from .programs import (
     AllocAncilla,
     ApplyLocal,
@@ -120,8 +120,7 @@ def check_equivalence(circuit: Circuit, program: SwitchProgram,
     of the assignments, so a prefix they share runs once: 2**(k+1) - 1 block
     runs per trial for all assignments of k measurements, not k * 2**k.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    require_check_inputs(trials, tolerance)
     if circuit.num_qubits != program.num_data_qubits:
         raise ValueError(f"circuit has {circuit.num_qubits} qubits, program "
                          f"has {program.num_data_qubits}")

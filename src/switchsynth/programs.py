@@ -33,12 +33,11 @@ from .linalg import (
     apply_ordered,
     axis_orders,
     is_unitary,
-    require_normalized,
     require_square,
     state_num_qubits,
     tensor,
 )
-from .switch import branch_functionals, project_ancilla, switch_unitary
+from .switch import branch_functionals, project_branches, switch_unitary
 
 
 class ProgramError(ValueError):
@@ -510,15 +509,15 @@ class _BoundProgram:
                 yield record, state
                 continue
             functionals, label = measurement
-            plus, minus = project_ancilla(require_normalized(state), functionals)
+            plus, minus = project_branches(state, functionals)
             followed = []
-            for name, child in choose(node, plus.probability):
-                picked = plus if name == "plus" else minus
-                if picked.post_state is None:
+            for name, child in choose(node, float(plus[0])):
+                probability, post_state = plus if name == "plus" else minus
+                if not probability:
                     raise ProgramError(f"branch {name!r} of {label!r} has "
                                        f"probability 0")
-                followed.append((index + 1, picked.post_state,
-                                 record + ((label, name, picked.probability),),
+                followed.append((index + 1, post_state,
+                                 record + ((label, name, float(probability)),),
                                  child))
             stack += followed
 

@@ -19,11 +19,26 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def random_states(rng: np.random.Generator, num_qubits: int,
+                  count: int) -> np.ndarray:
+    """``count`` uniformly random normalized states on num_qubits qubits, one
+    per row.
+
+    Each state takes its real parts, then its imaginary parts, from the
+    stream, so drawing states one call at a time or all in one call gives
+    the same bits. The norms sum the two real dot products that
+    ``np.linalg.norm`` takes of a complex vector.
+    """
+    dim = 2 ** num_qubits
+    parts = rng.standard_normal((count, 2, dim))
+    v = parts[:, 0] + 1j * parts[:, 1]
+    norms = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+    return v / norms[:, None]
+
+
 def random_state(rng: np.random.Generator, num_qubits: int) -> np.ndarray:
     """Uniformly random normalized state on num_qubits qubits."""
-    dim = 2 ** num_qubits
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    return random_states(rng, num_qubits, 1)[0]
 
 
 def random_bloch(rng: np.random.Generator) -> np.ndarray:

@@ -24,6 +24,7 @@ from .linalg import (
     distance_up_to_phase,
     operator_schmidt_rank,
     projector,
+    require_check_inputs,
     rotation,
     rotation_z,
     tensor,
@@ -94,7 +95,8 @@ def suite_switch(trials: int, seed: int, tolerance: float) -> list[PropertyResul
         dim = 2 if k % 2 == 0 else 4
         a = random_unitary(rng, dim)
         b = random_unitary(rng, dim)
-        joint = switch_unitary(a, b).matrix
+        switch = switch_unitary(a, b)
+        joint = switch.matrix
         eye = np.eye(joint.shape[0])
         unitarity = max(unitarity, np.linalg.norm(dagger(joint) @ joint - eye))
         anti = a @ b + b @ a
@@ -104,7 +106,7 @@ def suite_switch(trials: int, seed: int, tolerance: float) -> list[PropertyResul
 
         theta = rng.uniform(-2 * math.pi, 2 * math.pi)
         psi = random_state(rng, 1 if dim == 2 else 2)
-        staged = apply_switch(switch_unitary(a, b), psi, PLUS)
+        staged = apply_switch(switch, psi, PLUS)
         plus, minus = measure_ancilla(staged, theta)
         prob_sum = max(prob_sum, abs(plus.probability + minus.probability - 1.0))
 
@@ -296,8 +298,7 @@ SUITE_NAMES = (*SUITES, "all")
 def run_suite(name: str, trials: int = 100, seed: int = 42,
               tolerance: float = DEFAULT_TOLERANCE) -> list[PropertyResult]:
     """Run one suite (or 'all') and return its property results."""
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    require_check_inputs(trials, tolerance)
     if name == "all":
         results = []
         for suite_name in SUITES:

@@ -24,7 +24,6 @@ from .linalg import (
     Z,
     dagger,
     require_density,
-    require_normalized,
     require_square,
     require_unitary,
     state_num_qubits,
@@ -146,29 +145,39 @@ def measure_ancilla(state: np.ndarray,
     The input must be normalized; branch probabilities then sum to 1. A
     zero-probability branch is reported with probability 0 and no post-state.
     """
-    state = require_normalized(state)
+    state = np.asarray(state, dtype=complex)
     if state_num_qubits(state) < 1:
         raise ValueError("state has no qubit to measure")
-    return project_ancilla(state, branch_functionals(theta))
+    plus, minus = (MeasurementOutcome(branch, float(prob), post if prob else None)
+                   for branch, (prob, post)
+                   in zip(("plus", "minus"),
+                          project_branches(state, branch_functionals(theta))))
+    return plus, minus
 
 
-def project_ancilla(state: np.ndarray, functionals: tuple[np.ndarray, np.ndarray]
-                    ) -> tuple[MeasurementOutcome, MeasurementOutcome]:
-    """``measure_ancilla`` without its checks, on precomputed functionals.
+def project_branches(states: np.ndarray, functionals: tuple[np.ndarray, np.ndarray]
+                     ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(probability, post-state) of the plus and of the minus branch.
 
-    ``state`` is a normalized complex vector on at least one qubit and
-    ``functionals`` is ``branch_functionals(theta)``.
+    ``states`` are complex vectors on at least one qubit, stacked on any
+    leading axes, and ``functionals`` is ``branch_functionals(theta)``. Each
+    state must be normalized: its two branch probabilities sum to its
+    squared norm, and a sum off 1 by more than UNITARY_ATOL (or NaN) raises
+    ValueError. A branch at or below ZERO_BRANCH_ATOL gets probability 0.0
+    and a post-state that is not normalized; every other post-state is.
     """
-    psi = state.reshape(-1, 2)
-    outcomes = []
-    for branch, f in zip(("plus", "minus"), functionals):
-        amp = psi @ f
-        prob = float(np.vdot(amp, amp).real)
-        if prob <= ZERO_BRANCH_ATOL:
-            outcomes.append(MeasurementOutcome(branch, 0.0, None))
-        else:
-            outcomes.append(MeasurementOutcome(branch, prob, amp / np.sqrt(prob)))
-    return outcomes[0], outcomes[1]
+    pairs = states.reshape(states.shape[:-1] + (-1, 2))
+    amps = [pairs @ f for f in functionals]
+    probs = [np.vecdot(amp, amp).real for amp in amps]
+    if not (abs(probs[0] + probs[1] - 1.0) <= UNITARY_ATOL).all():
+        raise ValueError("state is not normalized")
+    branches = []
+    for amp, prob in zip(amps, probs):
+        cut = prob <= ZERO_BRANCH_ATOL
+        # exact where kept (prob * True and prob + False are prob); a cut
+        # branch is divided by about 1, which keeps its post-state finite
+        branches.append((prob * ~cut, amp / np.sqrt(prob + cut)[..., None]))
+    return branches
 
 
 def branch_gates(a: np.ndarray, b: np.ndarray,

@@ -29,7 +29,8 @@ from .linalg import (
     canonical_perp,
     distance_up_to_phase,
     fidelity,
-    require_normalized,
+    matvecs,
+    require_check_inputs,
     rotation,
     rotation_z,
     tensor,
@@ -39,17 +40,19 @@ from .linalg import (
     P0,
     P1,
 )
-from .sampling import random_bloch, random_state
-from .switch import branch_functionals, branch_gates, project_ancilla, switch_unitary
+from .sampling import random_bloch, random_states
+from .switch import branch_functionals, branch_gates, project_branches, switch_unitary
 
 TWO_PI = 2.0 * math.pi
 ORTHOGONALITY_ATOL = 1e-10
 Z_HAT = (0.0, 0.0, 1.0)
 
 
-def normalize_angle(angle: float) -> float:
-    """Canonical representative of an angle modulo 4*pi, in (-2*pi, 2*pi]."""
+def normalize_angle(angle: float, name: str = "angle") -> float:
+    """Canonical representative of a finite angle modulo 4*pi, in (-2*pi, 2*pi]."""
     angle = float(angle)
+    if not math.isfinite(angle):
+        raise ValueError(f"{name} must be finite, got {angle}")
     if -TWO_PI < angle <= TWO_PI:
         return angle
     folded = math.fmod(angle, 2.0 * TWO_PI)
@@ -64,9 +67,9 @@ def normalize_angle(angle: float) -> float:
 class ControlledGateSpec:
     """Parameters (alpha, theta, axis) of a target controlled gate.
 
-    ``axis`` must be unit; ``perp`` must be unit and orthogonal to it and
-    defaults to a deterministic perpendicular. Angles are stored as their
-    canonical representatives in (-2*pi, 2*pi].
+    Angles must be finite and ``axis`` must be unit; ``perp`` must be unit
+    and orthogonal to it and defaults to a deterministic perpendicular.
+    Angles are stored as their canonical representatives in (-2*pi, 2*pi].
     """
 
     alpha: float
@@ -75,8 +78,8 @@ class ControlledGateSpec:
     perp: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", normalize_angle(self.alpha))
-        object.__setattr__(self, "theta", normalize_angle(self.theta))
+        for name in ("alpha", "theta"):
+            object.__setattr__(self, name, normalize_angle(getattr(self, name), name))
         axis = unit_bloch(self.axis, "axis")
         object.__setattr__(self, "axis", tuple(float(v) for v in axis))
         if self.perp is None:
@@ -142,9 +145,13 @@ class VerificationReport:
     """Numerical certificate for one synthesis plan.
 
     Residuals are phase-invariant Frobenius distances; branch probabilities
-    come from the worst random trial. ``passed`` requires every residual,
-    the probability deviation from 1/2, and the worst state infidelity to
-    sit within ``tolerance``.
+    come from the trial whose plus probability is farthest from 1/2.
+    ``passed`` requires every residual, the probability deviation from 1/2,
+    and the worst state infidelity to sit within ``tolerance``.
+
+    ``worst_trial`` is the 0-based index of the first trial with the largest
+    infidelity; ``verify_synthesis(spec, trials=worst_trial + 1, seed=seed)``
+    ends on it. It stays out of ``as_dict`` so documents keep their bytes.
     """
 
     target_name: str
@@ -157,6 +164,7 @@ class VerificationReport:
     seed: int
     tolerance: float
     passed: bool
+    worst_trial: int
 
     def as_dict(self) -> dict:
         return {
@@ -299,10 +307,10 @@ def verify_synthesis(spec: ControlledGateSpec, *, trials: int = 100,
     (R_z(+-pi/2) (x) R_n(+-pi/2)) S_pm P = R_{zn}(theta), and then runs the
     full pipeline (pre gate, switch, measurement, correction) on ``trials``
     random input states, recording branch probabilities and the worst-case
-    infidelity against CU acting directly.
+    infidelity against CU acting directly. The trials run as one stack, with
+    the same bits as running them one at a time.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    require_check_inputs(trials, tolerance)
     plan = synthesize(spec)
     target = cu_matrix(spec)
     s_plus, s_minus = plan.branch_operators()
@@ -318,33 +326,30 @@ def verify_synthesis(spec: ControlledGateSpec, *, trials: int = 100,
         distance_up_to_phase(bare_minus @ s_minus @ pre, rzn),
     )
 
-    # apply_switch then measure_ancilla, bound once: their checks that hold by
-    # construction run here, not per trial; normalization is checked per trial.
+    # apply_switch then measure_ancilla on every trial at once, one trial per
+    # row: their checks that hold by construction run here, once, and
+    # project_branches checks each trial's staged state for normalization.
     joint = switch_unitary(plan.gate_a, plan.gate_b)
     if joint.target_dim != pre.shape[0] or PLUS.shape != (2,):
         raise ValueError("switch joint does not act on the pre-gated state "
                          "and a single control qubit")
-    functionals = branch_functionals(plan.measurement_theta)
-    corrections = {"plus": plan.post_plus, "minus": plan.post_minus}
-    rng = np.random.default_rng(seed)
-    worst_dev = -1.0
-    worst_pair = (0.5, 0.5)
-    max_infidelity = 0.0
-    for _ in range(trials):
-        psi = random_state(rng, 2)
-        expected = target @ psi
-        staged = require_normalized(joint.matrix @ tensor(pre @ psi, PLUS))
-        outcomes = project_ancilla(staged, functionals)
-        for outcome in outcomes:
-            if outcome.post_state is None:
-                max_infidelity = 1.0
-                continue
-            final = corrections[outcome.branch] @ outcome.post_state
-            max_infidelity = max(max_infidelity, 1.0 - fidelity(expected, final))
-        dev = abs(outcomes[0].probability - 0.5)
-        if dev > worst_dev:
-            worst_dev = dev
-            worst_pair = (outcomes[0].probability, outcomes[1].probability)
+    psi = random_states(np.random.default_rng(seed), 2, trials)
+    expected = matvecs(target, psi)
+    staged = matvecs(joint.matrix,
+                     (matvecs(pre, psi)[:, :, None] * PLUS).reshape(trials, -1))
+    branches = project_branches(staged, branch_functionals(plan.measurement_theta))
+    # a zero-probability branch counts as infidelity 1
+    infidelity = np.maximum(*(
+        np.where(prob > 0.0, 1.0 - fidelity(expected, matvecs(post_gate, post)), 1.0)
+        for (prob, post), post_gate in zip(branches, (plan.post_plus, plan.post_minus))))
+    worst_trial = int(np.argmax(infidelity))
+    # rounding can put 1 - fidelity just below 0; the report floors it at 0
+    max_infidelity = max(0.0, float(infidelity[worst_trial]))
+    (p_plus, _), (p_minus, _) = branches
+    deviation = np.abs(p_plus - 0.5)
+    worst = int(np.argmax(deviation))  # the first trial farthest from 1/2
+    worst_dev = float(deviation[worst])
+    worst_pair = (float(p_plus[worst]), float(p_minus[worst]))
 
     passed = (residual_plus <= tolerance and residual_minus <= tolerance
               and bare_correction_residual <= tolerance and worst_dev <= tolerance
@@ -360,4 +365,5 @@ def verify_synthesis(spec: ControlledGateSpec, *, trials: int = 100,
         seed=seed,
         tolerance=tolerance,
         passed=passed,
+        worst_trial=worst_trial,
     )

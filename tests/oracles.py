@@ -80,3 +80,54 @@ def haar_unitary(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def looped_verify_trials(spec, trials, seed):
+    """The sampled half of ``verify_synthesis`` as a loop, one trial at a time.
+
+    Each trial draws one state, stages it through the pre gate and the switch
+    with 1-D products, checks its normalization, projects the ancilla with
+    ``np.vdot`` and scores both corrected branches with ``abs`` of the
+    overlap. Returns the worst branch probabilities, the largest infidelity
+    and the first trial that reaches it.
+    """
+    from switchsynth.switch import branch_functionals, switch_unitary
+    from switchsynth.synthesis import cu_matrix, synthesize
+
+    plan = synthesize(spec)
+    target = cu_matrix(spec)
+    pre = plan.pre
+    joint = switch_unitary(plan.gate_a, plan.gate_b).matrix
+    plus_state = np.array([1, 1], dtype=complex) / np.sqrt(2)
+    functionals = branch_functionals(plan.measurement_theta)
+    corrections = (plan.post_plus, plan.post_minus)
+    rng = np.random.default_rng(seed)
+    worst_dev, worst_pair = -1.0, (0.5, 0.5)
+    max_infidelity, worst_trial, worst_trial_infidelity = 0.0, 0, -np.inf
+    for trial in range(trials):
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        psi = v / np.linalg.norm(v)
+        expected = target @ psi
+        staged = joint @ ((pre @ psi)[:, None] * plus_state[None, :]).reshape(-1)
+        if abs(np.linalg.norm(staged) ** 2 - 1.0) > 1e-10:
+            raise ValueError("state is not normalized")
+        probabilities = []
+        trial_infidelity = -np.inf
+        for f, correction in zip(functionals, corrections):
+            amp = staged.reshape(-1, 2) @ f
+            prob = float(np.vdot(amp, amp).real)
+            if prob <= 1e-18:
+                probabilities.append(0.0)
+                infidelity = 1.0
+            else:
+                probabilities.append(prob)
+                final = correction @ (amp / np.sqrt(prob))
+                infidelity = 1.0 - float(abs(np.vdot(expected, final)) ** 2)
+            max_infidelity = max(max_infidelity, infidelity)
+            trial_infidelity = max(trial_infidelity, infidelity)
+        if trial_infidelity > worst_trial_infidelity:
+            worst_trial, worst_trial_infidelity = trial, trial_infidelity
+        dev = abs(probabilities[0] - 0.5)
+        if dev > worst_dev:
+            worst_dev, worst_pair = dev, tuple(probabilities)
+    return worst_pair, max_infidelity, worst_trial

@@ -234,3 +234,15 @@ def test_gate_table_matrix_equals_spec_including_phase(name):
     inst = sample_instruction(name)
     assert_allclose(instruction_matrix(inst),
                     cu_matrix(controlled_gate_spec(inst)), atol=1e-12)
+
+
+@pytest.mark.parametrize("text,column", [
+    ("qubits 2\nrx 0 theta=1e999\n", 6),
+    ("qubits 2\ncu 0 1 alpha=-1e999 theta=1.0 nx=1 ny=0 nz=0\n", 8),
+    ("qubits 2\nrn 1 theta=0.5 nx=1 ny=0 nz=1e400\n", 26),
+], ids=["theta", "alpha", "axis"])
+def test_parse_circuit_rejects_overflowing_numbers(text, column):
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit(text)
+    assert "is not finite" in str(err.value)
+    assert (err.value.line, err.value.column) == (2, column)

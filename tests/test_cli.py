@@ -336,3 +336,44 @@ def test_simulate_too_many_held_qubits_exits_2_without_traceback(tmp_path):
     assert proc.stderr.startswith(f"error: instruction {MAX_QUBITS} "
                                   f"(alloc_ancilla 'a{MAX_QUBITS}') holds")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["synth", "--gate", "cnot"],
+    ["verify", "--suite", "switch"],
+    ["simulate", "PROGRAM"],
+])
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf", "-1e-300"])
+def test_bad_tolerance_is_a_usage_error(tmp_path, capsys, command, tolerance):
+    circ = tmp_path / "bell.circ"
+    circ.write_text(BELL_TEXT)
+    prog = tmp_path / "bell.json"
+    run_cli(capsys, "lower", str(circ), "--output", str(prog))
+    argv = [str(prog) if arg == "PROGRAM" else arg for arg in command]
+    code, out, err = run_cli(capsys, *argv, f"--tolerance={tolerance}")
+    assert code == 2
+    assert out == ""
+    assert "--tolerance: tolerance must be finite and at least 0" in err
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--theta"])
+def test_synth_non_finite_angle_exits_2(capsys, flag):
+    argv = {"--alpha": "0.5", "--theta": "1.0", "--nx": "0", "--ny": "0.6",
+            "--nz": "0.8", flag: "nan"}
+    code, out, err = run_cli(capsys, "synth", "--gate", "cu",
+                             *(x for item in argv.items() for x in item))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag[2:]} must be finite, got nan\n"
+
+
+def test_lower_overflowing_number_exits_2_with_its_location(tmp_path):
+    circ = tmp_path / "inf.circ"
+    circ.write_text("qubits 2\ncu 0 1 alpha=1e999 theta=1.0 nx=1 ny=0 nz=0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "switchsynth", "lower", str(circ)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: number '1e999' is not finite, "
+                           "line 2, column 8\n")

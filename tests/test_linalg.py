@@ -20,6 +20,7 @@ from switchsynth.linalg import (
     fidelity,
     is_density_matrix,
     is_unitary,
+    matvecs,
     normalize,
     operator_schmidt_rank,
     operator_schmidt_values,
@@ -31,6 +32,7 @@ from switchsynth.linalg import (
     two_qubit_rotation,
     zero_state,
 )
+from switchsynth.sampling import random_states, random_unitary
 
 import oracles
 
@@ -328,3 +330,22 @@ def test_hadamard_and_unitary_check():
     assert not is_unitary(np.array([[1, 1], [0, 1]], dtype=complex))
     assert_allclose(H @ X @ H, Z, atol=1e-15)
     assert_allclose(dagger(Y), Y, atol=0)
+
+
+def test_stacked_fidelity_is_the_per_pair_fidelity_bitwise():
+    rng = np.random.default_rng(12)
+    a = random_states(rng, 3, 200)
+    b = random_states(rng, 3, 200)
+    stacked = fidelity(a, b)
+    assert stacked.shape == (200,)
+    expected = np.array([float(abs(np.vdot(x, y)) ** 2) for x, y in zip(a, b)])
+    assert stacked.tobytes() == expected.tobytes()
+    assert repr(fidelity(a[0], b[0])) == repr(float(expected[0]))
+
+
+def test_matvecs_is_the_per_state_product_bitwise():
+    rng = np.random.default_rng(5)
+    m = random_unitary(rng, 8)
+    states = random_states(rng, 3, 40)
+    expected = np.array([m @ s for s in states])
+    assert matvecs(m, states).tobytes() == expected.tobytes()

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import replace
 from itertools import product
 
@@ -306,3 +307,10 @@ def test_simulate_rejects_a_non_normalized_input():
     program = lower(parse_circuit("qubits 2\ncnot 0 1\n"))
     with pytest.raises(ValueError, match="not normalized"):
         simulate_program(program, 2 * basis_state(2, 0), seed=0)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf])
+def test_check_equivalence_rejects_bad_tolerances(tolerance):
+    circuit = parse_circuit(BELL_TEXT)
+    with pytest.raises(ValueError, match="tolerance must be finite and at least 0"):
+        check_equivalence(circuit, lower(circuit), trials=1, tolerance=tolerance)

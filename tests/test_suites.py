@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from switchsynth.suites import SUITE_NAMES, SUITES, run_suite
@@ -54,3 +56,9 @@ def test_property_result_dict_shape():
 def test_run_suite_rejects_zero_trials(name):
     with pytest.raises(ValueError, match="trials must be at least 1"):
         run_suite(name, trials=0)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf])
+def test_run_suite_rejects_bad_tolerances(tolerance):
+    with pytest.raises(ValueError, match="tolerance must be finite and at least 0"):
+        run_suite("switch", trials=1, tolerance=tolerance)

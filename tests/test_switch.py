@@ -3,13 +3,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from switchsynth.linalg import I2, PLUS, X, Y, Z, basis_state, dagger, normalize, tensor
-from switchsynth.sampling import random_state, random_unitary
+from switchsynth.sampling import random_state, random_states, random_unitary
 from switchsynth.switch import (
     apply_switch,
     branch_functionals,
     branch_gates,
     branch_gates_tensor,
     measure_ancilla,
+    project_branches,
     switch_unitary,
 )
 
@@ -205,3 +206,34 @@ def test_branch_gates_anticommuting_pair_stays_unitary():
         s_plus, s_minus = branch_gates(X, Y, theta)
         for m in (s_plus, s_minus):
             assert np.linalg.norm(dagger(m) @ m - I2) < 1e-13
+
+
+def test_project_branches_of_a_stack_is_each_state_measured():
+    rng = np.random.default_rng(19)
+    states = random_states(rng, 3, 30)
+    functionals = branch_functionals(0.9)
+    (p_plus, post_plus), (p_minus, post_minus) = project_branches(states,
+                                                                  functionals)
+    for i, state in enumerate(states):
+        plus, minus = measure_ancilla(state, 0.9)
+        assert repr((plus.probability, minus.probability)) == repr(
+            (float(p_plus[i]), float(p_minus[i])))
+        assert plus.post_state.tobytes() == post_plus[i].tobytes()
+        assert minus.post_state.tobytes() == post_minus[i].tobytes()
+
+
+def test_project_branches_checks_each_stacked_state():
+    states = random_states(np.random.default_rng(4), 2, 6)
+    functionals = branch_functionals(0.3)
+    project_branches(states, functionals)
+    # one row up, one down: the stack's total squared norm stays 6
+    states[0] *= 1.0 + 1e-6
+    states[5] *= np.sqrt(2.0 - (1.0 + 1e-6) ** 2)
+    with pytest.raises(ValueError, match="state is not normalized"):
+        project_branches(states, functionals)
+
+
+@pytest.mark.parametrize("state", [[np.nan, 0.0], [1.0, np.nan * 1j]])
+def test_measure_ancilla_rejects_nan_states(state):
+    with pytest.raises(ValueError, match="state is not normalized"):
+        measure_ancilla(np.array(state), 0.0)

@@ -16,6 +16,7 @@ from switchsynth.linalg import (
     rotation_z,
     tensor,
 )
+from switchsynth import switch, synthesis
 from switchsynth.sampling import random_bloch
 from switchsynth.synthesis import (
     ControlledGateSpec,
@@ -291,3 +292,141 @@ def test_verify_synthesis_unreachable_tolerance_fails():
 def test_verify_synthesis_rejects_zero_trials():
     with pytest.raises(ValueError, match="trials must be at least 1"):
         verify_synthesis(preset("cnot"), trials=0)
+
+
+@pytest.mark.parametrize("spec,trials,seed,name,expected", [
+    (preset("cz"), 100, 5, "cz", {
+        "residual_plus": 3.268980133568449e-16,
+        "residual_minus": 2.873478384096454e-16,
+        "bare_correction_residual": 3.1401849173675503e-16,
+        "branch_probabilities": [0.49999999999999967, 0.4999999999999999],
+        "max_infidelity": 6.661338147750939e-16}),
+    (ControlledGateSpec(alpha=-2.7, theta=0.4, axis=(0.0, 0.8, -0.6)), 257,
+     2023, "cu", {
+        "residual_plus": 4.590674876688926e-16,
+        "residual_minus": 4.0179970572189874e-16,
+        "bare_correction_residual": 4.584996238741895e-16,
+        "branch_probabilities": [0.49999999999999944, 0.4999999999999995],
+        "max_infidelity": 6.661338147750939e-16}),
+    (preset_barenco(1.9, -0.3, 2.2), 1, 0, "barenco", {
+        "residual_plus": 3.8126578838815295e-16,
+        "residual_minus": 4.69237670789928e-16,
+        "bare_correction_residual": 6.004779025828582e-16,
+        "branch_probabilities": [0.5, 0.5],
+        "max_infidelity": 4.440892098500626e-16}),
+], ids=["cz", "cu_257_trials", "barenco_1_trial"])
+def test_verify_synthesis_more_reports_are_unchanged(spec, trials, seed, name,
+                                                     expected):
+    # values recorded from the per-trial loop the stacked pass replaced
+    report = verify_synthesis(spec, trials=trials, seed=seed, target_name=name)
+    assert report.as_dict() == {"target": name, **expected, "trials": trials,
+                                "seed": seed, "tolerance": 1e-10,
+                                "passed": True}
+
+
+@pytest.mark.parametrize("trials", [1, 2, 100, 257])
+def test_verify_synthesis_matches_the_per_trial_loop_bitwise(trials):
+    rng = np.random.default_rng(1000 + trials)
+    for draw in range(50):
+        spec = random_spec(rng)
+        report = verify_synthesis(spec, trials=trials, seed=draw)
+        pair, max_infidelity, worst_trial = oracles.looped_verify_trials(
+            spec, trials, draw)
+        # repr tells float from numpy float and -0.0 from 0.0
+        assert repr(report.branch_probabilities) == repr(pair)
+        assert repr(report.max_infidelity) == repr(max_infidelity)
+        assert report.worst_trial == worst_trial
+
+
+def test_verify_synthesis_checks_every_staged_state(monkeypatch):
+    draw = synthesis.random_states
+
+    def two_rows_scaled(rng, num_qubits, count):
+        # one row up, one down: the stack's total squared norm stays count
+        states = draw(rng, num_qubits, count)
+        states[37] *= 1.0 + 1e-6
+        states[12] *= np.sqrt(2.0 - (1.0 + 1e-6) ** 2)
+        return states
+
+    monkeypatch.setattr(synthesis, "random_states", two_rows_scaled)
+    with pytest.raises(ValueError, match="state is not normalized"):
+        verify_synthesis(preset("cnot"), trials=50)
+
+
+@pytest.mark.filterwarnings("error")  # no 0/0 for the empty branch
+def test_verify_synthesis_scores_a_zero_probability_branch(monkeypatch):
+    # A and A in both orders leave the control in |+>, and a measurement in
+    # the |+>, |-> basis then never gives minus: that branch has probability
+    # 0 on every trial and counts as infidelity 1, as in the per-trial loop
+    original = switch.switch_unitary
+    for module in (synthesis, switch):
+        monkeypatch.setattr(module, "switch_unitary", lambda a, b: original(a, a))
+        monkeypatch.setattr(module, "branch_functionals", lambda theta: (
+            np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
+            np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)))
+    report = verify_synthesis(preset("cnot"), trials=20, seed=3)
+    assert report.max_infidelity == 1.0
+    assert report.branch_probabilities[1] == 0.0
+    assert report.worst_trial == 0
+    assert not report.passed
+    pair, max_infidelity, worst_trial = oracles.looped_verify_trials(
+        preset("cnot"), 20, 3)
+    assert repr(report.branch_probabilities) == repr(pair)
+    assert (report.max_infidelity, report.worst_trial) == (max_infidelity,
+                                                           worst_trial)
+
+
+def test_verify_synthesis_counts_a_cut_branch_as_infidelity_one(monkeypatch):
+    # with the cut above 1/2, both branches of every trial are cut
+    monkeypatch.setattr(switch, "ZERO_BRANCH_ATOL", 0.75)
+    report = verify_synthesis(preset("cnot"), trials=5)
+    assert report.branch_probabilities == (0.0, 0.0)
+    assert report.max_infidelity == 1.0
+    assert not report.passed
+
+
+def test_worst_trial_is_reproduced_by_a_shorter_run():
+    rng = np.random.default_rng(77)
+    for seed in range(20):
+        spec = random_spec(rng)
+        report = verify_synthesis(spec, trials=100, seed=seed)
+        assert 0 <= report.worst_trial < 100
+        again = verify_synthesis(spec, trials=report.worst_trial + 1, seed=seed)
+        assert again.worst_trial == report.worst_trial
+        assert again.max_infidelity == report.max_infidelity
+
+
+def test_worst_trial_stays_out_of_the_document():
+    report = verify_synthesis(preset("cnot"), trials=10)
+    assert "worst_trial" not in report.as_dict()
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, -1.0, -1e-300, math.inf])
+def test_verify_synthesis_rejects_bad_tolerances(tolerance):
+    with pytest.raises(ValueError, match="tolerance must be finite and at least 0"):
+        verify_synthesis(preset("cnot"), trials=5, tolerance=tolerance)
+
+
+def test_verify_synthesis_accepts_zero_tolerance():
+    assert verify_synthesis(preset("cz"), trials=5, tolerance=0.0).tolerance == 0.0
+
+
+@pytest.mark.parametrize("field", ["alpha", "theta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_non_finite_angles(field, value):
+    params = {"alpha": 0.5, "theta": 1.0, "axis": (0.0, 0.0, 1.0), field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ControlledGateSpec(**params)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_normalize_angle_rejects_non_finite_angles(value):
+    # inf used to raise "math domain error" and nan came back unchanged
+    with pytest.raises(ValueError, match="angle must be finite"):
+        normalize_angle(value)
+
+
+@pytest.mark.parametrize("axis", [(math.nan, 0.0, 0.0), (1.0, math.nan, 0.0)])
+def test_spec_rejects_a_nan_axis(axis):
+    with pytest.raises(ValueError, match="axis must be a unit vector"):
+        ControlledGateSpec(alpha=0.5, theta=1.0, axis=axis)
