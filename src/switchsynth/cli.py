@@ -29,7 +29,7 @@ from .programs import (
 from .sampling import random_state
 from .suites import SUITE_NAMES, run_suite
 from .synthesis import ControlledGateSpec, synthesize, verify_synthesis
-from .linalg import DEFAULT_TOLERANCE, basis_state, require_tolerance
+from .linalg import DEFAULT_TOLERANCE, basis_state, require_tolerance, require_trials
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -52,14 +52,15 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _trial_count(text: str) -> int:
-    """argparse type for --trials: a check over zero trials examines nothing."""
+    """argparse type for --trials: from 1 to MAX_TRIALS."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+    try:
+        return require_trials(value)
+    except ValueError as err:  # argparse already names the flag
+        raise argparse.ArgumentTypeError(str(err).removeprefix("trials ")) from None
 
 
 def _tolerance(text: str) -> float:

@@ -5,14 +5,16 @@ here pin floats to 17 significant digits instead, which also round-trips
 IEEE doubles exactly and keeps byte-for-byte output stable across runs.
 Output is parseable by ``json.loads``.
 
-Dicts, and lists that hold a dict, are written one entry per line; any
-other list is written on one line. A ``RawJSON`` value is written as is.
+A dict, and a list that holds a dict, is written one entry per line, each
+entry indented two spaces deeper than its container; any other list is
+written on one line. A list inside a one-line list is laid out as at level
+0, so one that holds a dict opens a block indented from the left margin.
+Tuples are written as lists, and a ``RawJSON`` value as is.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps(str)
 
 
@@ -48,46 +50,6 @@ def _scalar(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__} into a document")
 
 
-def _inline(items) -> str:
-    """One-line text of a list or tuple with no dict among its items.
-
-    Nested lists are walked with a stack of iterators, not by recursion. A
-    nested list that does hold a dict is written in block form at level 0.
-    """
-    out = ["["]
-    # per open list: its items' iterator, the list, where its text starts
-    stack = [(iter(items), items, 0)]
-    depth_limit = sys.getrecursionlimit()  # as deep as recursion would go
-    first = True
-    while stack:
-        for el in stack[-1][0]:
-            if not first:
-                out.append(", ")
-            first = False
-            if type(el) is float:  # most items: matrix entries
-                out.append(format_float(el))
-            elif isinstance(el, (list, tuple)):
-                if len(stack) >= depth_limit:  # also ends a circular list
-                    raise RecursionError("document nested too deeply")
-                stack.append((iter(el), el, len(out)))
-                out.append("[")
-                first = True
-                break
-            elif isinstance(el, dict):
-                # only a nested list reaches here: redo it in block form
-                _, nested, start = stack.pop()
-                del out[start:]
-                _emit(nested, 0, out)
-                break
-            else:
-                out.append(_scalar(el))
-        else:
-            stack.pop()
-            out.append("]")
-            first = False
-    return "".join(out)
-
-
 def _emit(obj, level: int, pieces: list[str]) -> None:
     pad = "  " * (level + 1)
     close_pad = "  " * level
@@ -107,22 +69,28 @@ def _emit(obj, level: int, pieces: list[str]) -> None:
             pieces.append(",\n")
         pieces[-1] = "\n"  # no comma after the last entry
         pieces.append(close_pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
-            pieces.append("[]")
-        elif any(isinstance(el, dict) for el in items):
-            pieces.append("[\n")
-            for el in items:
-                pieces.append(pad)
-                _emit(el, level + 1, pieces)
-                pieces.append(",\n")
-            pieces[-1] = "\n"
-            pieces.append(close_pad + "]")
-        else:
-            pieces.append(_inline(items))
-    else:
+    elif not isinstance(obj, (list, tuple)):
         pieces.append(_scalar(obj))
+    elif not obj:
+        pieces.append("[]")
+    elif any(isinstance(el, dict) for el in obj):
+        pieces.append("[\n")
+        for el in obj:
+            pieces.append(pad)
+            _emit(el, level + 1, pieces)
+            pieces.append(",\n")
+        pieces[-1] = "\n"
+        pieces.append(close_pad + "]")
+    else:  # joined here, so a nested list leaves one string in its parent's parts
+        parts = ["["]
+        for el in obj:
+            if isinstance(el, (list, tuple)):
+                _emit(el, 0, parts)  # a nested list starts over at level 0
+            else:
+                parts.append(_scalar(el))
+            parts.append(", ")
+        parts[-1] = "]"
+        pieces.append("".join(parts))
 
 
 def dumps(obj) -> str:

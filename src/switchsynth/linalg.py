@@ -31,6 +31,10 @@ DENSITY_EIGVAL_FLOOR = -1e-9
 # MAX_QUBITS qubits takes 16 MiB, and each extra qubit doubles that.
 MAX_QUBITS = 20
 
+# Largest trial count of a sampled check: verify_synthesis holds all its
+# trials' states at once, about 0.55 KB per trial.
+MAX_TRIALS = 1_000_000
+
 # ---------------------------------------------------------------------------
 # fixed single-qubit operators
 # ---------------------------------------------------------------------------
@@ -326,11 +330,19 @@ def require_tolerance(tolerance: float) -> float:
     return tolerance
 
 
-def require_check_inputs(trials: int, tolerance: float) -> None:
-    """Raise ValueError unless a sampled check runs at least one trial
-    against a valid tolerance; a check over zero trials examines nothing."""
+def require_trials(trials: int) -> int:
+    """A sampled check's trial count, returned unchanged: from 1 (a check
+    over zero trials examines nothing) to ``MAX_TRIALS``."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
+    return trials
+
+
+def require_check_inputs(trials: int, tolerance: float) -> None:
+    """Raise ValueError unless a sampled check's inputs are valid."""
+    require_trials(trials)
     require_tolerance(tolerance)
 
 

@@ -97,7 +97,6 @@ OPS: dict[str, type] = {
     "discard": Discard,
 }
 _TAGS = {cls: tag for tag, cls in OPS.items()}
-_FIELDS = {cls: fields(cls) for cls in OPS.values()}
 
 
 # data qubits plus the one ancilla a switch block holds, so a circuit of
@@ -292,30 +291,44 @@ def _matrix_from_entries(entries, key: str) -> np.ndarray:
     return flat.reshape(dim, dim)
 
 
-def _coerce(values: dict) -> dict:
-    """Convert and check an instruction's qubits and angle where they enter."""
-    if "qubits" in values:
-        qubits = tuple(values["qubits"])
-        if not all(type(q) is int for q in qubits):
-            raise ProgramError(f"qubit indices must be integers, got {qubits}")
-        values["qubits"] = qubits
-    if "theta" in values:
-        theta = float(values["theta"])
-        if not math.isfinite(theta):
-            raise ProgramError(f"measurement angle must be finite, got {theta}")
-        values["theta"] = theta
-    return values
+def _string(value, name: str) -> str:
+    if type(value) is not str:
+        raise ProgramError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _angle(value, name: str) -> float:
+    if type(value) not in (int, float):
+        raise ProgramError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):  # OverflowError for an int beyond float range
+        raise ProgramError(f"measurement angle must be finite, got {value}")
+    return float(value)
+
+
+def _qubits(value, name: str) -> tuple[int, ...]:
+    if type(value) is not list or not all(type(q) is int for q in value):
+        raise ProgramError(f"qubit indices must be integers, got {value!r}")
+    return tuple(value)
+
+
+# per op tag: (name, required, check) of each field; the check, one per field
+# annotation, takes the JSON value and returns the field's value
+_FIELDS = {tag: [(f.name, f.default is MISSING,
+                  {"str": _string, "float": _angle, "tuple[int, ...]": _qubits}[f.type])
+                 for f in fields(cls)] for tag, cls in OPS.items()}
 
 
 def parse_program(text: str) -> SwitchProgram:
     """Parse serialized JSON back into a validated SwitchProgram.
 
-    ``num_data_qubits`` must be an integer from 0 to ``MAX_QUBITS`` and
-    every matrix in the table must be unitary within ``UNITARY_ATOL``.
+    ``num_data_qubits`` must be an integer from 0 to ``MAX_QUBITS``, every
+    matrix in the table must be unitary within ``UNITARY_ATOL``, and each
+    record field must hold the JSON type of its annotation: a string, a
+    number for ``theta``, a list of integers for ``qubits``.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # also too many digits or levels
         raise ProgramError(f"invalid program JSON: {err}") from None
     if not isinstance(doc, dict):
         raise ProgramError("program document must be a JSON object")
@@ -327,18 +340,24 @@ def parse_program(text: str) -> SwitchProgram:
         if num_data_qubits > MAX_QUBITS:
             raise ProgramError(f"num_data_qubits {num_data_qubits} exceeds the "
                                f"maximum of {MAX_QUBITS}")
+        if not isinstance(doc["matrices"], dict):
+            raise ProgramError("matrices must be a JSON object")
         matrices = {key: _matrix_from_entries(entries, key)
                     for key, entries in doc["matrices"].items()}
+        if not isinstance(doc["instructions"], list):
+            raise ProgramError("instructions must be a JSON array")
         instructions: list[ProgramInstruction] = []
         for record in doc["instructions"]:
+            if not isinstance(record, dict):
+                raise ProgramError(f"instruction record must be a JSON object, "
+                                   f"got {record!r}")
             op = record["op"]
             if op not in OPS:
                 raise ProgramError(f"unknown instruction op {op!r}")
-            cls = OPS[op]
-            instructions.append(cls(**_coerce({
-                f.name: record[f.name] for f in _FIELDS[cls]
-                if f.name in record or f.default is MISSING})))
-    except (KeyError, TypeError, ValueError) as err:
+            instructions.append(OPS[op](**{
+                name: check(record[name], f"{op} {name}")
+                for name, required, check in _FIELDS[op] if required or name in record}))
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         if isinstance(err, ProgramError):
             raise
         raise ProgramError(f"malformed program document: {err}") from None

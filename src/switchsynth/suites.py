@@ -21,14 +21,12 @@ from .linalg import (
     PLUS,
     X,
     dagger,
-    distance_up_to_phase,
     operator_schmidt_rank,
     projector,
     require_check_inputs,
     rotation,
     rotation_z,
     tensor,
-    two_qubit_rotation,
     zero_state,
 )
 from .sampling import (
@@ -51,6 +49,7 @@ from .switch import (
     _four_term_map,
 )
 from .synthesis import (
+    block_residuals,
     conjugation_identities,
     cu_matrix,
     cu_reference_decomposition,
@@ -139,25 +138,15 @@ def suite_synthesis(trials: int, seed: int, tolerance: float) -> list[PropertyRe
     control_fixed = 0.0
     branch_unitarity = 0.0
     prob_dev = 0.0
-    z_hat = (0.0, 0.0, 1.0)
     rz_half = rotation_z(0.5 * math.pi)
     for k in range(trials):
         spec = random_spec(rng)
         plan = synthesize(spec)
         target = cu_matrix(spec)
-        s_plus, s_minus = plan.branch_operators()
-        reconstruction = max(
-            reconstruction,
-            distance_up_to_phase(plan.post_plus @ s_plus @ plan.pre, target),
-            distance_up_to_phase(plan.post_minus @ s_minus @ plan.pre, target))
-
-        bare_plus = tensor(rz_half, rotation(spec.axis, 0.5 * math.pi))
-        bare_minus = tensor(rotation_z(-0.5 * math.pi),
-                            rotation(spec.axis, -0.5 * math.pi))
-        rzn = two_qubit_rotation(z_hat, spec.axis, spec.theta)
-        bare = max(bare,
-                   distance_up_to_phase(bare_plus @ s_plus @ plan.pre, rzn),
-                   distance_up_to_phase(bare_minus @ s_minus @ plan.pre, rzn))
+        s_plus, s_minus = branches = plan.branch_operators()
+        plus, minus, bare_plus, bare_minus = block_residuals(plan, target, branches)
+        reconstruction = max(reconstruction, plus, minus)
+        bare = max(bare, bare_plus, bare_minus)
 
         scalar, local, entangling = cu_reference_decomposition(spec)
         reference = max(reference,

@@ -268,13 +268,10 @@ def conjugation_identities(n, perp=None) -> dict[str, float]:
     (p.sigma) R_n(pi/2) (p.sigma) = R_n(-pi/2), R_z(pi/2) X X = R_z(pi/2),
     and R_n(pi/2) (p.sigma) (p.sigma) = R_n(pi/2). All hold exactly.
     """
-    axis = unit_bloch(n)
-    perp = canonical_perp(axis) if perp is None else unit_bloch(perp, "perp")
-    if abs(axis @ perp) > ORTHOGONALITY_ATOL:
-        raise ValueError("perp must be orthogonal to axis")
-    p_dot = bloch_dot(perp)
+    spec = ControlledGateSpec(alpha=0.0, theta=0.0, axis=n, perp=perp)  # checks n, perp
+    p_dot = bloch_dot(spec.perp)
     rz_half = rotation_z(0.5 * math.pi)
-    rn_half = rotation(axis, 0.5 * math.pi)
+    rn_half = rotation(spec.axis, 0.5 * math.pi)
 
     def resid(lhs, rhs):
         return float(np.linalg.norm(lhs - rhs))
@@ -282,7 +279,7 @@ def conjugation_identities(n, perp=None) -> dict[str, float]:
     return {
         "control_conjugation": resid(X @ rz_half @ X, rotation_z(-0.5 * math.pi)),
         "target_conjugation": resid(p_dot @ rn_half @ p_dot,
-                                    rotation(axis, -0.5 * math.pi)),
+                                    rotation(spec.axis, -0.5 * math.pi)),
         "control_absorption": resid(rz_half @ X @ X, rz_half),
         "target_absorption": resid(rn_half @ p_dot @ p_dot, rn_half),
     }
@@ -295,6 +292,26 @@ def random_spec(rng: np.random.Generator) -> ControlledGateSpec:
         theta=float(rng.uniform(-TWO_PI, TWO_PI)),
         axis=tuple(random_bloch(rng)),
     )
+
+
+def block_residuals(plan: SynthesisPlan, target: np.ndarray,
+                    branches) -> tuple[float, float, float, float]:
+    """Phase-invariant residuals of a plan's blocks, (S_plus, S_minus) = ``branches``.
+
+    Returns (residual_plus, residual_minus, bare_plus, bare_minus): the
+    distances of F_pm S_pm P from ``target`` (CU), and of the phase-free
+    corrections (R_z(+-pi/2) (x) R_n(+-pi/2)) S_pm P from R_{zn}(theta).
+    """
+    axis = plan.spec.axis
+    s_plus, s_minus = branches
+    pre = plan.pre
+    rzn = two_qubit_rotation(Z_HAT, axis, plan.spec.theta)
+    bare_plus = tensor(rotation_z(0.5 * math.pi), rotation(axis, 0.5 * math.pi))
+    bare_minus = tensor(rotation_z(-0.5 * math.pi), rotation(axis, -0.5 * math.pi))
+    return (distance_up_to_phase(plan.post_plus @ s_plus @ pre, target),
+            distance_up_to_phase(plan.post_minus @ s_minus @ pre, target),
+            distance_up_to_phase(bare_plus @ s_plus @ pre, rzn),
+            distance_up_to_phase(bare_minus @ s_minus @ pre, rzn))
 
 
 def verify_synthesis(spec: ControlledGateSpec, *, trials: int = 100,
@@ -313,18 +330,10 @@ def verify_synthesis(spec: ControlledGateSpec, *, trials: int = 100,
     require_check_inputs(trials, tolerance)
     plan = synthesize(spec)
     target = cu_matrix(spec)
-    s_plus, s_minus = plan.branch_operators()
+    residual_plus, residual_minus, bare_plus, bare_minus = block_residuals(
+        plan, target, plan.branch_operators())
+    bare_correction_residual = max(bare_plus, bare_minus)
     pre = plan.pre
-    residual_plus = distance_up_to_phase(plan.post_plus @ s_plus @ pre, target)
-    residual_minus = distance_up_to_phase(plan.post_minus @ s_minus @ pre, target)
-
-    rzn = two_qubit_rotation(Z_HAT, spec.axis, spec.theta)
-    bare_plus = tensor(rotation_z(0.5 * math.pi), rotation(spec.axis, 0.5 * math.pi))
-    bare_minus = tensor(rotation_z(-0.5 * math.pi), rotation(spec.axis, -0.5 * math.pi))
-    bare_correction_residual = max(
-        distance_up_to_phase(bare_plus @ s_plus @ pre, rzn),
-        distance_up_to_phase(bare_minus @ s_minus @ pre, rzn),
-    )
 
     # apply_switch then measure_ancilla on every trial at once, one trial per
     # row: their checks that hold by construction run here, once, and

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,9 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from switchsynth.circuits import CONTROLLED_GATES, GATES
+from switchsynth.circuits import CONTROLLED_GATES, GATES, parse_circuit
 from switchsynth.cli import main
-from switchsynth.linalg import MAX_QUBITS
+from switchsynth.linalg import MAX_QUBITS, MAX_TRIALS
 
 BELL_TEXT = "qubits 2\nh 0\ncnot 0 1\n"
 CNOT_TEXT = "qubits 2\ncnot 0 1\n"
@@ -377,3 +378,99 @@ def test_lower_overflowing_number_exits_2_with_its_location(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr == ("error: number '1e999' is not finite, "
                            "line 2, column 8\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["synth", "--gate", "cnot"],
+    ["verify", "--suite", "switch"],
+    ["simulate", "PROGRAM"],
+])
+def test_trials_above_the_limit_is_a_usage_error(tmp_path, capsys, command):
+    argv = [str(tmp_path / "unread.json") if arg == "PROGRAM" else arg
+            for arg in command]
+    code, out, err = run_cli(capsys, *argv, "--trials", str(MAX_TRIALS + 1))
+    assert code == 2
+    assert out == ""
+    assert f"--trials: must be at most {MAX_TRIALS}, got {MAX_TRIALS + 1}" in err
+
+
+@pytest.mark.parametrize("matrices,records", [
+    ('[]', '{"op": "apply_local", "matrix": "m0", "qubits": [0]}'),
+    ('{}', '{"op": "apply_local", "matrix": ["m0"], "qubits": [0]}'),
+    ('{}', '{"op": "alloc_ancilla", "ancilla": ["a0"]}'),
+    ('{}', '{"op": "alloc_ancilla", "ancilla": "a0"}, '
+           '{"op": "measure_ancilla", "theta": "1.5", "ancilla": "a0", '
+           '"result": "m0"}, {"op": "discard", "ancilla": "a0"}'),
+    ('{}', '["discard", "a0"]'),
+], ids=["matrices_list", "matrix_label_list", "ancilla_label_list",
+        "theta_string", "record_list"])
+def test_simulate_wrongly_typed_program_exits_2_without_traceback(
+        tmp_path, matrices, records):
+    prog = tmp_path / "typed.json"
+    prog.write_text(f'{{"num_data_qubits": 1, "matrices": {matrices}, '
+                    f'"instructions": [{records}]}}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "switchsynth", "simulate", str(prog)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+# every gate of the circuit language, once
+ALL_GATES_TEXT = """qubits 3
+h 0
+x 1
+y 2
+z 0
+rx 1 theta=0.3
+ry 2 theta=-1.1
+rz 0 theta=2.2
+rn 1 theta=0.7 nx=0.6 ny=0 nz=0.8
+cnot 0 1
+cz 1 2
+cu 0 2 alpha=0.4 theta=1.3 nx=0 ny=0.6 nz=0.8
+barenco 2 1 alpha=0.2 phi=0.9 theta=1.7
+"""
+
+# SHA-256 of each command's stdout; a change to any of them changes the
+# documents the CLI promises to keep byte-identical
+GOLDEN_CLI_SHA256 = {
+    "synth cnot json":
+        "d3ed147be503003a3d3fc5ae0f176b110b53fa267490d99fc65a59a99ae64157",
+    "synth cu text":
+        "fd733f0dc9e7d52d51d6b08cb242fd4320eba5ab72463255fd9251ea545b9412",
+    "verify all json":
+        "3947c452413d5abddc9cc63b84e5a7e4c930fe35205a43115a6defe5d4a13ac0",
+    "lower":
+        "53b3d7c42af14cb1fdc2d80b16f1c36cde98169d0e6143cf0e2ad12b38b01720",
+    "simulate check json":
+        "4e047f9d8e41e5927d1e0b604bcb51d89b914cb59f0c70f14e089dfde9281b22",
+}
+
+
+def test_golden_cli_documents_are_unchanged(tmp_path, capsys):
+    gates = {inst.gate for inst in parse_circuit(ALL_GATES_TEXT).instructions}
+    assert gates == set(GATES)
+    circ = tmp_path / "all.circ"
+    circ.write_text(ALL_GATES_TEXT)
+    prog = tmp_path / "all.json"
+    commands = {
+        "synth cnot json": ["synth", "--gate", "cnot", "--trials", "10"],
+        "synth cu text": ["synth", "--gate", "cu", "--alpha", "0.3", "--theta", "1.1",
+                          "--nx", "0", "--ny", "0.6", "--nz", "0.8",
+                          "--trials", "10", "--format", "text"],
+        "verify all json": ["verify", "--suite", "all", "--trials", "10"],
+        "lower": ["lower", str(circ)],
+        "simulate check json": ["simulate", str(prog), "--input", "random",
+                                "--seed", "7", "--check-against", str(circ)],
+    }
+    digests = {}
+    for name, argv in commands.items():
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, name
+        if name == "lower":
+            prog.write_text(out)
+        digests[name] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == GOLDEN_CLI_SHA256

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from switchsynth.linalg import (
+    MAX_TRIALS,
     H,
     I2,
     X,
@@ -26,6 +27,7 @@ from switchsynth.linalg import (
     operator_schmidt_values,
     projector,
     realign,
+    require_trials,
     rotation,
     rotation_z,
     tensor,
@@ -349,3 +351,13 @@ def test_matvecs_is_the_per_state_product_bitwise():
     states = random_states(rng, 3, 40)
     expected = np.array([m @ s for s in states])
     assert matvecs(m, states).tobytes() == expected.tobytes()
+
+
+def test_require_trials_accepts_1_to_max_trials():
+    assert require_trials(1) == 1
+    assert require_trials(MAX_TRIALS) == MAX_TRIALS
+    with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+        require_trials(0)
+    with pytest.raises(ValueError, match=f"trials must be at most {MAX_TRIALS}, "
+                                         f"got {MAX_TRIALS + 1}"):
+        require_trials(MAX_TRIALS + 1)

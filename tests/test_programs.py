@@ -283,6 +283,40 @@ def test_program_document_sorts_matrices():
     pytest.param(ancilla_stack_document(40),
                  f"qubits at once, above the maximum of {MAX_HELD_QUBITS}",
                  id="forty_ancillas_held"),
+    ('{"num_data_qubits": 1, "matrices": [], "instructions": []}',
+     "matrices must be a JSON object"),
+    ('{"num_data_qubits": 1, "matrices": {}, "instructions": {}}',
+     "instructions must be a JSON array"),
+    ('{"num_data_qubits": 1, "matrices": {}, "instructions": [["discard"]]}',
+     "instruction record must be a JSON object"),
+    ('{"num_data_qubits": 1, "matrices": {}, '
+     '"instructions": [{"op": "apply_local", "matrix": ["m0"], "qubits": [0]}]}',
+     "apply_local matrix must be a string, got ['m0']"),
+    ('{"num_data_qubits": 1, "matrices": {}, '
+     '"instructions": [{"op": "alloc_ancilla", "ancilla": ["a0"]}]}',
+     "alloc_ancilla ancilla must be a string"),
+    ('{"num_data_qubits": 1, "matrices": {}, "instructions": ['
+     '{"op": "alloc_ancilla", "ancilla": "a0"}, '
+     '{"op": "measure_ancilla", "theta": 1.5, "ancilla": "a0", "result": []}, '
+     '{"op": "discard", "ancilla": "a0"}]}',
+     "measure_ancilla result must be a string"),
+    ('{"num_data_qubits": 1, "matrices": {}, "instructions": ['
+     '{"op": "alloc_ancilla", "ancilla": "a0"}, '
+     '{"op": "measure_ancilla", "theta": "1.5", "ancilla": "a0", "result": "m0"}, '
+     '{"op": "discard", "ancilla": "a0"}]}',
+     "measure_ancilla theta must be a number, got '1.5'"),
+    ('{"num_data_qubits": 1, "matrices": {}, "instructions": ['
+     '{"op": "alloc_ancilla", "ancilla": "a0"}, '
+     '{"op": "measure_ancilla", "theta": true, "ancilla": "a0", "result": "m0"}, '
+     '{"op": "discard", "ancilla": "a0"}]}',
+     "measure_ancilla theta must be a number, got True"),
+    ('{"num_data_qubits": 1, "matrices": {}, "instructions": ['
+     '{"op": "alloc_ancilla", "ancilla": "a0"}, '
+     '{"op": "measure_ancilla", "theta": 1' + '0' * 400 + ', "ancilla": "a0", '
+     '"result": "m0"}, {"op": "discard", "ancilla": "a0"}]}',
+     "malformed program document: int too large to convert to float"),
+    pytest.param("1" * 5000, "invalid program JSON", id="too_many_digits"),
+    pytest.param("[" * 100000, "invalid program JSON", id="too_deep"),
 ])
 def test_parse_program_rejects_malformed_documents(text, fragment):
     with pytest.raises(ProgramError) as err:

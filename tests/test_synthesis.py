@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from switchsynth.linalg import (
+    MAX_TRIALS,
     I2,
     X,
     Z,
@@ -20,6 +21,7 @@ from switchsynth import switch, synthesis
 from switchsynth.sampling import random_bloch
 from switchsynth.synthesis import (
     ControlledGateSpec,
+    block_residuals,
     conjugation_identities,
     barenco_matrix,
     cu_matrix,
@@ -430,3 +432,25 @@ def test_normalize_angle_rejects_non_finite_angles(value):
 def test_spec_rejects_a_nan_axis(axis):
     with pytest.raises(ValueError, match="axis must be a unit vector"):
         ControlledGateSpec(alpha=0.5, theta=1.0, axis=axis)
+
+
+def test_verify_synthesis_rejects_trials_above_the_limit_before_sampling(
+        monkeypatch):
+    def never(*args):
+        raise AssertionError("trial states were sampled")
+    monkeypatch.setattr(synthesis, "random_states", never)
+    with pytest.raises(ValueError, match=f"trials must be at most {MAX_TRIALS}"):
+        verify_synthesis(preset("cnot"), trials=MAX_TRIALS + 1)
+
+
+def test_block_residuals_are_the_reported_residuals():
+    rng = np.random.default_rng(17)
+    for spec in (preset("cnot"), preset_barenco(0.2, 0.9, 1.7),
+                 *(random_spec(rng) for _ in range(20))):
+        plan = synthesize(spec)
+        plus, minus, bare_plus, bare_minus = block_residuals(
+            plan, cu_matrix(spec), plan.branch_operators())
+        report = verify_synthesis(spec, trials=1)
+        assert (report.residual_plus, report.residual_minus) == (plus, minus)
+        assert report.bare_correction_residual == max(bare_plus, bare_minus)
+        assert max(plus, minus, bare_plus, bare_minus) <= 1e-12
