@@ -21,7 +21,6 @@ from .jsonio import dumps, format_float
 from .lowering import check_equivalence, lower
 from .programs import (
     ProgramError,
-    matrix_entries,
     parse_program,
     serialize_program,
     simulate_program,
@@ -30,10 +29,6 @@ from .sampling import random_state
 from .suites import SUITE_NAMES, run_suite
 from .synthesis import ControlledGateSpec, synthesize, verify_synthesis
 from .linalg import DEFAULT_TOLERANCE, basis_state, require_tolerance, require_trials
-
-
-def _complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
 
 
 def _format_matrix_text(m: np.ndarray) -> list[str]:
@@ -83,6 +78,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", default=None, metavar="PATH")
 
 
+# every parameter flag of synth: the union of its gates' parameters
+_PARAM_FLAGS = tuple(dict.fromkeys(p for g in CONTROLLED_GATES
+                                   for p in GATES[g].params))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="switchsynth",
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="synthesize and certify one gate")
     synth.add_argument("--gate", choices=CONTROLLED_GATES, required=True)
-    for flag in dict.fromkeys(p for g in CONTROLLED_GATES for p in GATES[g].params):
+    for flag in _PARAM_FLAGS:
         synth.add_argument(f"--{flag}", type=float, default=None)
     _add_common(synth)
 
@@ -118,6 +118,10 @@ def _spec_for_gate(args, parser: argparse.ArgumentParser) -> ControlledGateSpec:
     missing = [f"--{name}" for name in gate.params if getattr(args, name) is None]
     if missing:
         parser.error(f"--gate {args.gate} requires {' '.join(missing)}")
+    extra = [f"--{name}" for name in _PARAM_FLAGS
+             if name not in gate.params and getattr(args, name) is not None]
+    if extra:
+        parser.error(f"--gate {args.gate} does not take {' '.join(extra)}")
     return gate.spec({name: getattr(args, name) for name in gate.params})
 
 
@@ -150,9 +154,9 @@ def cmd_synth(args, parser: argparse.ArgumentParser) -> int:
         }
         doc["plan"] = {
             "measurement_theta": plan.measurement_theta,
-            "phase": _complex_pair(plan.phase),
-            **{key: matrix_entries(m) for key, m in matrices.items()},
-            "factors": {key: matrix_entries(m) for key, m in factors.items()},
+            "phase": plan.phase,
+            **matrices,
+            "factors": factors,
         }
         text = dumps(doc)
     else:
@@ -245,7 +249,7 @@ def cmd_simulate(args) -> int:
             "num_data_qubits": program.num_data_qubits,
             "input": args.input,
             "seed": args.seed,
-            "final_state": [_complex_pair(z) for z in trace.final_state],
+            "final_state": trace.final_state,
             "measurements": [
                 {"label": label, "outcome": outcome, "probability": probability}
                 for label, outcome, probability in trace.measurement_record

@@ -5,11 +5,15 @@ here pin floats to 17 significant digits instead, which also round-trips
 IEEE doubles exactly and keeps byte-for-byte output stable across runs.
 Output is parseable by ``json.loads``.
 
+A complex number is written as its ``[re, im]`` pair, and a complex
+``np.ndarray`` on one line as the row-major list of its entries' pairs, by
+one ``%`` format over its floats, as ``matrix_text`` (a matrix id's text) is.
+
 A dict, and a list that holds a dict, is written one entry per line, each
 entry indented two spaces deeper than its container; any other list is
 written on one line. A list inside a one-line list is laid out as at level
 0, so one that holds a dict opens a block indented from the left margin.
-Tuples are written as lists, and a ``RawJSON`` value as is.
+Tuples are written as lists.
 """
 
 from __future__ import annotations
@@ -17,13 +21,7 @@ from __future__ import annotations
 import math
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps(str)
 
-
-class RawJSON(str):
-    """Text already in document form, which ``dumps`` writes as is.
-
-    As simplejson's ``RawJSON``: the writer trusts the text, so only code
-    that rendered it with this module's rules should make one.
-    """
+import numpy as np
 
 
 def format_float(value: float) -> str:
@@ -34,11 +32,26 @@ def format_float(value: float) -> str:
     return "%.17g" % value
 
 
+def _pairs(m: np.ndarray, pair: str, sep: str) -> str:
+    """``pair % (re, im)`` of each entry of ``m``, row-major, joined by ``sep``;
+    adding 0.0 turns -0.0 into 0.0, which prints as "0" as in ``format_float``."""
+    values = np.ascontiguousarray(m, dtype=complex).reshape(-1).view(float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        format_float(float(values[np.argmin(finite)]))  # raises its ValueError
+    return sep.join([pair] * (values.size // 2)) % tuple((values + 0.0).tolist())
+
+
+def matrix_text(m: np.ndarray) -> str:
+    """Row-major ``re,im|re,im|...`` of a matrix in ``format_float`` text."""
+    return _pairs(m, "%.17g,%.17g", "|")
+
+
 def _scalar(obj) -> str:
     """Text of a value that is not a dict, list or tuple."""
     # no class inherits two of str, float and int; bool is an int
     if isinstance(obj, str):
-        return obj if type(obj) is RawJSON else _quote(obj)
+        return _quote(obj)
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, bool):
@@ -47,6 +60,10 @@ def _scalar(obj) -> str:
         return str(obj)
     if obj is None:
         return "null"
+    if isinstance(obj, complex):  # numpy complex128 too
+        return f"[{format_float(obj.real)}, {format_float(obj.imag)}]"
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "c":
+        return "[" + _pairs(obj, "[%.17g, %.17g]", ", ") + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__} into a document")
 
 

@@ -10,8 +10,8 @@ The serialized form is JSON: ``num_data_qubits``, ``matrices`` mapping id to
 a row-major list of [re, im] pairs (17 significant digits), and tagged
 ``instructions`` records. ``OPS`` maps each record's ``op`` tag to its
 instruction dataclass; the record's other keys are that dataclass's fields
-in declaration order, with tuples written as lists. A matrix's id and its
-serialized entries are both made from one ``%`` format of its floats.
+in declaration order, with tuples written as lists. ``jsonio`` makes a
+matrix's id text and its entries, each from one ``%`` format of its floats.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .jsonio import RawJSON, dumps, format_float
+from .jsonio import dumps, matrix_text
 from .linalg import (
     MAX_QUBITS,
     PLUS,
@@ -110,31 +110,9 @@ def matrix_entries(m: np.ndarray) -> list[list[float]]:
     return [[re, im] for re, im in zip(flat.real.tolist(), flat.imag.tolist())]
 
 
-def matrix_text(m: np.ndarray) -> str:
-    """Row-major ``re,im|re,im|...`` of a matrix in ``format_float`` text.
-
-    One ``%`` format over the interleaved floats; adding 0.0 turns -0.0
-    into 0.0, which prints as "0" as ``format_float`` does.
-    """
-    values = np.ascontiguousarray(m, dtype=complex).reshape(-1).view(float)
-    finite = np.isfinite(values)
-    if not finite.all():
-        format_float(float(values[np.argmin(finite)]))  # raises its ValueError
-    return ("%.17g,%.17g|" * (values.size // 2))[:-1] % tuple(
-        (values + 0.0).tolist())
-
-
 def matrix_id(m: np.ndarray) -> str:
     """Content hash of a matrix at serialization precision."""
     return "m" + hashlib.sha256(matrix_text(m).encode()).hexdigest()[:12]
-
-
-def _entries_json(m: np.ndarray) -> RawJSON:
-    """``matrix_entries(m)`` as ``dumps`` writes it, from ``matrix_text``."""
-    text = matrix_text(m)
-    if not text:
-        return RawJSON("[]")
-    return RawJSON("[[" + text.replace(",", ", ").replace("|", "], [") + "]]")
 
 
 @dataclass
@@ -152,7 +130,12 @@ class SwitchProgram:
         content = (m.shape, m.tobytes())
         key = self._ids.get(content)
         if key is None:
-            key = self._ids[content] = matrix_id(m)
+            key = matrix_id(m)
+            # a parsed table is keyed by its document's ids, unchecked
+            held = self.matrices.get(key)
+            if held is not None and not np.array_equal(held, m):
+                raise ProgramError(f"matrix table holds other content under id {key!r}")
+            self._ids[content] = key
         self.matrices.setdefault(key, m)
         return key
 
@@ -261,26 +244,19 @@ def _record(inst: ProgramInstruction) -> dict:
     return record
 
 
-def _document(program: SwitchProgram, entries) -> dict:
-    """The program's document, each matrix written as ``entries(m)``."""
+def program_document(program: SwitchProgram) -> dict:
+    """The document ``dumps`` writes for a program; matrices stay arrays."""
     return {
         "num_data_qubits": program.num_data_qubits,
-        "matrices": {key: entries(m)
-                     for key, m in sorted(program.matrices.items())},
+        "matrices": dict(sorted(program.matrices.items())),
         "instructions": [_record(inst) for inst in program.instructions],
     }
 
 
-def program_document(program: SwitchProgram) -> dict:
-    """Plain-data document for a program (dict of JSON-compatible values)."""
-    return _document(program, matrix_entries)
-
-
 def serialize_program(program: SwitchProgram) -> str:
-    """Serialize to deterministic JSON text: ``dumps(program_document(...))``,
-    with each matrix's entries made by one ``%`` format."""
+    """Serialize to deterministic JSON text."""
     validate_program(program)
-    return dumps(_document(program, _entries_json))
+    return dumps(program_document(program))
 
 
 def _matrix_from_entries(entries, key: str) -> np.ndarray:

@@ -45,6 +45,21 @@ def test_synth_cu_requires_axis_flags(capsys):
     assert "--theta" in err and "--nx" in err
 
 
+@pytest.mark.parametrize("argv,flags", [
+    (("--gate", "cnot", "--theta", "5"), "--theta"),
+    (("--gate", "cz", "--alpha", "1", "--nz", "0"), "--alpha --nz"),
+    (("--gate", "cu", "--alpha", "0.5", "--theta", "0.3", "--nx", "0",
+      "--ny", "0", "--nz", "1", "--phi", "3"), "--phi"),
+    (("--gate", "barenco", "--alpha", "0.3", "--phi", "1.1", "--theta",
+      "-0.7", "--ny", "1"), "--ny"),
+], ids=["cnot_theta", "cz_alpha_nz", "cu_phi", "barenco_ny"])
+def test_synth_rejects_flags_its_gate_does_not_take(capsys, argv, flags):
+    code, out, err = run_cli(capsys, "synth", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"--gate {argv[1]} does not take {flags}" in err
+
+
 def test_synth_cu_full(capsys):
     code, out, _ = run_cli(capsys, "synth", "--gate", "cu", "--alpha", "0.3",
                            "--theta", "0.8", "--nx", "0.0", "--ny", "0.6",

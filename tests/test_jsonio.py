@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from switchsynth.jsonio import dumps, format_float
+from switchsynth.programs import matrix_entries
 
 
 def test_format_float_round_trips_17_digits():
@@ -122,3 +123,52 @@ def test_dumps_rejects_a_circular_list():
     inner.append(inner)
     with pytest.raises(RecursionError):
         dumps({"a": [inner]})
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e-300, 1 / 3, 1e300, -1e300, 0.0, -2.5]
+
+
+def edge_array(shape):
+    """A complex array of ``shape`` whose floats cycle through EDGE_VALUES."""
+    values = np.resize(np.array(EDGE_VALUES), 2 * math.prod(shape))
+    return values.view(complex).reshape(shape)  # arithmetic would lose -0.0
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (3,), (8,), (0, 0), (1, 1),
+                                   (2, 2), (3, 3), (4, 4), (5, 5), (8, 8)])
+def test_dumps_writes_an_array_as_its_matrix_entries(shape):
+    m = edge_array(shape)
+    want = dumps({"m": matrix_entries(m), "in_list": [matrix_entries(m), 1]})
+    assert dumps({"m": m, "in_list": [m, 1]}) == want
+    assert dumps(m) == dumps(matrix_entries(m))
+    assert dumps(m.T) == dumps(matrix_entries(m.T))  # not C-contiguous
+    assert json.loads(dumps(m)) == matrix_entries(m)
+
+
+def test_dumps_writes_a_complex_number_as_its_pair():
+    for re in EDGE_VALUES:
+        for im in EDGE_VALUES:
+            for z in (complex(re, im), np.complex128(complex(re, im))):
+                assert dumps({"z": z, "zs": [z, (z, z)]}) == \
+                    dumps({"z": [re, im], "zs": [[re, im], ([re, im], [re, im])]})
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(1.0, np.inf),
+                                 complex(-np.inf, np.nan)])
+def test_dumps_rejects_a_non_finite_entry_as_format_float_does(bad):
+    first = next(v for v in (bad.real, bad.imag) if not math.isfinite(v))
+    with pytest.raises(ValueError) as want:
+        format_float(first)
+    for obj in (bad, np.array([[1.0, 0.0], [0.0, bad]]), np.array([bad])):
+        with pytest.raises(ValueError) as got:
+            dumps({"m": obj})
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("array", [np.eye(2), np.zeros(3, dtype=np.float32),
+                                   np.arange(4), np.array([True]),
+                                   np.array(["a"]), np.array([None])],
+                         ids=["float64", "float32", "int", "bool", "str", "object"])
+def test_dumps_rejects_an_array_that_is_not_complex(array):
+    with pytest.raises(TypeError):
+        dumps({"m": array})

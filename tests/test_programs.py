@@ -149,6 +149,28 @@ def test_replaced_matrix_serializes_with_its_new_content():
         matrix_entries(H)
 
 
+def test_add_matrix_refuses_a_parsed_id_that_holds_other_content():
+    program = SwitchProgram(num_data_qubits=1)
+    program.instructions = tuple(switch_block(program, H, X, 0.0, (0,), 0))
+    doc = json.loads(serialize_program(program))
+    h, x = matrix_id(H), matrix_id(X)
+    doc["matrices"][h], doc["matrices"][x] = doc["matrices"][x], doc["matrices"][h]
+    parsed = parse_program(dumps(doc))  # the ids are not re-hashed on parse
+    with pytest.raises(ProgramError, match=h):
+        parsed.add_matrix(H)
+    with pytest.raises(ProgramError, match=x):
+        parsed.add_matrix(X)
+    assert parsed.matrices[h].tobytes() == X.astype(complex).tobytes()
+    assert parsed.add_matrix(Z) == matrix_id(Z)
+    # a consistent parsed table interns its own matrices, -0.0 twins too
+    parsed = parse_program(serialize_program(program))
+    assert parsed.add_matrix(H) == h
+    twin = np.array(X, dtype=complex)
+    twin.imag[:] = -0.0
+    assert twin.tobytes() != parsed.matrices[x].tobytes()
+    assert parsed.add_matrix(twin) == x
+
+
 def test_validate_caps_the_qubits_held_at_once():
     program = SwitchProgram(num_data_qubits=1)
     # measured ancillas leave the state, so undiscarded ones are not held
