@@ -73,6 +73,8 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
                 out.shape[0] * f.shape[0], out.shape[1] * f.shape[1])
         elif out.ndim == f.ndim == 1:
             out = (out[:, None] * f[None, :]).reshape(-1)
+        elif out.ndim == 2 and f.ndim == 1:  # each row of a stack times f
+            out = (out[:, :, None] * f).reshape(out.shape[0], -1)
         else:
             out = np.kron(out, f)
     return out
@@ -277,7 +279,7 @@ def apply_matrix(state: np.ndarray, matrix: np.ndarray, qubits) -> np.ndarray:
 
     The matrix's first tensor factor acts on qubits[0], and so on.
     """
-    state = np.asarray(state, dtype=complex)
+    state = np.asarray(state, dtype=complex).reshape(-1)
     matrix = require_square(matrix)
     n = state_num_qubits(state)
     qubits = list(qubits)
@@ -288,29 +290,46 @@ def apply_matrix(state: np.ndarray, matrix: np.ndarray, qubits) -> np.ndarray:
         raise ValueError(f"qubit index out of range for {n} qubits: {qubits}")
     if matrix.shape[0] != 2 ** k:
         raise ValueError(f"matrix dim {matrix.shape[0]} does not act on {k} qubits")
-    order, inverse = axis_orders(qubits, n)
-    return apply_ordered(state, matrix, (2,) * n, order, inverse)
+    return apply_ordered(state, matrix, *axis_orders(qubits, n))
 
 
-def axis_orders(qubits, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Transpose order that brings ``qubits`` of an n-qubit tensor to the
-    front, in the order listed, and the inverse order that moves them back."""
-    order = (*qubits, *(q for q in range(n) if q not in qubits))
-    inverse = [0] * n
+def axis_orders(qubits, n: int, stacked: bool = False) -> tuple[tuple[int, ...], ...]:
+    """Resolved layout of ``apply_ordered`` for ``qubits`` of an n-qubit state.
+
+    Returns ``(shape, order, split, inverse)``: the state's tensor shape, the
+    transpose order that brings ``qubits`` to the front in the order listed,
+    the (targets, rest) shape of the product's operand, and the inverse
+    order that moves the qubits back. ``stacked`` lifts all four over a
+    leading axis of states, which stays first.
+    """
+    targets = 2 ** len(qubits)
+    if stacked:  # the stack's axis stays first, qubit q is axis q + 1
+        qubits = (0, *(q + 1 for q in qubits))
+    axes = n + stacked
+    order = (*qubits, *(q for q in range(axes) if q not in qubits))
+    inverse = [0] * axes
     for axis, q in enumerate(order):
         inverse[q] = axis
-    return order, tuple(inverse)
+    if stacked:
+        return ((-1, *(2,) * n), order, (-1, targets, 2 ** n // targets),
+                tuple(inverse))
+    return (2,) * n, order, (targets, -1), tuple(inverse)
 
 
 def apply_ordered(state: np.ndarray, matrix: np.ndarray, shape: tuple[int, ...],
-                  order: tuple[int, ...], inverse: tuple[int, ...]) -> np.ndarray:
-    """``apply_matrix`` without its checks, on resolved axis orders.
+                  order: tuple[int, ...], split: tuple[int, ...],
+                  inverse: tuple[int, ...]) -> np.ndarray:
+    """``apply_matrix`` without its checks, on a resolved layout.
 
-    ``shape`` is ``(2,) * n``, ``order, inverse`` are ``axis_orders(qubits,
-    n)`` and ``matrix`` is a complex 2^k x 2^k array for the k listed qubits.
+    ``shape, order, split, inverse`` are ``axis_orders(qubits, n)`` for one
+    state, or ``axis_orders(qubits, n, stacked=True)`` for states stacked on
+    the first axis; ``matrix`` is a complex 2^k x 2^k array for the k listed
+    qubits. Each state of a stack is one C-contiguous item of the product,
+    which numpy runs on the kernel and shapes of the one-state product, so
+    every row equals the one-state call bitwise.
     """
-    psi = state.reshape(shape).transpose(order).reshape(matrix.shape[0], -1)
-    return (matrix @ psi).reshape(shape).transpose(inverse).reshape(-1)
+    psi = state.reshape(shape).transpose(order).reshape(split)
+    return (matrix @ psi).reshape(shape).transpose(inverse).reshape(state.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ either outcome, discard. Single-qubit gates pass through as local matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .programs import (
     MeasureAncilla,
     SwitchApply,
     SwitchProgram,
-    _assignment_tree,
     _BoundProgram,
+    _Tree,
 )
 from .sampling import random_state
 from .synthesis import ControlledGateSpec, synthesize
@@ -86,7 +86,14 @@ def lower(circuit: Circuit) -> SwitchProgram:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Worst-case deviation between a circuit and a lowered program."""
+    """Worst-case deviation between a circuit and a lowered program.
+
+    ``worst_trial`` is the first trial that reaches the largest 1 - fidelity,
+    and ``worst_assignment`` the smallest branch assignment in sorted order
+    that reaches it in that trial, one branch name per result label in
+    measurement order: ``simulate_program(program, psi, forced=...)`` with
+    that trial's input replays it. Neither is part of ``as_dict()``.
+    """
 
     max_infidelity: float
     trials: int
@@ -94,6 +101,8 @@ class EquivalenceReport:
     seed: int
     tolerance: float
     passed: bool
+    worst_trial: int = 0
+    worst_assignment: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
         return {
@@ -104,6 +113,21 @@ class EquivalenceReport:
             "tolerance": self.tolerance,
             "passed": self.passed,
         }
+
+
+def _assignment_table(k: int, rng: np.random.Generator) -> np.ndarray:
+    """The branch assignments a check covers, as ``_Tree`` takes them.
+
+    All 2**k of them when that is at most ``MAX_EXHAUSTIVE_ASSIGNMENTS``;
+    otherwise that many drawn from ``rng``, one ``rng.choice`` per
+    assignment. Rows are sorted, True is plus.
+    """
+    if 2 ** k <= MAX_EXHAUSTIVE_ASSIGNMENTS:
+        # row i spells i in binary, first label most significant: sorted
+        return (np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1 == 1
+    table = np.array([rng.choice(("plus", "minus"), size=k) == "plus"
+                      for _ in range(MAX_EXHAUSTIVE_ASSIGNMENTS)])
+    return table[np.lexsort(table.T[::-1])]
 
 
 def check_equivalence(circuit: Circuit, program: SwitchProgram,
@@ -117,36 +141,39 @@ def check_equivalence(circuit: Circuit, program: SwitchProgram,
     by the fidelity. Passes iff the worst 1 - fidelity is within tolerance.
 
     The program is bound once per call, and each trial walks the branch tree
-    of the assignments, so a prefix they share runs once: 2**(k+1) - 1 block
-    runs per trial for all assignments of k measurements, not k * 2**k.
+    of the assignments a level at a time, so a prefix they share runs once:
+    2**(k+1) - 1 block runs per trial for all assignments of k measurements,
+    not k * 2**k, each level's blocks in stacked numpy calls.
     """
     require_check_inputs(trials, tolerance)
     if circuit.num_qubits != program.num_data_qubits:
         raise ValueError(f"circuit has {circuit.num_qubits} qubits, program "
                          f"has {program.num_data_qubits}")
     bound = _BoundProgram(program)
-    k = len(bound.labels)
     rng = np.random.default_rng(seed)
-    if 2 ** k <= MAX_EXHAUSTIVE_ASSIGNMENTS:
-        assignments = list(product(("plus", "minus"), repeat=k))
-    else:
-        # tolist(): plain str, not 1024 * k numpy string scalars
-        assignments = [tuple(rng.choice(("plus", "minus"), size=k).tolist())
-                       for _ in range(MAX_EXHAUSTIVE_ASSIGNMENTS)]
-    tree = _assignment_tree(assignments)
+    tree = _Tree(_assignment_table(len(bound.labels), rng))
 
-    max_infidelity = 0.0
-    for _ in range(trials):
+    # the largest 1 - fidelity, its first trial and its smallest assignment
+    worst, worst_trial, worst_row = -math.inf, 0, 0
+    for trial in range(trials):
         psi = random_state(rng, circuit.num_qubits)
         expected = simulate_circuit(circuit, psi)
-        for _, state in bound.walk(psi, tree):
-            max_infidelity = max(max_infidelity,
-                                 1.0 - fidelity(expected, state))
+        for states, (lo, _) in bound.walk(psi, tree):
+            scores = 1.0 - fidelity(expected, states)
+            top = scores.max()
+            row = lo[scores == top].min()
+            if top > worst or (top == worst and trial == worst_trial
+                               and row < worst_row):
+                worst, worst_trial, worst_row = top, trial, row
+    max_infidelity = max(0.0, float(worst))
     return EquivalenceReport(
         max_infidelity=max_infidelity,
         trials=trials,
-        branch_assignments=len(assignments),
+        branch_assignments=len(tree.table),
         seed=seed,
         tolerance=tolerance,
         passed=max_infidelity <= tolerance,
+        worst_trial=worst_trial,
+        worst_assignment=tuple("plus" if plus else "minus"
+                               for plus in tree.table[worst_row]),
     )

@@ -19,9 +19,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from bisect import bisect_left
 from dataclasses import MISSING, dataclass, field, fields
-from operator import itemgetter
+from functools import partial
 
 import numpy as np
 
@@ -355,82 +354,128 @@ def parse_program(text: str) -> SwitchProgram:
 # the program once, builds each distinct switch joint once and resolves every
 # ancilla position, every update's axis orders and every measurement's branch
 # functionals, leaving segments: the state updates up to a measurement, then
-# that measurement. Each update is then a transpose, a matrix product and a
-# transpose back; each measurement is a normalization check and the
-# projection kernel, since the measured ancilla is by construction the last
-# qubit of a state on at least one. The walk runs the segments along the
-# branch tree; at each measurement a chooser names the branches to follow,
-# and every followed branch continues from the one post-measurement state, so
-# a prefix shared by many branch assignments runs once. Each update is the
-# same numpy call on the same operands as an instruction-by-instruction
-# replay of one branch assignment, so every leaf state is bit-identical to
-# that replay.
+# that measurement. The walk runs the segments along the branch tree a level
+# at a time: the nodes at one depth are the rows of one (rows, 2^total) stack
+# and each step is one numpy call on it; a `cond_apply` updates the rows
+# whose recorded outcome matches. At a measurement (of the last qubit, by
+# construction) a chooser projects the stack and keeps the followed
+# post-measurement states, plus branch first, as the next level's rows, so a
+# prefix shared by many branch assignments runs once. Each level is cut into
+# chunks of at most max(1, CAP // dim) rows, walked depth first. A sampled or
+# forced run is the same walk on one row. Numpy's stacked matmul runs each row
+# on the one-state product's kernel and shapes, and every other step acts on
+# each row alone, so every leaf is bit-identical to an instruction-by-
+# instruction replay of its branch assignment.
+
+CAP = 1024  # amplitudes per chunk of the walk
+
+_ALL = slice(None)  # a row selection: all rows (_ALL), none (None) or an index array
 
 
-def _local(matrix: np.ndarray, qubits: tuple[int, ...], total: int):
-    """``apply_matrix`` on a ``total``-qubit state, resolved at bind time."""
+def _rows(mask: np.ndarray):
+    """The row selection of a boolean mask over a stack."""
+    if mask.all():
+        return _ALL
+    return np.flatnonzero(mask) if mask.any() else None
+
+
+def _local(matrix: np.ndarray, layout: tuple):
+    """``apply_matrix`` on a stack of states, on a layout resolved at bind
+    time by ``axis_orders(qubits, total, stacked=True)``."""
     matrix = np.asarray(matrix, dtype=complex)
-    shape = (2,) * total
-    order, inverse = axis_orders(qubits, total)
-    return lambda state, record: apply_ordered(state, matrix, shape, order,
-                                               inverse)
+    shape, order, split, inverse = layout
+    return lambda states, took: apply_ordered(states, matrix, shape, order,
+                                              split, inverse)
 
 
-def _alloc(state: np.ndarray, record) -> np.ndarray:
-    return tensor(state, PLUS)
+def _alloc(states: np.ndarray, took) -> np.ndarray:
+    return tensor(states, PLUS)
 
 
 def _to_last(pos: int, total: int):
     """Move the ancilla at ``pos`` behind the ``total - 1`` other qubits."""
-    shape = (2,) * total
-    order = (*range(pos), *range(pos + 1, total), pos)
-    return lambda state, record: state.reshape(shape).transpose(order).reshape(-1)
+    shape, order, _, _ = axis_orders((*range(pos), *range(pos + 1, total), pos),
+                                     total, stacked=True)
+    return lambda states, took: (states.reshape(shape).transpose(order)
+                                 .reshape(len(states), -1))
 
 
-def _conditional(index: int, outcome: str, matrix: np.ndarray,
-                 qubits: tuple[int, ...], total: int):
-    """Apply ``matrix`` when measurement ``index`` of the path gave ``outcome``."""
-    apply = _local(matrix, qubits, total)
+def _conditional(index: int, outcome: str, apply):
+    """Run the step ``apply`` on the rows whose measurement ``index`` gave
+    ``outcome``."""
 
-    def step(state, record):
-        if record[index][1] == outcome:
-            return apply(state, record)
-        return state
+    def step(states, took):
+        rows = took(index, outcome)
+        if rows is None:
+            return states
+        if rows is _ALL:
+            return apply(states, took)
+        states = states.copy()
+        states[rows] = apply(states[rows], took)
+        return states
     return step
 
 
-def _assignment_tree(assignments) -> tuple:
-    """Root of the branch tree over a set of branch assignments.
+def _zero_branch(name: str, label: str) -> ProgramError:
+    return ProgramError(f"branch {name!r} of {label!r} has probability 0")
 
-    A node is ``(ordered, lo, hi, depth)``: the sorted assignments in
-    ``ordered[lo:hi]`` share their first ``depth`` branch names. Nodes are
-    index ranges rather than a trie of dicts, so a sample of long
-    assignments costs no memory beyond the sample itself.
+
+class _Tree:
+    """Chooser that follows every branch assignment of a table.
+
+    ``table`` is a boolean (assignments, measurements) array, True for plus,
+    with its rows in sorted order ("minus" before "plus"), so the rows that
+    share their first ``depth`` branch names are contiguous. A stack's nodes
+    are the arrays ``(lo, hi)``: row i's assignments are ``table[lo[i]:hi[i]]``.
     """
-    ordered = sorted(assignments)
-    for assignment in ordered:
-        for name in assignment:
-            if name not in ("plus", "minus"):
-                raise ProgramError(f"unknown forced outcome {name!r}")
-    return ordered, 0, len(ordered), 0
+
+    def __init__(self, table: np.ndarray):
+        self.table = table
+        self.root = (np.zeros(1, dtype=np.intp), np.full(1, len(table)))
+
+    def measure(self, depth: int, label: str, nodes, states, functionals):
+        lo, hi = nodes
+        minus_before = np.concatenate(([0], np.cumsum(~self.table[:, depth])))
+        mid = lo + minus_before[hi] - minus_before[lo]
+        plus, minus = mid < hi, lo < mid
+        followed = []
+        for name, (probability, post), mask in zip(
+                ("plus", "minus"), project_branches(states, functionals),
+                (plus, minus)):
+            rows = _rows(mask)
+            if rows is None:
+                continue
+            if not probability[rows].all():
+                raise _zero_branch(name, label)
+            followed.append(post[rows])
+        return (followed[0] if len(followed) == 1 else np.concatenate(followed),
+                (np.concatenate((mid[plus], lo[minus])),
+                 np.concatenate((hi[plus], mid[minus]))))
+
+    def took(self, nodes, index: int, outcome: str):
+        return _rows(self.table[nodes[0], index] == (outcome == "plus"))
 
 
-def _follow_tree(node: tuple, plus_probability: float):
-    ordered, lo, hi, depth = node
-    # "minus" sorts before "plus"
-    mid = bisect_left(ordered, "plus", lo, hi, key=itemgetter(depth))
-    return [(name, (ordered, start, stop, depth + 1))
-            for name, start, stop in (("plus", mid, hi), ("minus", lo, mid))
-            if start < stop]
+class _Path:
+    """Chooser of one row: ``pick(depth, plus_probability)`` names the branch
+    at each measurement, and the nodes are the measurement record."""
 
+    root = ()
 
-def _sampler(seed: int | None):
-    """Chooser drawing one branch per measurement from a seeded generator."""
-    rng = np.random.default_rng(seed)
+    def __init__(self, pick):
+        self.pick = pick
 
-    def choose(node, plus_probability: float):
-        return (("plus" if rng.random() < plus_probability else "minus", None),)
-    return choose
+    def measure(self, depth: int, label: str, record, states, functionals):
+        # the one state alone, on numpy's cheaper scalar arithmetic
+        plus, minus = project_branches(states[0], functionals)
+        name = self.pick(depth, float(plus[0]))
+        probability, post = plus if name == "plus" else minus
+        if not probability:
+            raise _zero_branch(name, label)
+        return post[None], record + ((label, name, float(probability)),)
+
+    def took(self, record, index: int, outcome: str):
+        return _ALL if record[index][1] == outcome else None
 
 
 class _BoundProgram:
@@ -446,21 +491,27 @@ class _BoundProgram:
         measured: dict[str, int] = {}  # result label -> index in the record
         self.segments: list[tuple[list, tuple[tuple, str] | None]] = []
         steps: list = []
+        layouts: dict[tuple, tuple] = {}  # (qubits, total) -> stacked layout
+
+        def local(matrix: np.ndarray, qubits: tuple[int, ...]):
+            key = (qubits, total)
+            if key not in layouts:
+                layouts[key] = axis_orders(qubits, total, stacked=True)
+            return _local(matrix, layouts[key])
         for inst in program.instructions:
             if isinstance(inst, AllocAncilla):
                 steps.append(_alloc)
                 positions[inst.ancilla] = total
                 total += 1
             elif isinstance(inst, ApplyLocal):
-                steps.append(_local(matrices[inst.matrix], inst.qubits, total))
+                steps.append(local(matrices[inst.matrix], inst.qubits))
             elif isinstance(inst, SwitchApply):
                 key = (inst.gate_a, inst.gate_b)
                 if key not in joints:
                     joints[key] = switch_unitary(matrices[inst.gate_a],
                                                  matrices[inst.gate_b]).matrix
-                steps.append(_local(joints[key],
-                                    (*inst.qubits, positions[inst.ancilla]),
-                                    total))
+                steps.append(local(joints[key],
+                                   (*inst.qubits, positions[inst.ancilla])))
             elif isinstance(inst, MeasureAncilla):
                 pos = positions.pop(inst.ancilla)
                 if pos != total - 1:
@@ -475,46 +526,66 @@ class _BoundProgram:
                 steps = []
             elif isinstance(inst, CondApply):
                 steps.append(_conditional(measured[inst.result], inst.outcome,
-                                          matrices[inst.matrix], inst.qubits,
-                                          total))
+                                          local(matrices[inst.matrix],
+                                                inst.qubits)))
             # Discard: the state already lost the ancilla at its measurement
         self.segments.append((steps, None))
         self.labels = tuple(measured)
 
-    def walk(self, input_state: np.ndarray, root, choose=_follow_tree):
-        """Yield (measurement record, final state) at every leaf reached.
+    def walk(self, input_state: np.ndarray, chooser):
+        """Yield (states, nodes) for every chunk of leaves reached.
 
-        ``choose(node, plus_probability)`` returns the (branch name, child
-        node) pairs to follow at a measurement, starting from ``root``; by
-        default the nodes are those of an ``_assignment_tree``.
-        The tree is walked with an explicit stack, so depth is not bounded by
-        the interpreter's recursion limit.
+        From ``chooser.root``, ``chooser.measure(depth, label, nodes, states,
+        functionals)`` returns the next level's rows and nodes, and
+        ``chooser.took(nodes, index, outcome)`` selects the rows whose
+        measurement ``index`` gave ``outcome``. An explicit stack of chunks
+        leaves depth unbounded by the interpreter's recursion limit.
         """
-        state = np.asarray(input_state, dtype=complex).copy()
+        state = np.array(input_state, dtype=complex)
         if state_num_qubits(state) != self.num_data_qubits:
             raise ProgramError(f"input has {state_num_qubits(state)} qubits, "
                                f"program needs {self.num_data_qubits}")
-        stack = [(0, state, (), root)]
-        while stack:
-            index, state, record, node = stack.pop()
-            steps, measurement = self.segments[index]
+        work = [(0, state.reshape(1, -1), chooser.root)]
+        while work:
+            depth, states, nodes = work.pop()
+            steps, measurement = self.segments[depth]
+            took = partial(chooser.took, nodes)
             for step in steps:
-                state = step(state, record)
+                states = step(states, took)
             if measurement is None:
-                yield record, state
+                yield states, nodes
                 continue
             functionals, label = measurement
-            plus, minus = project_branches(state, functionals)
-            followed = []
-            for name, child in choose(node, float(plus[0])):
-                probability, post_state = plus if name == "plus" else minus
-                if not probability:
-                    raise ProgramError(f"branch {name!r} of {label!r} has "
-                                       f"probability 0")
-                followed.append((index + 1, post_state,
-                                 record + ((label, name, float(probability)),),
-                                 child))
-            stack += followed
+            states, nodes = chooser.measure(depth, label, nodes, states,
+                                            functionals)
+            size = max(1, CAP // states.shape[1])
+            if len(states) <= size:
+                work.append((depth + 1, states, nodes))
+                continue
+            # the nodes of a stack of many rows are per-row arrays
+            for start in reversed(range(0, len(states), size)):
+                chunk = slice(start, start + size)
+                work.append((depth + 1, states[chunk],
+                             tuple(a[chunk] for a in nodes)))
+
+
+def _forced_path(forced, labels: tuple[str, ...]) -> list[str]:
+    """The branch names ``forced`` pins, in measurement order, as plain str."""
+    if isinstance(forced, str):
+        forced = dict.fromkeys(labels, forced)
+    measured = set(labels)
+    for label in forced:
+        if label not in measured:
+            raise ProgramError(f"forced outcome for result label {label!r}, "
+                               f"which the program never measures")
+    path = []
+    for label in labels:
+        if label not in forced:
+            raise ProgramError(f"no forced outcome for result label {label!r}")
+        if forced[label] not in ("plus", "minus"):
+            raise ProgramError(f"unknown forced outcome {forced[label]!r}")
+        path.append("plus" if forced[label] == "plus" else "minus")
+    return path
 
 
 def simulate_program(program: SwitchProgram, input_state: np.ndarray,
@@ -523,20 +594,26 @@ def simulate_program(program: SwitchProgram, input_state: np.ndarray,
     """Run a program on a data-qubit input state.
 
     Measurements sample from the exact branch probabilities with a generator
-    seeded by ``seed``; ``forced`` (a branch name, or a mapping from result
-    label to branch name) pins outcomes instead, in which case the recorded
-    probability is still the true probability of the forced branch.
+    seeded by ``seed``; ``forced`` (a branch name, or a mapping from each
+    result label to a branch name) pins outcomes instead, in which case the
+    recorded probability is still the true probability of the forced branch.
+    A mapping that misses a result label of the program, or names one the
+    program never measures, raises ``ProgramError``.
 
     The program is bound once (validated, each distinct switch joint built
-    once) and one path of its branch tree is walked.
+    once) and one path of its branch tree is walked, as a stack of one row.
     """
     bound = _BoundProgram(program)
     if forced is None:
-        leaves = bound.walk(input_state, None, _sampler(seed))
+        rng = np.random.default_rng(seed)
+
+        def pick(depth, plus_probability):
+            return "plus" if rng.random() < plus_probability else "minus"
     else:
-        path = [forced if isinstance(forced, str) else forced[label]
-                for label in bound.labels]
-        leaves = bound.walk(input_state, _assignment_tree([path]))
-    (record, state), = leaves
-    return SimulationTrace(final_state=state, measurement_record=record,
+        path = _forced_path(forced, bound.labels)
+
+        def pick(depth, plus_probability):
+            return path[depth]
+    (states, record), = bound.walk(input_state, _Path(pick))
+    return SimulationTrace(final_state=states[0], measurement_record=record,
                            seed=seed)

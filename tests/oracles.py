@@ -131,3 +131,56 @@ def looped_verify_trials(spec, trials, seed):
         if dev > worst_dev:
             worst_dev, worst_pair = dev, tuple(probabilities)
     return worst_pair, max_infidelity, worst_trial
+
+
+def replay_program(program, psi, assignment):
+    """Final state and record of ``program`` on one branch assignment.
+
+    Interprets the instructions one at a time on the public one-state
+    kernels: ``apply_matrix`` for local gates and corrections,
+    ``switch_unitary`` for each switch, ``np.moveaxis`` to bring a measured
+    ancilla last and ``measure_ancilla``. ``assignment`` maps each result
+    label to its branch name. Returns the final state and the
+    (label, branch, probability) records.
+    """
+    from switchsynth.linalg import PLUS, apply_matrix, tensor
+    from switchsynth.programs import (
+        AllocAncilla,
+        ApplyLocal,
+        CondApply,
+        MeasureAncilla,
+        SwitchApply,
+    )
+    from switchsynth.switch import measure_ancilla, switch_unitary
+
+    state = np.asarray(psi, dtype=complex)
+    ancillas = []  # live ancillas, in qubit order after the data qubits
+    outcomes = {}
+    record = []
+    for inst in program.instructions:
+        n = program.num_data_qubits + len(ancillas)
+        if isinstance(inst, AllocAncilla):
+            state = tensor(state, PLUS)
+            ancillas.append(inst.ancilla)
+        elif isinstance(inst, ApplyLocal):
+            state = apply_matrix(state, program.matrices[inst.matrix], inst.qubits)
+        elif isinstance(inst, SwitchApply):
+            joint = switch_unitary(program.matrices[inst.gate_a],
+                                   program.matrices[inst.gate_b]).matrix
+            pos = program.num_data_qubits + ancillas.index(inst.ancilla)
+            state = apply_matrix(state, joint, (*inst.qubits, pos))
+        elif isinstance(inst, MeasureAncilla):
+            pos = program.num_data_qubits + ancillas.index(inst.ancilla)
+            state = np.moveaxis(state.reshape((2,) * n), pos, -1).reshape(-1)
+            ancillas.remove(inst.ancilla)
+            name = assignment[inst.result]
+            plus, minus = measure_ancilla(state, inst.theta)
+            outcome = plus if name == "plus" else minus
+            state = outcome.post_state
+            outcomes[inst.result] = name
+            record.append((inst.result, name, outcome.probability))
+        elif isinstance(inst, CondApply):
+            if outcomes[inst.result] == inst.outcome:
+                state = apply_matrix(state, program.matrices[inst.matrix],
+                                     inst.qubits)
+    return state, tuple(record)

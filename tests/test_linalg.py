@@ -12,7 +12,10 @@ from switchsynth.linalg import (
     X,
     Y,
     Z,
+    PLUS,
     apply_matrix,
+    apply_ordered,
+    axis_orders,
     basis_state,
     bloch_dot,
     canonical_perp,
@@ -361,3 +364,25 @@ def test_require_trials_accepts_1_to_max_trials():
     with pytest.raises(ValueError, match=f"trials must be at most {MAX_TRIALS}, "
                                          f"got {MAX_TRIALS + 1}"):
         require_trials(MAX_TRIALS + 1)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 64])
+def test_stacked_apply_ordered_is_the_one_state_call_per_row_bitwise(rows):
+    rng = np.random.default_rng(55)
+    for n in range(1, 7):
+        states = random_states(rng, n, rows)
+        for k in range(1, min(n, 3) + 1):
+            u = oracles.haar_unitary(rng, 2 ** k)
+            for qubits in permutations(range(n), k):
+                out = apply_ordered(states, u, *axis_orders(qubits, n, stacked=True))
+                assert out.shape == states.shape
+                expected = np.array([apply_matrix(s, u, qubits) for s in states])
+                assert out.tobytes() == expected.tobytes()
+
+
+def test_tensor_of_a_stack_and_a_vector_is_each_row_tensored_bitwise():
+    rng = np.random.default_rng(56)
+    states = random_states(rng, 3, 20)
+    out = tensor(states, PLUS)
+    assert out.tobytes() == np.array([tensor(s, PLUS) for s in states]).tobytes()
+    assert out.tobytes() == np.kron(states, PLUS).tobytes()

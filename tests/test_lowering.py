@@ -8,11 +8,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from switchsynth.circuits import parse_circuit, simulate_circuit
-from switchsynth import lowering
+from switchsynth import lowering, programs
 from switchsynth.linalg import MAX_QUBITS, X, basis_state, fidelity
 from switchsynth.lowering import MAX_EXHAUSTIVE_ASSIGNMENTS, check_equivalence, lower
 from switchsynth.programs import (
     AllocAncilla,
+    _BoundProgram,
+    _Tree,
     ApplyLocal,
     CondApply,
     Discard,
@@ -27,6 +29,8 @@ from switchsynth.programs import (
 )
 from switchsynth.sampling import random_state
 from switchsynth.synthesis import synthesize
+
+import oracles
 
 BELL_TEXT = "qubits 2\nh 0\ncnot 0 1\n"
 ALL_GATES_BODY = ("h 0\nx 1\ny 2\nz 0\n"
@@ -314,3 +318,108 @@ def test_check_equivalence_rejects_bad_tolerances(tolerance):
     circuit = parse_circuit(BELL_TEXT)
     with pytest.raises(ValueError, match="tolerance must be finite and at least 0"):
         check_equivalence(circuit, lower(circuit), trials=1, tolerance=tolerance)
+
+
+def deferred(program):
+    """The program with every cond_apply moved to the end, so a correction
+    reads an outcome recorded several measurements before."""
+    conds = [i for i in program.instructions if isinstance(i, CondApply)]
+    rest = [i for i in program.instructions if not isinstance(i, CondApply)]
+    return replace(program, instructions=tuple(rest + conds))
+
+
+def exhaustive_leaves(program, psi):
+    """(assignment, final state) of every leaf of the stacked walk."""
+    bound = _BoundProgram(program)
+    tree = _Tree(lowering._assignment_table(len(bound.labels), None))
+    for states, (lo, _) in bound.walk(psi, tree):
+        for state, row in zip(states, lo):
+            yield (dict(zip(bound.labels, ("plus" if b else "minus"
+                                           for b in tree.table[row]))), state)
+
+
+@pytest.mark.parametrize("cap", [1, 64, 2 ** 30])
+@pytest.mark.parametrize("text,make_program", [
+    (THREE_GATE_TEXT, lambda c: interleaved(lower(c))),
+    (FOUR_GATE_TEXT, lower),
+    (FOUR_GATE_TEXT, lambda c: corrupt_last_minus_correction(lower(c))),
+    ("qubits 3\nh 0\ncnot 0 2\ncz 2 1\nbarenco 1 0 alpha=0.2 phi=0.9 theta=-0.5\n"
+     "cu 2 0 alpha=0.4 theta=1.1 nx=0.6 ny=0.0 nz=0.8\n",
+     lambda c: interleaved(lower(c))),
+    (FOUR_GATE_TEXT, lambda c: deferred(lower(c))),
+], ids=["interleaved", "four_gates", "four_gates_corrupt", "interleaved_3q",
+        "deferred_corrections"])
+def test_every_leaf_of_the_walk_is_the_instruction_replay_bitwise(
+        monkeypatch, cap, text, make_program):
+    monkeypatch.setattr(programs, "CAP", cap)
+    circuit = parse_circuit(text)
+    program = make_program(circuit)
+    labels = [inst.result for inst in program.instructions
+              if isinstance(inst, MeasureAncilla)]
+    rng = np.random.default_rng(13)
+    for _ in range(2):
+        psi = random_state(rng, circuit.num_qubits)
+        seen = set()
+        for assignment, state in exhaustive_leaves(program, psi):
+            replayed, record = oracles.replay_program(program, psi, assignment)
+            assert state.tobytes() == replayed.tobytes()
+            trace = simulate_program(program, psi, forced=assignment)
+            assert trace.final_state.tobytes() == replayed.tobytes()
+            assert trace.measurement_record == record
+            seen.add(tuple(assignment[label] for label in labels))
+        assert seen == set(product(("plus", "minus"), repeat=len(labels)))
+
+
+@pytest.mark.parametrize("text,make_program,trials", [
+    (THREE_GATE_TEXT, lambda c: interleaved(lower(c)), 3),
+    (FOUR_GATE_TEXT, lower, 2),
+    (CZ11_TEXT, lower, 1),
+], ids=["interleaved", "four_gates", "sampled_k11"])
+def test_check_equivalence_does_not_depend_on_the_chunk_size(
+        monkeypatch, text, make_program, trials):
+    circuit = parse_circuit(text)
+    program = make_program(circuit)
+    reports = []
+    for cap in (1, 2 ** 30):  # one row per chunk (depth first); whole levels
+        monkeypatch.setattr(programs, "CAP", cap)
+        reports.append(check_equivalence(circuit, program, trials=trials, seed=9))
+    assert reports[0].as_dict() == reports[1].as_dict()
+    assert reports[0] == reports[1]  # the worst case too
+
+
+@pytest.mark.parametrize("make_program", [
+    lower, lambda c: corrupt_last_minus_correction(lower(c)),
+], ids=["passing", "corrupt_last_minus"])
+def test_equivalence_report_names_its_worst_case(make_program):
+    circuit = parse_circuit(FOUR_GATE_TEXT)
+    program = make_program(circuit)
+    labels = [inst.result for inst in program.instructions
+              if isinstance(inst, MeasureAncilla)]
+    report = check_equivalence(circuit, program, trials=4, seed=10)
+    assert set(report.as_dict()) == {"max_infidelity", "trials",
+                                     "branch_assignments", "seed",
+                                     "tolerance", "passed"}
+    # the first trial and, within it, the first assignment in sorted order
+    # ("minus" before "plus") that reach the largest 1 - fidelity
+    rng = np.random.default_rng(10)
+    psis, scores = [], []
+    for _ in range(4):
+        psi = random_state(rng, circuit.num_qubits)
+        expected = simulate_circuit(circuit, psi)
+        psis.append(psi)
+        scores.append([1.0 - fidelity(expected, oracles.replay_program(
+                           program, psi, dict(zip(labels, assignment)))[0])
+                       for assignment in product(("minus", "plus"),
+                                                 repeat=len(labels))])
+    top = max(max(trial) for trial in scores)
+    trial = next(t for t, row in enumerate(scores) if max(row) == top)
+    index = scores[trial].index(top)
+    assert report.max_infidelity == max(0.0, top)
+    assert report.worst_trial == trial
+    assert report.worst_assignment == list(product(("minus", "plus"),
+                                                   repeat=len(labels)))[index]
+    # one forced run on that trial's input reproduces the maximum bitwise
+    trace = simulate_program(program, psis[report.worst_trial],
+                             forced=dict(zip(labels, report.worst_assignment)))
+    expected = simulate_circuit(circuit, psis[report.worst_trial])
+    assert 1.0 - fidelity(expected, trace.final_state) == report.max_infidelity

@@ -445,3 +445,29 @@ def test_every_op_round_trips_through_its_record():
         assert OPS[record["op"]] is type(inst)
         assert list(record) == ["op", *(f.name for f in fields(inst))]
     assert parse_program(serialize_program(program)).instructions == program.instructions
+
+
+def two_block_program():
+    program = SwitchProgram(num_data_qubits=1)
+    program.instructions = tuple(switch_block(program, X, Z, 0.3, (0,), 0)
+                                 + switch_block(program, X, Z, 1.1, (0,), 1))
+    return program
+
+
+def test_simulate_rejects_a_forced_mapping_missing_a_label():
+    with pytest.raises(ProgramError, match="no forced outcome for result label 'm1'"):
+        simulate_program(two_block_program(), zero_state(1), forced={"m0": "plus"})
+
+
+def test_simulate_rejects_a_forced_mapping_naming_an_unmeasured_label():
+    with pytest.raises(ProgramError, match="forced outcome for result label 'm7', "
+                                           "which the program never measures"):
+        simulate_program(two_block_program(), zero_state(1),
+                         forced={"m0": "plus", "m1": "minus", "m7": "minus"})
+
+
+def test_simulate_records_plain_branch_names_for_a_forced_mapping():
+    forced = {"m0": np.str_("plus"), "m1": np.str_("minus")}
+    trace = simulate_program(two_block_program(), zero_state(1), forced=forced)
+    assert [type(name) for _, name, _ in trace.measurement_record] == [str, str]
+    assert [name for _, name, _ in trace.measurement_record] == ["plus", "minus"]
