@@ -14,6 +14,7 @@ Every function is pure; nothing here mutates its arguments.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,11 +88,22 @@ def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def is_unitary(m: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
-    """True when ||M^dag M - I||_F <= atol."""
-    m = require_square(m)
-    resid = dagger(m) @ m - np.eye(m.shape[0])
-    return bool(np.linalg.norm(resid) <= atol)
+def unitarity_residual(m: np.ndarray) -> float | np.ndarray:
+    """||M^dag M - I||_F of a square matrix, or of each of a (k, d, d) stack."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"matrix must be square, got shape {m.shape}")
+    flat = (m.conj().mT @ m - np.eye(m.shape[-1])).reshape(*m.shape[:-2], -1)
+    re, im = flat.real, flat.imag  # summed as norm sums; vecdot as dot, bitwise
+    if m.ndim == 2:
+        return np.sqrt(re.dot(re) + im.dot(im))
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+
+
+def is_unitary(m: np.ndarray, atol: float = UNITARY_ATOL) -> bool | np.ndarray:
+    """True when ||M^dag M - I||_F <= atol; one bool per matrix of a stack."""
+    ok = unitarity_residual(m) <= atol
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def require_unitary(m: np.ndarray, name: str = "matrix",
@@ -282,7 +294,7 @@ def apply_matrix(state: np.ndarray, matrix: np.ndarray, qubits) -> np.ndarray:
     state = np.asarray(state, dtype=complex).reshape(-1)
     matrix = require_square(matrix)
     n = state_num_qubits(state)
-    qubits = list(qubits)
+    qubits = tuple(qubits)
     k = len(qubits)
     if len(set(qubits)) != k:
         raise ValueError(f"qubit indices must be distinct, got {qubits}")
@@ -293,14 +305,16 @@ def apply_matrix(state: np.ndarray, matrix: np.ndarray, qubits) -> np.ndarray:
     return apply_ordered(state, matrix, *axis_orders(qubits, n))
 
 
-def axis_orders(qubits, n: int, stacked: bool = False) -> tuple[tuple[int, ...], ...]:
+@lru_cache(maxsize=4096)
+def axis_orders(qubits: tuple[int, ...], n: int,
+                stacked: bool = False) -> tuple[tuple[int, ...], ...]:
     """Resolved layout of ``apply_ordered`` for ``qubits`` of an n-qubit state.
 
     Returns ``(shape, order, split, inverse)``: the state's tensor shape, the
     transpose order that brings ``qubits`` to the front in the order listed,
     the (targets, rest) shape of the product's operand, and the inverse
     order that moves the qubits back. ``stacked`` lifts all four over a
-    leading axis of states, which stays first.
+    leading axis of states, which stays first. Memoized for the process.
     """
     targets = 2 ** len(qubits)
     if stacked:  # the stack's axis stays first, qubit q is axis q + 1

@@ -36,7 +36,7 @@ from .linalg import (
     state_num_qubits,
     tensor,
 )
-from .switch import branch_functionals, project_branches, switch_unitary
+from .switch import branch_functionals, joint_matrix, project_branches
 
 
 class ProgramError(ValueError):
@@ -103,12 +103,6 @@ _TAGS = {cls: tag for tag, cls in OPS.items()}
 MAX_HELD_QUBITS = MAX_QUBITS + 1
 
 
-def matrix_entries(m: np.ndarray) -> list[list[float]]:
-    """Row-major [re, im] pairs of a matrix."""
-    flat = np.asarray(m, dtype=complex).reshape(-1)
-    return [[re, im] for re, im in zip(flat.real.tolist(), flat.imag.tolist())]
-
-
 def matrix_id(m: np.ndarray) -> str:
     """Content hash of a matrix at serialization precision."""
     return "m" + hashlib.sha256(matrix_text(m).encode()).hexdigest()[:12]
@@ -148,37 +142,46 @@ class SimulationTrace:
     seed: int | None
 
 
-def validate_program(program: SwitchProgram) -> None:
-    """Check the static contract; raises ProgramError on violation.
+def validate_program(program: SwitchProgram) -> list[tuple]:
+    """Check the static contract in one pass; raises ProgramError on violation.
 
     Ancillas are allocated before use and discarded after their last use;
     measurements precede any conditional referencing their result; matrix
-    references resolve at matching dimensions; the data qubits plus the
-    ancillas allocated and not yet measured never exceed ``MAX_HELD_QUBITS``.
+    references resolve at matching dimensions; angles are finite; the data
+    qubits plus the ancillas allocated and not yet measured never exceed
+    ``MAX_HELD_QUBITS``. Returns each instruction resolved, as ``(inst,
+    qubits, total, index)``: the qubits it acts on (a switch's ancilla last,
+    a measurement's ancilla alone), the qubit count of the state it acts
+    on, and the record index of the measurement it makes or reads, or None.
     """
-    n = program.num_data_qubits
-    held = n  # qubits in the state: measuring an ancilla removes it
-    live: set[str] = set()
-    measured: set[str] = set()
+    n = total = program.num_data_qubits  # total: qubits in the state
+    if n > MAX_HELD_QUBITS:
+        raise ProgramError(f"program holds {n} data qubits, above the maximum "
+                           f"of {MAX_HELD_QUBITS}")
+    data_qubits = set(range(n))
+    positions: dict[str, int] = {}  # ancilla allocated, not measured -> qubit
+    measured: set[str] = set()  # ancillas measured, not yet discarded
     done: set[str] = set()
-    results: set[str] = set()
+    results: dict[str, int] = {}  # result label -> index in the record
+    resolved: list[tuple] = []
 
     def check_matrix(key: str, qubits, what: str) -> None:
         if key not in program.matrices:
             raise ProgramError(f"{what} references unknown matrix {key!r}")
-        dim = program.matrices[key].shape[0]
-        if dim != 2 ** len(qubits):
+        dim, want = program.matrices[key].shape[0], 2 ** len(qubits)
+        if dim != want:
             raise ProgramError(f"{what} matrix {key!r} has dim {dim}, "
-                               f"expected {2 ** len(qubits)}")
-        if len(set(qubits)) != len(qubits):
+                               f"expected {want}")
+        distinct = set(qubits)
+        if len(distinct) != len(qubits):
             raise ProgramError(f"{what} qubits must be distinct, got {qubits}")
-        if any(q < 0 or q >= n for q in qubits):
+        if not distinct <= data_qubits:
             raise ProgramError(f"{what} qubit out of range for {n} data qubits")
 
     def check_ancilla(label: str, want_measured: bool, what: str) -> None:
         if label in done:
             raise ProgramError(f"{what} uses discarded ancilla {label!r}")
-        if label not in live:
+        if label not in positions and label not in measured:
             raise ProgramError(f"{what} uses unallocated ancilla {label!r}")
         if not want_measured and label in measured:
             raise ProgramError(f"{what} uses already measured ancilla {label!r}")
@@ -186,31 +189,42 @@ def validate_program(program: SwitchProgram) -> None:
             raise ProgramError(f"{what} needs ancilla {label!r} measured first")
 
     for index, inst in enumerate(program.instructions):
+        before, qubits, at = total, (), None
         if isinstance(inst, AllocAncilla):
             if inst.state != "plus":
                 raise ProgramError(f"unsupported ancilla state {inst.state!r}")
-            if inst.ancilla in live or inst.ancilla in done:
+            if inst.ancilla in positions.keys() | measured | done:
                 raise ProgramError(f"ancilla {inst.ancilla!r} allocated twice")
-            live.add(inst.ancilla)
-            held += 1
-            if held > MAX_HELD_QUBITS:
+            positions[inst.ancilla] = total
+            total += 1
+            if total > MAX_HELD_QUBITS:
                 raise ProgramError(f"instruction {index} (alloc_ancilla "
-                                   f"{inst.ancilla!r}) holds {held} qubits at "
+                                   f"{inst.ancilla!r}) holds {total} qubits at "
                                    f"once, above the maximum of "
                                    f"{MAX_HELD_QUBITS}")
         elif isinstance(inst, ApplyLocal):
             check_matrix(inst.matrix, inst.qubits, "apply_local")
+            qubits = tuple(inst.qubits)
         elif isinstance(inst, SwitchApply):
             check_matrix(inst.gate_a, inst.qubits, "switch_apply")
             check_matrix(inst.gate_b, inst.qubits, "switch_apply")
             check_ancilla(inst.ancilla, False, "switch_apply")
+            qubits = (*inst.qubits, positions[inst.ancilla])
         elif isinstance(inst, MeasureAncilla):
             check_ancilla(inst.ancilla, False, "measure_ancilla")
             if inst.result in results:
                 raise ProgramError(f"result label {inst.result!r} reused")
-            results.add(inst.result)
+            if not math.isfinite(inst.theta):
+                raise ProgramError(f"instruction {index} (measure_ancilla "
+                                   f"{inst.ancilla!r}): measurement angle must "
+                                   f"be finite, got {inst.theta}")
+            at = results[inst.result] = len(results)
             measured.add(inst.ancilla)
-            held -= 1
+            pos = positions.pop(inst.ancilla)
+            qubits, total = (pos,), total - 1
+            for label, later in positions.items():  # the rest close the gap
+                if later > pos:
+                    positions[label] = later - 1
         elif isinstance(inst, CondApply):
             if inst.outcome not in ("plus", "minus"):
                 raise ProgramError(f"unknown outcome {inst.outcome!r}")
@@ -218,14 +232,30 @@ def validate_program(program: SwitchProgram) -> None:
                 raise ProgramError(f"cond_apply references unmeasured result "
                                    f"{inst.result!r}")
             check_matrix(inst.matrix, inst.qubits, "cond_apply")
+            qubits, at = tuple(inst.qubits), results[inst.result]
         elif isinstance(inst, Discard):
             check_ancilla(inst.ancilla, True, "discard")
-            live.remove(inst.ancilla)
+            measured.remove(inst.ancilla)
             done.add(inst.ancilla)
         else:
             raise ProgramError(f"unknown instruction {inst!r}")
-    if live:
-        raise ProgramError(f"ancillas never discarded: {sorted(live)}")
+        resolved.append((inst, qubits, before, at))
+    if positions or measured:
+        raise ProgramError(f"ancillas never discarded: "
+                           f"{sorted({*positions, *measured})}")
+    return resolved
+
+
+def _require_unitary(matrices: dict[str, np.ndarray]) -> None:
+    """ProgramError naming the first id, in order, whose matrix is not unitary."""
+    shapes: dict[tuple, list[str]] = {}
+    for key, m in matrices.items():
+        shapes.setdefault(m.shape, []).append(key)
+    unitary = {key: ok for keys in shapes.values() for key, ok in
+               zip(keys, is_unitary(np.stack([matrices[key] for key in keys])))}
+    for key in matrices:
+        if not unitary[key]:
+            raise ProgramError(f"matrix {key!r} is not unitary within {UNITARY_ATOL}")
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +303,9 @@ def _string(value, name: str) -> str:
 
 
 def _angle(value, name: str) -> float:
-    if type(value) not in (int, float):
+    if type(value) not in (int, float):  # the instruction pass checks finiteness
         raise ProgramError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):  # OverflowError for an int beyond float range
-        raise ProgramError(f"measurement angle must be finite, got {value}")
-    return float(value)
+    return float(value)  # OverflowError for an int beyond float range
 
 
 def _qubits(value, name: str) -> tuple[int, ...]:
@@ -336,10 +364,7 @@ def parse_program(text: str) -> SwitchProgram:
         if isinstance(err, ProgramError):
             raise
         raise ProgramError(f"malformed program document: {err}") from None
-    for key, m in matrices.items():
-        if not is_unitary(m):
-            raise ProgramError(f"matrix {key!r} is not unitary within "
-                               f"{UNITARY_ATOL}")
+    _require_unitary(matrices)
     program = SwitchProgram(num_data_qubits=num_data_qubits, matrices=matrices,
                             instructions=tuple(instructions))
     validate_program(program)
@@ -350,22 +375,22 @@ def parse_program(text: str) -> SwitchProgram:
 # simulation
 # ---------------------------------------------------------------------------
 #
-# One executor serves sampled, forced and exhaustive runs. Binding validates
-# the program once, builds each distinct switch joint once and resolves every
-# ancilla position, every update's axis orders and every measurement's branch
-# functionals, leaving segments: the state updates up to a measurement, then
-# that measurement. The walk runs the segments along the branch tree a level
-# at a time: the nodes at one depth are the rows of one (rows, 2^total) stack
-# and each step is one numpy call on it; a `cond_apply` updates the rows
-# whose recorded outcome matches. At a measurement (of the last qubit, by
+# One executor serves sampled, forced and exhaustive runs. Binding reads the
+# instruction pass's output, checks the matrix table with one stacked call per
+# size, builds each distinct switch joint once and resolves every axis order
+# and branch functional, leaving segments: the updates up to a measurement,
+# then that measurement. The walk runs them along the branch tree a level at a
+# time: the nodes at one depth are the rows of one (rows, 2^total) stack and
+# each step is one numpy call on it; a `cond_apply` updates the rows whose
+# recorded outcome matches. At a measurement (of the last qubit, by
 # construction) a chooser projects the stack and keeps the followed
 # post-measurement states, plus branch first, as the next level's rows, so a
 # prefix shared by many branch assignments runs once. Each level is cut into
 # chunks of at most max(1, CAP // dim) rows, walked depth first. A sampled or
 # forced run is the same walk on one row. Numpy's stacked matmul runs each row
 # on the one-state product's kernel and shapes, and every other step acts on
-# each row alone, so every leaf is bit-identical to an instruction-by-
-# instruction replay of its branch assignment.
+# each row alone, so every leaf is bit-identical to a replay of its branch
+# assignment one instruction at a time.
 
 CAP = 1024  # amplitudes per chunk of the walk
 
@@ -379,11 +404,9 @@ def _rows(mask: np.ndarray):
     return np.flatnonzero(mask) if mask.any() else None
 
 
-def _local(matrix: np.ndarray, layout: tuple):
-    """``apply_matrix`` on a stack of states, on a layout resolved at bind
-    time by ``axis_orders(qubits, total, stacked=True)``."""
-    matrix = np.asarray(matrix, dtype=complex)
-    shape, order, split, inverse = layout
+def _local(matrix: np.ndarray, qubits: tuple[int, ...], total: int):
+    """``apply_matrix`` on a stack of ``total``-qubit states, laid out now."""
+    shape, order, split, inverse = axis_orders(qubits, total, stacked=True)
     return lambda states, took: apply_ordered(states, matrix, shape, order,
                                               split, inverse)
 
@@ -482,55 +505,37 @@ class _BoundProgram:
     """A validated program bound for execution (see the section comment)."""
 
     def __init__(self, program: SwitchProgram):
-        validate_program(program)
+        resolved = validate_program(program)
         self.num_data_qubits = program.num_data_qubits
-        matrices = program.matrices
+        matrices = {key: np.asarray(m, dtype=complex)
+                    for key, m in program.matrices.items()}
+        _require_unitary(matrices)  # as parse_program checks its table
         joints: dict[tuple[str, str], np.ndarray] = {}
-        positions: dict[str, int] = {}
-        total = program.num_data_qubits
-        measured: dict[str, int] = {}  # result label -> index in the record
         self.segments: list[tuple[list, tuple[tuple, str] | None]] = []
         steps: list = []
-        layouts: dict[tuple, tuple] = {}  # (qubits, total) -> stacked layout
-
-        def local(matrix: np.ndarray, qubits: tuple[int, ...]):
-            key = (qubits, total)
-            if key not in layouts:
-                layouts[key] = axis_orders(qubits, total, stacked=True)
-            return _local(matrix, layouts[key])
-        for inst in program.instructions:
+        for inst, qubits, total, index in resolved:
             if isinstance(inst, AllocAncilla):
                 steps.append(_alloc)
-                positions[inst.ancilla] = total
-                total += 1
             elif isinstance(inst, ApplyLocal):
-                steps.append(local(matrices[inst.matrix], inst.qubits))
+                steps.append(_local(matrices[inst.matrix], qubits, total))
             elif isinstance(inst, SwitchApply):
                 key = (inst.gate_a, inst.gate_b)
                 if key not in joints:
-                    joints[key] = switch_unitary(matrices[inst.gate_a],
-                                                 matrices[inst.gate_b]).matrix
-                steps.append(local(joints[key],
-                                   (*inst.qubits, positions[inst.ancilla])))
+                    joints[key] = joint_matrix(matrices[inst.gate_a],
+                                               matrices[inst.gate_b])
+                steps.append(_local(joints[key], qubits, total))
             elif isinstance(inst, MeasureAncilla):
-                pos = positions.pop(inst.ancilla)
-                if pos != total - 1:
-                    steps.append(_to_last(pos, total))
-                    for label in positions:
-                        if positions[label] > pos:
-                            positions[label] -= 1
-                total -= 1
-                measured[inst.result] = len(measured)
+                if qubits[0] != total - 1:
+                    steps.append(_to_last(qubits[0], total))
                 self.segments.append(
                     (steps, (branch_functionals(inst.theta), inst.result)))
                 steps = []
             elif isinstance(inst, CondApply):
-                steps.append(_conditional(measured[inst.result], inst.outcome,
-                                          local(matrices[inst.matrix],
-                                                inst.qubits)))
+                steps.append(_conditional(index, inst.outcome, _local(
+                    matrices[inst.matrix], qubits, total)))
             # Discard: the state already lost the ancilla at its measurement
         self.segments.append((steps, None))
-        self.labels = tuple(measured)
+        self.labels = tuple(label for _, (_, label) in self.segments[:-1])
 
     def walk(self, input_state: np.ndarray, chooser):
         """Yield (states, nodes) for every chunk of leaves reached.
@@ -600,8 +605,8 @@ def simulate_program(program: SwitchProgram, input_state: np.ndarray,
     A mapping that misses a result label of the program, or names one the
     program never measures, raises ``ProgramError``.
 
-    The program is bound once (validated, each distinct switch joint built
-    once) and one path of its branch tree is walked, as a stack of one row.
+    The program is bound once (see the executor's section comment) and one
+    path of its branch tree is walked, as a stack of one row.
     """
     bound = _BoundProgram(program)
     if forced is None:

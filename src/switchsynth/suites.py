@@ -27,6 +27,7 @@ from .linalg import (
     rotation,
     rotation_z,
     tensor,
+    unitarity_residual,
     zero_state,
 )
 from .sampling import (
@@ -96,8 +97,7 @@ def suite_switch(trials: int, seed: int, tolerance: float) -> list[PropertyResul
         b = random_unitary(rng, dim)
         switch = switch_unitary(a, b)
         joint = switch.matrix
-        eye = np.eye(joint.shape[0])
-        unitarity = max(unitarity, np.linalg.norm(dagger(joint) @ joint - eye))
+        unitarity = max(unitarity, unitarity_residual(joint))
         anti = a @ b + b @ a
         comm = a @ b - b @ a
         half_form = 0.5 * (tensor(anti, I2) + tensor(comm, np.diag([1.0, -1.0])))
@@ -143,7 +143,7 @@ def suite_synthesis(trials: int, seed: int, tolerance: float) -> list[PropertyRe
         spec = random_spec(rng)
         plan = synthesize(spec)
         target = cu_matrix(spec)
-        s_plus, s_minus = branches = plan.branch_operators()
+        branches = plan.branch_operators()
         plus, minus, bare_plus, bare_minus = block_residuals(plan, target, branches)
         reconstruction = max(reconstruction, plus, minus)
         bare = max(bare, bare_plus, bare_minus)
@@ -157,10 +157,7 @@ def suite_synthesis(trials: int, seed: int, tolerance: float) -> list[PropertyRe
         control_fixed = max(control_fixed,
                             np.linalg.norm(plan.a_control - X),
                             np.linalg.norm(plan.b_control - rz_half))
-        branch_unitarity = max(
-            branch_unitarity,
-            np.linalg.norm(dagger(s_plus) @ s_plus - np.eye(4)),
-            np.linalg.norm(dagger(s_minus) @ s_minus - np.eye(4)))
+        branch_unitarity = max(branch_unitarity, *unitarity_residual(np.stack(branches)))
 
         if k % 10 == 0:
             report = verify_synthesis(spec, trials=20,

@@ -109,8 +109,13 @@ def switch_unitary(a: np.ndarray, b: np.ndarray) -> SwitchJoint:
     b = require_unitary(b, "b")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    joint = tensor(a @ b, P0) + tensor(b @ a, P1)
-    return SwitchJoint(target_dim=a.shape[0], matrix=joint)
+    return SwitchJoint(target_dim=a.shape[0], matrix=joint_matrix(a, b))
+
+
+def joint_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``switch_unitary(a, b).matrix`` without its checks: a and b are
+    complex unitaries of one shape."""
+    return tensor(a @ b, P0) + tensor(b @ a, P1)
 
 
 def apply_switch(joint: SwitchJoint, psi: np.ndarray, omega: np.ndarray) -> np.ndarray:

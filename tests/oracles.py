@@ -76,6 +76,12 @@ def realignment_rank(m, tol=1e-10):
     return int(np.count_nonzero(values > tol * values[0]))
 
 
+def matrix_entries(m):
+    """Row-major [re, im] pairs of a matrix, as a program document lists them."""
+    flat = np.asarray(m, dtype=complex).reshape(-1)
+    return [[re, im] for re, im in zip(flat.real.tolist(), flat.imag.tolist())]
+
+
 def haar_unitary(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)

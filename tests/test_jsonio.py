@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from switchsynth.jsonio import dumps, format_float
-from switchsynth.programs import matrix_entries
+
+from oracles import matrix_entries
 
 
 def test_format_float_round_trips_17_digits():

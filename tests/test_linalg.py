@@ -1,3 +1,4 @@
+import math
 from itertools import permutations
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.linalg import expm
 
 from switchsynth.linalg import (
     MAX_TRIALS,
+    UNITARY_ATOL,
     H,
     I2,
     X,
@@ -35,6 +37,7 @@ from switchsynth.linalg import (
     rotation_z,
     tensor,
     two_qubit_rotation,
+    unitarity_residual,
     zero_state,
 )
 from switchsynth.sampling import random_states, random_unitary
@@ -386,3 +389,32 @@ def test_tensor_of_a_stack_and_a_vector_is_each_row_tensored_bitwise():
     out = tensor(states, PLUS)
     assert out.tobytes() == np.array([tensor(s, PLUS) for s in states]).tobytes()
     assert out.tobytes() == np.kron(states, PLUS).tobytes()
+
+
+def test_stacked_is_unitary_is_one_call_per_matrix_bitwise():
+    rng = np.random.default_rng(61)
+    for dim in (2, 4):
+        haar = [oracles.haar_unitary(rng, dim) for _ in range(40)]
+        # (sU)^dag (sU) - I = (s^2 - 1) I, of norm |s^2 - 1| sqrt(dim)
+        scales = [math.sqrt(1.0 + f * UNITARY_ATOL / math.sqrt(dim))
+                  for f in (0.5, 0.9, 1.1, 2.0, -0.5, -2.0)]
+        mats = np.array(haar + [s * u for s in scales for u in haar[:5]])
+        residuals = unitarity_residual(mats)
+        assert residuals.shape == (len(mats),)
+        one = [unitarity_residual(m) for m in mats]
+        assert residuals.tobytes() == np.array(one).tobytes()
+        # the Frobenius norm of the definition, bit for bit
+        assert residuals.tobytes() == np.array(
+            [np.linalg.norm(dagger(m) @ m - np.eye(dim)) for m in mats]).tobytes()
+        flags = is_unitary(mats)
+        assert flags.tolist() == [is_unitary(m) for m in mats]
+        assert all(type(is_unitary(m)) is bool for m in mats[:3])
+        inside = [abs(f) < 1 for f in (0.5, 0.9, 1.1, 2.0, -0.5, -2.0)]
+        assert flags.tolist() == [True] * 40 + [ok for ok in inside for _ in range(5)]
+
+
+def test_unitarity_residual_refuses_non_square_input():
+    with pytest.raises(ValueError, match="must be square"):
+        unitarity_residual(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="must be square"):
+        is_unitary(np.ones((4, 2, 3)))

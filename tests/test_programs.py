@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from switchsynth import programs
+from switchsynth.circuits import parse_circuit
 from switchsynth.jsonio import dumps, format_float
 from switchsynth.linalg import (
     MAX_QUBITS,
@@ -16,6 +18,7 @@ from switchsynth.linalg import (
     rotation,
     zero_state,
 )
+from switchsynth.lowering import check_equivalence, lower
 from switchsynth.programs import (
     MAX_HELD_QUBITS,
     OPS,
@@ -27,7 +30,6 @@ from switchsynth.programs import (
     ProgramError,
     SwitchApply,
     SwitchProgram,
-    matrix_entries,
     matrix_id,
     matrix_text,
     parse_program,
@@ -37,6 +39,8 @@ from switchsynth.programs import (
     validate_program,
 )
 from switchsynth.switch import branch_gates
+
+from oracles import matrix_entries
 
 
 def switch_block(program, mat_a, mat_b, theta, qubits, index):
@@ -471,3 +475,106 @@ def test_simulate_records_plain_branch_names_for_a_forced_mapping():
     trace = simulate_program(two_block_program(), zero_state(1), forced=forced)
     assert [type(name) for _, name, _ in trace.measurement_record] == [str, str]
     assert [name for _, name, _ in trace.measurement_record] == ["plus", "minus"]
+
+
+def test_validate_resolves_positions_counts_and_record_indices():
+    program = SwitchProgram(num_data_qubits=1)
+    a, b = program.add_matrix(X), program.add_matrix(Z)
+    program.instructions = (
+        AllocAncilla("a0"), AllocAncilla("a1"), SwitchApply(a, b, (0,), "a0"),
+        SwitchApply(a, b, (0,), "a1"), MeasureAncilla(0.3, "a0", "m0"),
+        MeasureAncilla(1.1, "a1", "m1"), CondApply("m1", "plus", a, [0]),
+        Discard("a0"), Discard("a1"))
+    resolved = validate_program(program)
+    assert [inst for inst, *_ in resolved] == list(program.instructions)
+    assert [rest for _, *rest in resolved] == [
+        [(), 1, None], [(), 2, None], [(0, 1), 3, None], [(0, 2), 3, None],
+        [(1,), 3, 0], [(1,), 2, 1], [(0,), 1, 1], [(), 1, None], [(), 1, None]]
+
+
+@pytest.mark.parametrize("n", [MAX_HELD_QUBITS + 1, 10 ** 12])
+def test_validate_refuses_more_data_qubits_than_it_can_hold(n):
+    with pytest.raises(ProgramError, match=f"program holds {n} data qubits, above "
+                                           f"the maximum of {MAX_HELD_QUBITS}"):
+        validate_program(SwitchProgram(num_data_qubits=n))
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+def test_non_finite_measurement_angles_are_refused_at_their_index(theta):
+    program = SwitchProgram(num_data_qubits=1)
+    program.instructions = tuple(switch_block(program, X, Z, theta, (0,), 0))
+    want = (f"instruction 2 (measure_ancilla 'a0'): measurement angle must be "
+            f"finite, got {theta}")
+    for run in (validate_program, serialize_program,
+                lambda p: simulate_program(p, zero_state(1), seed=1)):
+        with pytest.raises(ProgramError) as err:
+            run(program)
+        assert str(err.value) == want
+
+
+def non_unitary_local(program):
+    return [ApplyLocal(program.add_matrix(2 * np.eye(2)), (0,))]
+
+
+def non_unitary_switch_gate(program):
+    return switch_block(program, X, 2 * Z, 0.0, (0,), 0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda p: simulate_program(p, zero_state(1), seed=3),
+    lambda p: simulate_program(p, zero_state(1), forced="plus"),
+    lambda p: check_equivalence(parse_circuit("qubits 1\nx 0\n"), p, trials=2),
+], ids=["sampled", "forced", "check_equivalence"])
+@pytest.mark.parametrize("build,bad", [
+    (non_unitary_local, 2 * np.eye(2)), (non_unitary_switch_gate, 2 * Z)])
+def test_running_a_non_unitary_matrix_names_it(run, build, bad):
+    program = SwitchProgram(num_data_qubits=1)
+    program.instructions = tuple(build(program))
+    with pytest.raises(ProgramError) as err:
+        run(program)
+    assert str(err.value) == (f"matrix {matrix_id(bad)!r} is not unitary "
+                              f"within 1e-10")
+
+
+@pytest.mark.parametrize("order", [("m4", "m2"), ("m2", "m4")])
+def test_parse_names_the_first_non_unitary_matrix_in_table_order(order):
+    entries = {"m2": [[2, 0], [0, 0], [0, 0], [2, 0]],
+               "m4": [[2, 0] if i % 5 == 0 else [0, 0] for i in range(16)],
+               "ok": [[0, 0], [1, 0], [1, 0], [0, 0]]}
+    text = json.dumps({"num_data_qubits": 1, "instructions": [],
+                       "matrices": {key: entries[key] for key in ("ok", *order)}})
+    with pytest.raises(ProgramError, match=f"matrix '{order[0]}' is not unitary"):
+        parse_program(text)
+
+
+class CountedInstructions(tuple):
+    """Instructions that count the walks over them."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_each_entry_point_runs_the_instruction_pass_once(monkeypatch):
+    passes = []
+    validate = programs.validate_program
+
+    def counted(program):
+        passes.append(program)
+        return validate(program)
+    monkeypatch.setattr(programs, "validate_program", counted)
+    circuit = parse_circuit("qubits 2\nh 0\ncnot 0 1\ncz 1 0\n")
+    program = lower(circuit)
+    text = serialize_program(program)
+    assert len(passes) == 1
+    parse_program(text)
+    assert len(passes) == 2
+    program.instructions = CountedInstructions(program.instructions)
+    for run in (lambda: simulate_program(program, zero_state(2), seed=2),
+                lambda: check_equivalence(circuit, program, trials=2)):
+        before, program.instructions.walks = len(passes), 0
+        run()
+        # bind walks the instructions only through the pass
+        assert (len(passes) - before, program.instructions.walks) == (1, 1)
