@@ -57,8 +57,8 @@ PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.asarray(m).conj().mT
 
 
 def tensor(*factors: np.ndarray) -> np.ndarray:
@@ -391,9 +391,9 @@ def projector(state: np.ndarray) -> np.ndarray:
 
 
 def is_density_matrix(rho: np.ndarray, atol: float = DENSITY_ATOL) -> bool:
-    """Hermitian, unit trace, and eigenvalues above the -1e-9 floor."""
+    """Finite, Hermitian, unit trace, and eigenvalues above the -1e-9 floor."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or not np.isfinite(rho).all():
         return False
     if np.linalg.norm(rho - dagger(rho)) > atol:
         return False

@@ -13,7 +13,7 @@ The ancilla (control) is always the LAST tensor factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from math import factorial
 
 import numpy as np
 
@@ -38,7 +38,7 @@ ZERO_BRANCH_ATOL = 1e-18
 class KrausChannel:
     """A completely positive trace-preserving map given by Kraus operators.
 
-    Operators must be square, share one dimension, and satisfy the
+    Operators must be square, finite, share one dimension, and satisfy the
     completeness relation sum_i K_i^dag K_i = I within 1e-10.
     """
 
@@ -52,8 +52,10 @@ class KrausChannel:
             k = require_square(k, "Kraus operator")
             if k.shape[0] != dim:
                 raise ValueError("Kraus operators must share one dimension")
+            if not np.isfinite(k).all():
+                raise ValueError("Kraus operators must be finite")
             total += dagger(k) @ k
-        if np.linalg.norm(total - np.eye(dim)) > UNITARY_ATOL:
+        if not np.linalg.norm(total - np.eye(dim)) <= UNITARY_ATOL:
             raise ValueError("Kraus operators do not satisfy completeness")
         self.operators = ops
 
@@ -227,19 +229,22 @@ def branch_gates_tensor(a_list, b_list, theta: float) -> tuple[np.ndarray, np.nd
 
 def _four_term_map(ops_a, ops_b, rho: np.ndarray, omega: np.ndarray) -> np.ndarray:
     # Anticommutator/commutator form of the two-switch supermap; linear in
-    # rho, so it also serves for Choi construction on matrix units.
+    # rho, so it also serves for Choi construction on matrix units. Products
+    # are stacked over the Kraus pairs (a-major); the weighted terms are
+    # summed in pair then term order, so the bits are those of the pairwise
+    # Kronecker loop.
+    a, b = np.stack(ops_a)[:, None], np.stack(ops_b)[None]
+    ab, ba = (a @ b).reshape(-1, *rho.shape), (b @ a).reshape(-1, *rho.shape)
+    anti, comm = ab + ba, ab - ba
+    anti_rho, comm_rho = anti @ rho, comm @ rho
+    anti_dag, comm_dag = dagger(anti), dagger(comm)
+    terms = np.stack([anti_rho @ anti_dag, anti_rho @ comm_dag,
+                      comm_rho @ anti_dag, comm_rho @ comm_dag], axis=1)
+    weights = np.stack([omega, omega @ Z, Z @ omega, Z @ omega @ Z])
+    weighted = terms[..., :, None, :, None] * weights[:, None, :, None, :]
     out = np.zeros((rho.shape[0] * 2,) * 2, dtype=complex)
-    omega_z = omega @ Z
-    z_omega = Z @ omega
-    z_omega_z = Z @ omega @ Z
-    for ai in ops_a:
-        for bj in ops_b:
-            anti = ai @ bj + bj @ ai
-            comm = ai @ bj - bj @ ai
-            out += tensor(anti @ rho @ dagger(anti), omega)
-            out += tensor(anti @ rho @ dagger(comm), omega_z)
-            out += tensor(comm @ rho @ dagger(anti), z_omega)
-            out += tensor(comm @ rho @ dagger(comm), z_omega_z)
+    for term in weighted.reshape(-1, *out.shape):
+        out += term
     return 0.25 * out
 
 
@@ -287,24 +292,34 @@ def switch_channel_n(channels, rho: np.ndarray,
     rho = require_density(rho, "rho")
     if rho.shape[0] != dim:
         raise ValueError("rho dimension must match the channels")
-    orders = list(permutations(range(n)))
+    num_orders = factorial(n)
     if omega is None:
-        omega = uniform_control_state(len(orders))
+        omega = uniform_control_state(num_orders)
     omega = require_density(omega, "omega")
-    if omega.shape[0] != len(orders):
-        raise ValueError(f"control omega must have dimension {len(orders)}")
+    if omega.shape[0] != num_orders:
+        raise ValueError(f"control omega must have dimension {num_orders}")
 
+    # each wire's pick for every Kraus combination, combinations in
+    # itertools.product order: picks[w, c] is a (dim, dim) operator
+    combos = np.indices([ch.rank for ch in channels]).reshape(n, -1)
+    picks = np.stack([np.stack(ch.operators)[idx] for ch, idx in zip(channels, combos)])
+    # extend every order prefix by each unused wire, a level at a time; the
+    # prefixes stay lexicographic, so the last level is permutations(range(n))
+    prefixes = [()]
+    prods = np.eye(dim, dtype=complex)[None, None]
+    for _ in range(n):
+        steps = [(i, w) for i, p in enumerate(prefixes) for w in range(n) if w not in p]
+        prods = prods[[i for i, _ in steps]] @ picks[[w for _, w in steps]]
+        prefixes = [prefixes[i] + (w,) for i, w in steps]
+    diagonal = np.arange(num_orders)
     joint_in = tensor(rho, omega)
     out = np.zeros_like(joint_in)
-    for combo in product(*[range(ch.rank) for ch in channels]):
-        kraus = np.zeros((dim * len(orders),) * 2, dtype=complex)
-        for k, order in enumerate(orders):
-            prod_ = np.eye(dim, dtype=complex)
-            for wire in order:
-                prod_ = prod_ @ channels[wire].operators[combo[wire]]
-            marker = np.zeros((len(orders),) * 2, dtype=complex)
-            marker[k, k] = 1.0
-            kraus += tensor(prod_, marker)
+    for c in range(combos.shape[1]):
+        # K = sum_k prods[k, c] (x) |k><k|: each order adds its block to a
+        # +0.0 start, as the tensor(product, |k><k|) terms do
+        kraus = np.zeros((dim, num_orders, dim, num_orders), dtype=complex)
+        kraus[:, diagonal, :, diagonal] += prods[:, c]
+        kraus = kraus.reshape(joint_in.shape)
         out += kraus @ joint_in @ dagger(kraus)
     return out
 

@@ -190,3 +190,57 @@ def replay_program(program, psi, assignment):
                 state = apply_matrix(state, program.matrices[inst.matrix],
                                      inst.qubits)
     return state, tuple(record)
+
+
+def kronecker_four_term_map(ops_a, ops_b, rho, omega):
+    """``switch._four_term_map`` as a loop over Kraus pairs.
+
+    Each pair computes its anticommutator and commutator with 2-D products
+    and adds its four terms as ``tensor(term, control weight)``, in pair then
+    term order, to a zero start; the sum is scaled by 1/4.
+    """
+    from switchsynth.linalg import tensor
+
+    z = PAULI["z"]
+    out = np.zeros((rho.shape[0] * 2,) * 2, dtype=complex)
+    omega_z = omega @ z
+    z_omega = z @ omega
+    z_omega_z = z @ omega @ z
+    for ai in ops_a:
+        for bj in ops_b:
+            anti = ai @ bj + bj @ ai
+            comm = ai @ bj - bj @ ai
+            out += tensor(anti @ rho @ anti.conj().T, omega)
+            out += tensor(anti @ rho @ comm.conj().T, omega_z)
+            out += tensor(comm @ rho @ anti.conj().T, z_omega)
+            out += tensor(comm @ rho @ comm.conj().T, z_omega_z)
+    return 0.25 * out
+
+
+def kronecker_switch_channel_n(channels, rho, omega):
+    """The joint map of ``switch.switch_channel_n`` as a Kronecker loop.
+
+    For each Kraus combination, each order's product is rebuilt from the
+    identity with 2-D products, and the joint Kraus operator is the sum of
+    ``tensor(product, |k><k|)`` over the orders k in lexicographic order.
+    ``omega`` is the N!-dimensional control state; inputs are not checked.
+    """
+    from itertools import permutations, product
+
+    from switchsynth.linalg import tensor
+
+    dim = channels[0].dim
+    orders = list(permutations(range(len(channels))))
+    joint_in = tensor(rho, omega)
+    out = np.zeros_like(joint_in)
+    for combo in product(*[range(ch.rank) for ch in channels]):
+        kraus = np.zeros((dim * len(orders),) * 2, dtype=complex)
+        for k, order in enumerate(orders):
+            prod_ = np.eye(dim, dtype=complex)
+            for wire in order:
+                prod_ = prod_ @ channels[wire].operators[combo[wire]]
+            marker = np.zeros((len(orders),) * 2, dtype=complex)
+            marker[k, k] = 1.0
+            kraus += tensor(prod_, marker)
+        out += kraus @ joint_in @ kraus.conj().T
+    return out

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,6 +8,7 @@ from switchsynth.linalg import H, I2, X, Z, is_density_matrix, projector, tensor
 from switchsynth.sampling import random_density, random_kraus_channel, random_unitary
 from switchsynth.switch import (
     KrausChannel,
+    _four_term_map,
     choi_matrix,
     switch_channel,
     switch_channel_n,
@@ -57,6 +60,27 @@ def test_kraus_channel_validation():
         KrausChannel([I2 / np.sqrt(2), np.eye(4) / np.sqrt(2)])
     with pytest.raises(ValueError):
         KrausChannel([0.5 * I2])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kraus_channel_refuses_non_finite_operators(bad):
+    op = I2 / np.sqrt(2)
+    op[0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        KrausChannel([op])
+    with pytest.raises(ValueError, match="finite"):
+        KrausChannel([I2 / np.sqrt(2), op])
+
+
+@pytest.mark.parametrize("entry", [(1, 1), (0, 1)])
+def test_switch_channels_refuse_a_non_finite_rho(entry):
+    rho = np.array([[1, 0], [0, 0]], dtype=complex)
+    rho[entry] = rho[entry[::-1]] = np.nan
+    chan = KrausChannel.from_unitary(H)
+    with pytest.raises(ValueError, match="rho is not a density matrix"):
+        switch_channel(chan, chan, rho, PLUS_DM)
+    with pytest.raises(ValueError, match="rho is not a density matrix"):
+        switch_channel_n([chan, chan], rho)
 
 
 def test_random_kraus_channel_is_complete():
@@ -225,3 +249,53 @@ def test_choi_matrix_of_switch_map_is_positive():
         values = np.linalg.eigvalsh(choi)
         assert values[0] > -1e-9
         assert np.trace(choi).real == pytest.approx(2.0, abs=1e-10)
+
+
+# Signed zeros in the operators and in rho: the stacked routes must leave the
+# same +0.0 entries as the Kronecker loop's zero start.
+SIGNED_ZERO_Z = np.array([[1, -0.0], [-0.0, -1]], dtype=complex)
+SIGNED_ZERO_RHO = np.array([[1, -0.0], [-0.0, 0]], dtype=complex)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_switch_channel_n_is_the_kronecker_loop_bitwise(n, dim):
+    rng = np.random.default_rng(100 * n + dim)
+    for rank in range(1, 5):
+        # wire w has rank (rank + w - 1) % 4 + 1, so every rank 1-4 shows
+        channels = [random_kraus_channel(rng, dim, (rank + w - 1) % 4 + 1)
+                    for w in range(n)]
+        rho = random_density(rng, dim)
+        orders = math.factorial(n)
+        for omega in (None, random_density(rng, orders)):
+            got = switch_channel_n(channels, rho, omega)
+            want = oracles.kronecker_switch_channel_n(
+                channels, rho,
+                uniform_control_state(orders) if omega is None else omega)
+            assert got.tobytes() == want.tobytes()
+    signed = [KrausChannel([SIGNED_ZERO_Z])] * n
+    assert (switch_channel_n(signed, SIGNED_ZERO_RHO).tobytes()
+            == oracles.kronecker_switch_channel_n(
+                signed, SIGNED_ZERO_RHO, uniform_control_state(orders)).tobytes())
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_four_term_map_and_its_choi_matrix_are_the_kronecker_loop_bitwise(dim):
+    rng = np.random.default_rng(200 + dim)
+    for rank_a in range(1, 5):
+        for rank_b in range(1, 5):
+            ops_a = random_kraus_channel(rng, dim, rank_a).operators
+            ops_b = random_kraus_channel(rng, dim, rank_b).operators
+            rho = random_density(rng, dim)
+            omega = random_density(rng, 2)
+            got = _four_term_map(ops_a, ops_b, rho, omega)
+            want = oracles.kronecker_four_term_map(ops_a, ops_b, rho, omega)
+            assert got.tobytes() == want.tobytes()
+            choi = choi_matrix(lambda m: _four_term_map(ops_a, ops_b, m, omega), dim)
+            want = choi_matrix(
+                lambda m: oracles.kronecker_four_term_map(ops_a, ops_b, m, omega), dim)
+            assert choi.tobytes() == want.tobytes()
+    ops = (SIGNED_ZERO_Z,)
+    assert (_four_term_map(ops, ops, SIGNED_ZERO_RHO, SIGNED_ZERO_RHO).tobytes()
+            == oracles.kronecker_four_term_map(ops, ops, SIGNED_ZERO_RHO,
+                                               SIGNED_ZERO_RHO).tobytes())

@@ -329,6 +329,11 @@ def test_density_checks():
     assert not is_density_matrix(np.eye(2))  # trace 2
     assert not is_density_matrix(np.array([[1.5, 0], [0, -0.5]]))  # negative
     assert not is_density_matrix(np.array([[0.5, 0.5], [-0.5, 0.5]]))  # not hermitian
+    # eigvalsh reads [0, -0] for the first and the checks' comparisons are
+    # False for NaN: finite entries are checked first
+    assert not is_density_matrix(np.array([[1, 0], [0, np.nan]]))
+    assert not is_density_matrix(np.array([[0.5, np.nan], [np.nan, 0.5]]))
+    assert not is_density_matrix(np.array([[1, np.inf], [np.inf, 0]]))
 
 
 def test_hadamard_and_unitary_check():
