@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -31,11 +32,9 @@ from .synthesis import ControlledGateSpec, synthesize, verify_synthesis
 from .linalg import DEFAULT_TOLERANCE, basis_state, require_tolerance, require_trials
 
 
-def _format_matrix_text(m: np.ndarray) -> list[str]:
-    rows = []
-    for row in np.asarray(m):
-        rows.append("  ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row))
-    return rows
+def _complex_text(values) -> str:
+    """Complex numbers as ``+re+imj`` with 6 decimals, two spaces apart."""
+    return "  ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in values)
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -46,34 +45,28 @@ def _write_output(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def _trial_count(text: str) -> int:
-    """argparse type for --trials: from 1 to MAX_TRIALS."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    try:
-        return require_trials(value)
-    except ValueError as err:  # argparse already names the flag
-        raise argparse.ArgumentTypeError(str(err).removeprefix("trials ")) from None
-
-
-def _tolerance(text: str) -> float:
-    """argparse type for --tolerance: finite and at least 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    try:
-        return require_tolerance(value)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
+def _checked(convert, require, prefix: str = ""):
+    """argparse type: ``require(convert(text))``; ``prefix`` is cut from
+    ``require``'s message, since argparse already names the flag."""
+    def check(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        try:
+            return require(value)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err).removeprefix(prefix)) from None
+    return check
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--trials", type=_trial_count, default=100)
-    parser.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
+    parser.add_argument("--trials", type=_checked(int, require_trials, "trials "),
+                        default=100)
+    parser.add_argument("--tolerance", type=_checked(float, require_tolerance),
+                        default=DEFAULT_TOLERANCE)
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--output", default=None, metavar="PATH")
 
@@ -95,14 +88,17 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in _PARAM_FLAGS:
         synth.add_argument(f"--{flag}", type=float, default=None)
     _add_common(synth)
+    synth.set_defaults(run=lambda args: cmd_synth(args, parser))
 
     verify = sub.add_parser("verify", help="run a property suite")
     verify.add_argument("--suite", choices=SUITE_NAMES, required=True)
     _add_common(verify)
+    verify.set_defaults(run=cmd_verify)
 
     lower_cmd = sub.add_parser("lower", help="compile a circuit file")
     lower_cmd.add_argument("input", metavar="CIRCUIT")
     lower_cmd.add_argument("--output", default=None, metavar="PATH")
+    lower_cmd.set_defaults(run=cmd_lower)
 
     simulate = sub.add_parser("simulate", help="run a switch program")
     simulate.add_argument("program", metavar="PROGRAM")
@@ -110,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="zeros, basis:K, or random (default zeros)")
     simulate.add_argument("--check-against", default=None, metavar="CIRCUIT")
     _add_common(simulate)
+    simulate.set_defaults(run=cmd_simulate)
     return parser
 
 
@@ -137,15 +134,8 @@ def cmd_synth(args, parser: argparse.ArgumentParser) -> int:
         "post_plus": plan.post_plus,
         "post_minus": plan.post_minus,
     }
-    factors = {
-        "pre_control": plan.pre_control, "pre_target": plan.pre_target,
-        "a_control": plan.a_control, "a_target": plan.a_target,
-        "b_control": plan.b_control, "b_target": plan.b_target,
-        "post_plus_control": plan.post_plus_control,
-        "post_plus_target": plan.post_plus_target,
-        "post_minus_control": plan.post_minus_control,
-        "post_minus_target": plan.post_minus_target,
-    }
+    factors = {f.name: getattr(plan, f.name) for f in fields(plan)
+               if f.name.endswith(("_control", "_target"))}
     if args.format == "json":
         doc = report.as_dict()
         doc["spec"] = {
@@ -166,10 +156,10 @@ def cmd_synth(args, parser: argparse.ArgumentParser) -> int:
                      f"axis=({', '.join(format_float(v) for v in spec.axis)}) "
                      f"perp=({', '.join(format_float(v) for v in spec.perp)})")
         lines.append(f"measurement_theta: {format_float(plan.measurement_theta)}")
-        lines.append(f"phase: {plan.phase.real:+.6f}{plan.phase.imag:+.6f}j")
+        lines.append(f"phase: {_complex_text([plan.phase])}")
         for key, m in matrices.items():
             lines.append(f"{key}:")
-            lines += ["  " + row for row in _format_matrix_text(m)]
+            lines += ["  " + _complex_text(row) for row in m]
         lines.append(f"residual_plus: {format_float(report.residual_plus)}")
         lines.append(f"residual_minus: {format_float(report.residual_minus)}")
         lines.append(f"bare_correction_residual: {format_float(report.bare_correction_residual)}")
@@ -261,9 +251,7 @@ def cmd_simulate(args) -> int:
         text = dumps(doc)
     else:
         lines = [f"input: {args.input} (seed={args.seed})"]
-        amplitudes = "  ".join(f"{z.real:+.6f}{z.imag:+.6f}j"
-                               for z in trace.final_state)
-        lines.append(f"final_state: {amplitudes}")
+        lines.append(f"final_state: {_complex_text(trace.final_state)}")
         for label, outcome, probability in trace.measurement_record:
             lines.append(f"measured {label}: {outcome} "
                          f"(probability {format_float(probability)})")
@@ -285,13 +273,7 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return int(err.code or 0)
     try:
-        if args.command == "synth":
-            return cmd_synth(args, parser)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "lower":
-            return cmd_lower(args)
-        return cmd_simulate(args)
+        return args.run(args)
     except SystemExit as err:  # parser.error inside a command
         return int(err.code or 0)
     except (CircuitParseError, ProgramError, OSError, ValueError) as err:

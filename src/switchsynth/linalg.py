@@ -72,10 +72,8 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
         if out.ndim == f.ndim == 2:
             out = (out[:, None, :, None] * f[None, :, None, :]).reshape(
                 out.shape[0] * f.shape[0], out.shape[1] * f.shape[1])
-        elif out.ndim == f.ndim == 1:
-            out = (out[:, None] * f[None, :]).reshape(-1)
-        elif out.ndim == 2 and f.ndim == 1:  # each row of a stack times f
-            out = (out[:, :, None] * f).reshape(out.shape[0], -1)
+        elif f.ndim == 1:  # a vector, or each row of a stack, times f
+            out = (out[..., None] * f).reshape(*out.shape[:-1], -1)
         else:
             out = np.kron(out, f)
     return out
@@ -95,8 +93,6 @@ def unitarity_residual(m: np.ndarray) -> float | np.ndarray:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     flat = (m.conj().mT @ m - np.eye(m.shape[-1])).reshape(*m.shape[:-2], -1)
     re, im = flat.real, flat.imag  # summed as norm sums; vecdot as dot, bitwise
-    if m.ndim == 2:
-        return np.sqrt(re.dot(re) + im.dot(im))
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
@@ -302,45 +298,41 @@ def apply_matrix(state: np.ndarray, matrix: np.ndarray, qubits) -> np.ndarray:
         raise ValueError(f"qubit index out of range for {n} qubits: {qubits}")
     if matrix.shape[0] != 2 ** k:
         raise ValueError(f"matrix dim {matrix.shape[0]} does not act on {k} qubits")
-    return apply_ordered(state, matrix, *axis_orders(qubits, n))
+    return apply_ordered(state[None], matrix, *axis_orders(qubits, n))[0]
 
 
 @lru_cache(maxsize=4096)
-def axis_orders(qubits: tuple[int, ...], n: int,
-                stacked: bool = False) -> tuple[tuple[int, ...], ...]:
-    """Resolved layout of ``apply_ordered`` for ``qubits`` of an n-qubit state.
+def axis_orders(qubits: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
+    """Resolved layout of ``apply_ordered`` for ``qubits`` of n-qubit states
+    stacked on the first axis.
 
-    Returns ``(shape, order, split, inverse)``: the state's tensor shape, the
-    transpose order that brings ``qubits`` to the front in the order listed,
-    the (targets, rest) shape of the product's operand, and the inverse
-    order that moves the qubits back. ``stacked`` lifts all four over a
-    leading axis of states, which stays first. Memoized for the process.
+    Returns ``(shape, order, split, inverse)``: the stack's tensor shape, the
+    transpose order that keeps the stack's axis first and brings ``qubits``
+    next in the order listed, the (states, targets, rest) shape of the
+    product's operand, and the inverse order that moves the qubits back.
+    Memoized for the process.
     """
     targets = 2 ** len(qubits)
-    if stacked:  # the stack's axis stays first, qubit q is axis q + 1
-        qubits = (0, *(q + 1 for q in qubits))
-    axes = n + stacked
-    order = (*qubits, *(q for q in range(axes) if q not in qubits))
-    inverse = [0] * axes
+    qubits = (0, *(q + 1 for q in qubits))  # qubit q is axis q + 1
+    order = (*qubits, *(q for q in range(n + 1) if q not in qubits))
+    inverse = [0] * (n + 1)
     for axis, q in enumerate(order):
         inverse[q] = axis
-    if stacked:
-        return ((-1, *(2,) * n), order, (-1, targets, 2 ** n // targets),
-                tuple(inverse))
-    return (2,) * n, order, (targets, -1), tuple(inverse)
+    return ((-1, *(2,) * n), order, (-1, targets, 2 ** n // targets),
+            tuple(inverse))
 
 
 def apply_ordered(state: np.ndarray, matrix: np.ndarray, shape: tuple[int, ...],
                   order: tuple[int, ...], split: tuple[int, ...],
                   inverse: tuple[int, ...]) -> np.ndarray:
-    """``apply_matrix`` without its checks, on a resolved layout.
+    """``apply_matrix`` without its checks, on each state of a stack.
 
-    ``shape, order, split, inverse`` are ``axis_orders(qubits, n)`` for one
-    state, or ``axis_orders(qubits, n, stacked=True)`` for states stacked on
-    the first axis; ``matrix`` is a complex 2^k x 2^k array for the k listed
-    qubits. Each state of a stack is one C-contiguous item of the product,
-    which numpy runs on the kernel and shapes of the one-state product, so
-    every row equals the one-state call bitwise.
+    ``shape, order, split, inverse`` are ``axis_orders(qubits, n)`` and
+    ``state`` holds n-qubit states stacked on the first axis; ``matrix`` is a
+    complex 2^k x 2^k array for the k listed qubits. Each state is one
+    C-contiguous item of the product, which numpy runs on the kernel and
+    shapes of a one-state product, so every row is the same bits as a stack
+    of that row alone.
     """
     psi = state.reshape(shape).transpose(order).reshape(split)
     return (matrix @ psi).reshape(shape).transpose(inverse).reshape(state.shape)

@@ -9,7 +9,7 @@ either outcome, discard. Single-qubit gates pass through as local matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -105,14 +105,8 @@ class EquivalenceReport:
     worst_assignment: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
-        return {
-            "max_infidelity": self.max_infidelity,
-            "trials": self.trials,
-            "branch_assignments": self.branch_assignments,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if not f.name.startswith("worst_")}
 
 
 def _assignment_table(k: int, rng: np.random.Generator) -> np.ndarray:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 
@@ -145,19 +146,23 @@ class SimulationTrace:
 def validate_program(program: SwitchProgram) -> list[tuple]:
     """Check the static contract in one pass; raises ProgramError on violation.
 
-    Ancillas are allocated before use and discarded after their last use;
-    measurements precede any conditional referencing their result; matrix
-    references resolve at matching dimensions; angles are finite; the data
-    qubits plus the ancillas allocated and not yet measured never exceed
+    ``num_data_qubits`` is an integer from 0 to ``MAX_QUBITS``; ancillas are
+    allocated before use and discarded after their last use; measurements
+    precede any conditional referencing their result; matrix references
+    resolve at matching dimensions; angles are finite; the data qubits plus
+    the ancillas allocated and not yet measured never exceed
     ``MAX_HELD_QUBITS``. Returns each instruction resolved, as ``(inst,
     qubits, total, index)``: the qubits it acts on (a switch's ancilla last,
     a measurement's ancilla alone), the qubit count of the state it acts
     on, and the record index of the measurement it makes or reads, or None.
     """
     n = total = program.num_data_qubits  # total: qubits in the state
-    if n > MAX_HELD_QUBITS:
-        raise ProgramError(f"program holds {n} data qubits, above the maximum "
-                           f"of {MAX_HELD_QUBITS}")
+    if type(n) is not int or n < 0:
+        raise ProgramError(f"num_data_qubits must be a non-negative "
+                           f"integer, got {n!r}")
+    if n > MAX_QUBITS:
+        raise ProgramError(f"num_data_qubits {n} exceeds the maximum of "
+                           f"{MAX_QUBITS}")
     data_qubits = set(range(n))
     positions: dict[str, int] = {}  # ancilla allocated, not measured -> qubit
     measured: set[str] = set()  # ancillas measured, not yet discarded
@@ -267,10 +272,7 @@ def _record(inst: ProgramInstruction) -> dict:
     if type(inst) not in _TAGS:
         raise ProgramError(f"unknown instruction {inst!r}")
     # a dataclass instance's __dict__ holds its fields in declaration order
-    record = {"op": _TAGS[type(inst)], **vars(inst)}
-    if "qubits" in record:
-        record["qubits"] = list(record["qubits"])
-    return record
+    return {"op": _TAGS[type(inst)], **vars(inst)}
 
 
 def program_document(program: SwitchProgram) -> dict:
@@ -337,12 +339,6 @@ def parse_program(text: str) -> SwitchProgram:
         raise ProgramError("program document must be a JSON object")
     try:
         num_data_qubits = doc["num_data_qubits"]
-        if type(num_data_qubits) is not int or num_data_qubits < 0:
-            raise ProgramError(f"num_data_qubits must be a non-negative "
-                               f"integer, got {num_data_qubits!r}")
-        if num_data_qubits > MAX_QUBITS:
-            raise ProgramError(f"num_data_qubits {num_data_qubits} exceeds the "
-                               f"maximum of {MAX_QUBITS}")
         if not isinstance(doc["matrices"], dict):
             raise ProgramError("matrices must be a JSON object")
         matrices = {key: _matrix_from_entries(entries, key)
@@ -406,7 +402,7 @@ def _rows(mask: np.ndarray):
 
 def _local(matrix: np.ndarray, qubits: tuple[int, ...], total: int):
     """``apply_matrix`` on a stack of ``total``-qubit states, laid out now."""
-    shape, order, split, inverse = axis_orders(qubits, total, stacked=True)
+    shape, order, split, inverse = axis_orders(qubits, total)
     return lambda states, took: apply_ordered(states, matrix, shape, order,
                                               split, inverse)
 
@@ -418,7 +414,7 @@ def _alloc(states: np.ndarray, took) -> np.ndarray:
 def _to_last(pos: int, total: int):
     """Move the ancilla at ``pos`` behind the ``total - 1`` other qubits."""
     shape, order, _, _ = axis_orders((*range(pos), *range(pos + 1, total), pos),
-                                     total, stacked=True)
+                                     total)
     return lambda states, took: (states.reshape(shape).transpose(order)
                                  .reshape(len(states), -1))
 
@@ -578,6 +574,9 @@ def _forced_path(forced, labels: tuple[str, ...]) -> list[str]:
     """The branch names ``forced`` pins, in measurement order, as plain str."""
     if isinstance(forced, str):
         forced = dict.fromkeys(labels, forced)
+    elif not isinstance(forced, Mapping):
+        raise ProgramError(f"forced must be a branch name or a mapping from "
+                           f"result label to branch name, got {forced!r}")
     measured = set(labels)
     for label in forced:
         if label not in measured:
@@ -603,7 +602,8 @@ def simulate_program(program: SwitchProgram, input_state: np.ndarray,
     result label to a branch name) pins outcomes instead, in which case the
     recorded probability is still the true probability of the forced branch.
     A mapping that misses a result label of the program, or names one the
-    program never measures, raises ``ProgramError``.
+    program never measures, raises ``ProgramError``, as does a ``forced``
+    that is neither a branch name nor a mapping.
 
     The program is bound once (see the executor's section comment) and one
     path of its branch tree is walked, as a stack of one row.

@@ -9,7 +9,7 @@ eigenvalue floor stays at -1e-9.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -69,13 +69,7 @@ class PropertyResult:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "name": self.name,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _result(suite: str, name: str, residual: float,
@@ -285,11 +279,7 @@ def run_suite(name: str, trials: int = 100, seed: int = 42,
               tolerance: float = DEFAULT_TOLERANCE) -> list[PropertyResult]:
     """Run one suite (or 'all') and return its property results."""
     require_check_inputs(trials, tolerance)
-    if name == "all":
-        results = []
-        for suite_name in SUITES:
-            results += SUITES[suite_name](trials, seed, tolerance)
-        return results
-    if name not in SUITES:
+    if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}, expected one of {SUITE_NAMES}")
-    return SUITES[name](trials, seed, tolerance)
+    return [result for suite in (SUITES if name == "all" else (name,))
+            for result in SUITES[suite](trials, seed, tolerance)]

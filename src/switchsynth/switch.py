@@ -328,8 +328,10 @@ def choi_matrix(apply_map, input_dim: int) -> np.ndarray:
     """Choi matrix sum_ij |i><j| (x) map(|i><j|) of a linear matrix map.
 
     The map is completely positive exactly when the result is positive
-    semidefinite.
+    semidefinite. ``input_dim`` must be at least 1.
     """
+    if input_dim < 1:
+        raise ValueError(f"input_dim must be at least 1, got {input_dim}")
     choi = None
     for i in range(input_dim):
         for j in range(input_dim):

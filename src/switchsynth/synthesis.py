@@ -17,7 +17,7 @@ reconstruct CU exactly, so nothing is post-selected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -167,18 +167,11 @@ class VerificationReport:
     worst_trial: int
 
     def as_dict(self) -> dict:
-        return {
-            "target": self.target_name,
-            "residual_plus": self.residual_plus,
-            "residual_minus": self.residual_minus,
-            "bare_correction_residual": self.bare_correction_residual,
-            "branch_probabilities": list(self.branch_probabilities),
-            "max_infidelity": self.max_infidelity,
-            "trials": self.trials,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        # target_name is written as "target"
+        doc = {f.name.removesuffix("_name"): getattr(self, f.name)
+               for f in fields(self) if f.name != "worst_trial"}
+        doc["branch_probabilities"] = list(self.branch_probabilities)
+        return doc
 
 
 def cu_matrix(spec: ControlledGateSpec) -> np.ndarray:

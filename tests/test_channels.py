@@ -234,6 +234,13 @@ def test_choi_matrix_of_identity_and_unitary():
     assert np.all(values[:-1] < 1e-12)
 
 
+@pytest.mark.parametrize("input_dim", [0, -1])
+def test_choi_matrix_refuses_an_input_dimension_below_one(input_dim):
+    with pytest.raises(ValueError, match=f"input_dim must be at least 1, "
+                                         f"got {input_dim}"):
+        choi_matrix(lambda m: m, input_dim)
+
+
 def test_choi_matrix_of_switch_map_is_positive():
     rng = np.random.default_rng(73)
     omega = PLUS_DM

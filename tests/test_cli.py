@@ -458,10 +458,14 @@ GOLDEN_CLI_SHA256 = {
         "fd733f0dc9e7d52d51d6b08cb242fd4320eba5ab72463255fd9251ea545b9412",
     "verify all json":
         "3947c452413d5abddc9cc63b84e5a7e4c930fe35205a43115a6defe5d4a13ac0",
+    "verify all text":
+        "c0e72564ed44c88d33e4e8473825fd8d8e95d44544da1f78f2e99bd6cc7746e2",
     "lower":
         "53b3d7c42af14cb1fdc2d80b16f1c36cde98169d0e6143cf0e2ad12b38b01720",
     "simulate check json":
         "4e047f9d8e41e5927d1e0b604bcb51d89b914cb59f0c70f14e089dfde9281b22",
+    "simulate check text":
+        "67d17fc13f2c3982a86349adf3b23695025f60f1ee7ce8c4841e00fa3f1b02be",
 }
 
 
@@ -477,9 +481,14 @@ def test_golden_cli_documents_are_unchanged(tmp_path, capsys):
                           "--nx", "0", "--ny", "0.6", "--nz", "0.8",
                           "--trials", "10", "--format", "text"],
         "verify all json": ["verify", "--suite", "all", "--trials", "10"],
+        "verify all text": ["verify", "--suite", "all", "--trials", "10",
+                            "--format", "text"],
         "lower": ["lower", str(circ)],
         "simulate check json": ["simulate", str(prog), "--input", "random",
                                 "--seed", "7", "--check-against", str(circ)],
+        "simulate check text": ["simulate", str(prog), "--input", "random",
+                                "--seed", "7", "--check-against", str(circ),
+                                "--format", "text"],
     }
     digests = {}
     for name, argv in commands.items():

@@ -382,7 +382,7 @@ def test_stacked_apply_ordered_is_the_one_state_call_per_row_bitwise(rows):
         for k in range(1, min(n, 3) + 1):
             u = oracles.haar_unitary(rng, 2 ** k)
             for qubits in permutations(range(n), k):
-                out = apply_ordered(states, u, *axis_orders(qubits, n, stacked=True))
+                out = apply_ordered(states, u, *axis_orders(qubits, n))
                 assert out.shape == states.shape
                 expected = np.array([apply_matrix(s, u, qubits) for s in states])
                 assert out.tobytes() == expected.tobytes()

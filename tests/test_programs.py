@@ -470,6 +470,15 @@ def test_simulate_rejects_a_forced_mapping_naming_an_unmeasured_label():
                          forced={"m0": "plus", "m1": "minus", "m7": "minus"})
 
 
+@pytest.mark.parametrize("forced", [5, ["plus"], ("plus", "minus")],
+                         ids=["int", "list", "tuple"])
+def test_simulate_refuses_a_forced_value_neither_a_name_nor_a_mapping(forced):
+    with pytest.raises(ProgramError, match="forced must be a branch name or a "
+                                           "mapping from result label to branch "
+                                           "name, got "):
+        simulate_program(two_block_program(), zero_state(1), forced=forced)
+
+
 def test_simulate_records_plain_branch_names_for_a_forced_mapping():
     forced = {"m0": np.str_("plus"), "m1": np.str_("minus")}
     trace = simulate_program(two_block_program(), zero_state(1), forced=forced)
@@ -492,11 +501,20 @@ def test_validate_resolves_positions_counts_and_record_indices():
         [(1,), 3, 0], [(1,), 2, 1], [(0,), 1, 1], [(), 1, None], [(), 1, None]]
 
 
-@pytest.mark.parametrize("n", [MAX_HELD_QUBITS + 1, 10 ** 12])
+@pytest.mark.parametrize("n", [MAX_QUBITS + 1, MAX_HELD_QUBITS + 1, 10 ** 12])
 def test_validate_refuses_more_data_qubits_than_it_can_hold(n):
-    with pytest.raises(ProgramError, match=f"program holds {n} data qubits, above "
-                                           f"the maximum of {MAX_HELD_QUBITS}"):
+    with pytest.raises(ProgramError, match=f"num_data_qubits {n} exceeds the "
+                                           f"maximum of {MAX_QUBITS}"):
         validate_program(SwitchProgram(num_data_qubits=n))
+
+
+@pytest.mark.parametrize("n", [-1, True, 2.0, "2"])
+def test_validate_and_serialize_refuse_a_data_qubit_count_parse_refuses(n):
+    # a Python-built program must not serialize to a document parse refuses
+    for run in (validate_program, serialize_program):
+        with pytest.raises(ProgramError, match="num_data_qubits must be a "
+                                               f"non-negative integer, got {n!r}"):
+            run(SwitchProgram(num_data_qubits=n))
 
 
 @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
