@@ -30,6 +30,9 @@ from .linalg import (
     Z,
     apply_matrix,
     rotation,
+    rotation_x,
+    rotation_y,
+    rotation_z,
     state_num_qubits,
 )
 from .synthesis import barenco_matrix, cu_matrix, preset, preset_barenco, ControlledGateSpec
@@ -67,9 +70,9 @@ GATES: dict[str, Gate] = {
     "y": Gate(1, (), lambda p: Y.copy()),
     "z": Gate(1, (), lambda p: Z.copy()),
     "h": Gate(1, (), lambda p: H.copy()),
-    "rx": Gate(1, ("theta",), lambda p: rotation((1.0, 0.0, 0.0), p["theta"])),
-    "ry": Gate(1, ("theta",), lambda p: rotation((0.0, 1.0, 0.0), p["theta"])),
-    "rz": Gate(1, ("theta",), lambda p: rotation((0.0, 0.0, 1.0), p["theta"])),
+    "rx": Gate(1, ("theta",), lambda p: rotation_x(p["theta"])),
+    "ry": Gate(1, ("theta",), lambda p: rotation_y(p["theta"])),
+    "rz": Gate(1, ("theta",), lambda p: rotation_z(p["theta"])),
     "rn": Gate(1, ("theta", "nx", "ny", "nz"),
                lambda p: rotation((p["nx"], p["ny"], p["nz"]), p["theta"])),
     "cnot": Gate(2, (), lambda p: CNOT_MATRIX.copy(), lambda p: preset("cnot")),

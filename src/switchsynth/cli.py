@@ -212,14 +212,18 @@ def cmd_lower(args) -> int:
 
 
 def _initial_state(kind: str, num_qubits: int, seed: int) -> np.ndarray:
-    if kind == "zeros":
-        return basis_state(num_qubits, 0)
     if kind == "random":
         return random_state(np.random.default_rng([seed, 1]), num_qubits)
-    if kind.startswith("basis:"):
-        return basis_state(num_qubits, int(kind.split(":", 1)[1]))
-    raise ValueError(f"unknown input kind {kind!r}, expected zeros, "
-                     f"basis:K, or random")
+    k = "0" if kind == "zeros" else kind.removeprefix("basis:")
+    if k == kind:
+        raise ValueError(f"unknown input kind {kind!r}, expected zeros, basis:K, or random")
+    try:  # ASCII digits only: int() also takes signs, spaces and "_"
+        index = int(k) if k.isascii() and k.isdigit() else -1
+    except ValueError:  # more digits than int() converts
+        index = -1
+    if index < 0:
+        raise ValueError("--input basis:K: K must be a non-negative decimal integer")
+    return basis_state(num_qubits, index)
 
 
 def cmd_simulate(args) -> int:

@@ -142,28 +142,44 @@ def unit_bloch(n, name: str = "axis") -> np.ndarray:
     return v
 
 
+def _sigma(x: float, y: float, z: float) -> tuple[complex, ...]:
+    """Row-major entries of ``x * X + y * Y + z * Z`` as numpy sums them (each
+    numpy complex product repeated here and in ``su2`` has an exactly zero
+    term per part, so numpy's fused multiply-add and Python agree)."""
+    zx, zy, zz = 0.0 * x, 0.0 * y, 0.0 * z  # x * 0.0: a zero signed as x
+    return (complex(zx + zy + z, 0.0), complex(x + 0.0 + zz, 0.0 - y),
+            complex(x + zy + zz, y + 0.0), complex(zx + zy - z, 0.0))
+
+
+def su2(x: float, y: float, z: float, angle: float, sign: int = 1) -> np.ndarray:
+    """cos(angle) I + sign i sin(angle) n.sigma for unit n = (x, y, z), unchecked;
+    bit for bit ``np.cos(angle) * I2 +/- 1j * np.sin(angle) * bloch_dot(n)``."""
+    c, k = float(np.cos(angle)), 1j * np.sin(angle)
+    diag, off = complex(c, 0.0), complex(0.0 * c, 0.0)  # c * I2
+    t00, t01, t10, t11 = (k * b if sign > 0 else -(k * b) for b in _sigma(x, y, z))
+    return np.array([[diag + t00, off + t01], [off + t10, diag + t11]])
+
+
 def bloch_dot(n) -> np.ndarray:
     """n . sigma for a unit Bloch vector n; Hermitian, involutory."""
-    v = unit_bloch(n)
-    return v[0] * X + v[1] * Y + v[2] * Z
+    return np.array(_sigma(*unit_bloch(n).tolist())).reshape(2, 2)
 
 
 def rotation(n, theta: float) -> np.ndarray:
     """Rotation by theta about axis n: cos(theta/2) I - i sin(theta/2) n.sigma."""
-    half = 0.5 * theta
-    return np.cos(half) * I2 - 1j * np.sin(half) * bloch_dot(n)
+    return su2(*unit_bloch(n).tolist(), 0.5 * theta, -1)
 
 
 def rotation_x(theta: float) -> np.ndarray:
-    return rotation((1.0, 0.0, 0.0), theta)
+    return su2(1.0, 0.0, 0.0, 0.5 * theta, -1)
 
 
 def rotation_y(theta: float) -> np.ndarray:
-    return rotation((0.0, 1.0, 0.0), theta)
+    return su2(0.0, 1.0, 0.0, 0.5 * theta, -1)
 
 
 def rotation_z(theta: float) -> np.ndarray:
-    return rotation((0.0, 0.0, 1.0), theta)
+    return su2(0.0, 0.0, 1.0, 0.5 * theta, -1)
 
 
 def two_qubit_rotation(n_first, n_second, theta: float) -> np.ndarray:
@@ -182,8 +198,8 @@ def canonical_perp(n) -> np.ndarray:
     Projects z-hat off n and normalizes; falls back to x-hat when n is
     (anti)parallel to z-hat.
     """
-    v = unit_bloch(n)
-    p = np.array([0.0, 0.0, 1.0]) - v[2] * v
+    x, y, z = unit_bloch(n).tolist()
+    p = np.array([0.0 - z * x, 0.0 - z * y, 1.0 - z * z])  # z-hat - z n
     norm = np.linalg.norm(p)
     if norm <= 1e-8:
         return np.array([1.0, 0.0, 0.0])

@@ -328,8 +328,10 @@ def choi_matrix(apply_map, input_dim: int) -> np.ndarray:
     """Choi matrix sum_ij |i><j| (x) map(|i><j|) of a linear matrix map.
 
     The map is completely positive exactly when the result is positive
-    semidefinite. ``input_dim`` must be at least 1.
+    semidefinite. ``input_dim`` must be an integer (not a bool) of at least 1.
     """
+    if isinstance(input_dim, bool) or not isinstance(input_dim, (int, np.integer)):
+        raise ValueError(f"input_dim must be an integer, got {input_dim!r}")
     if input_dim < 1:
         raise ValueError(f"input_dim must be at least 1, got {input_dim}")
     choi = None

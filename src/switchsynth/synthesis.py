@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -33,12 +34,10 @@ from .linalg import (
     require_check_inputs,
     rotation,
     rotation_z,
+    su2,
     tensor,
     two_qubit_rotation,
     unit_bloch,
-    I2,
-    P0,
-    P1,
 )
 from .sampling import random_bloch, random_states
 from .switch import branch_functionals, branch_gates, project_branches, switch_unitary
@@ -81,14 +80,16 @@ class ControlledGateSpec:
         for name in ("alpha", "theta"):
             object.__setattr__(self, name, normalize_angle(getattr(self, name), name))
         axis = unit_bloch(self.axis, "axis")
-        object.__setattr__(self, "axis", tuple(float(v) for v in axis))
-        if self.perp is None:
-            perp = canonical_perp(axis)
-        else:
-            perp = unit_bloch(self.perp, "perp")
+        object.__setattr__(self, "axis", tuple(axis.tolist()))
+        perp = canonical_perp(axis) if self.perp is None else unit_bloch(self.perp, "perp")
         if abs(axis @ perp) > ORTHOGONALITY_ATOL:
             raise ValueError("perp must be orthogonal to axis")
-        object.__setattr__(self, "perp", tuple(float(v) for v in perp))
+        object.__setattr__(self, "perp", tuple(perp.tolist()))
+
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,9 +97,10 @@ class SynthesisPlan:
     """Everything needed to run one controlled gate through the switch.
 
     Joint operators factor as control (x) target; the factors are stored
-    individually and the full matrices are derived properties. ``phase`` is
-    the scalar e^{i alpha/2} shared by both corrections, kept separate from
-    their unitary factors.
+    individually and the full matrices are derived properties, each built
+    once, on first use, and shared read-only. ``phase`` is the scalar
+    e^{i alpha/2} shared by both corrections, kept separate from their
+    unitary factors.
     """
 
     spec: ControlledGateSpec
@@ -115,25 +117,25 @@ class SynthesisPlan:
     post_minus_control: np.ndarray
     post_minus_target: np.ndarray
 
-    @property
+    @cached_property
     def pre(self) -> np.ndarray:
-        return tensor(self.pre_control, self.pre_target)
+        return _read_only(tensor(self.pre_control, self.pre_target))
 
-    @property
+    @cached_property
     def gate_a(self) -> np.ndarray:
-        return tensor(self.a_control, self.a_target)
+        return _read_only(tensor(self.a_control, self.a_target))
 
-    @property
+    @cached_property
     def gate_b(self) -> np.ndarray:
-        return tensor(self.b_control, self.b_target)
+        return _read_only(tensor(self.b_control, self.b_target))
 
-    @property
+    @cached_property
     def post_plus(self) -> np.ndarray:
-        return self.phase * tensor(self.post_plus_control, self.post_plus_target)
+        return _read_only(self.phase * tensor(self.post_plus_control, self.post_plus_target))
 
-    @property
+    @cached_property
     def post_minus(self) -> np.ndarray:
-        return self.phase * tensor(self.post_minus_control, self.post_minus_target)
+        return _read_only(self.phase * tensor(self.post_minus_control, self.post_minus_target))
 
     def branch_operators(self) -> tuple[np.ndarray, np.ndarray]:
         """Effective switched operators S_plus, S_minus for this plan."""
@@ -174,11 +176,16 @@ class VerificationReport:
         return doc
 
 
+def _controlled(u: np.ndarray) -> np.ndarray:
+    """``tensor(P0, I2) + tensor(P1, u)``: u's parts plus 0.0 (no -0.0)."""
+    out = np.eye(4, dtype=complex)
+    out[2:, 2:] = u + 0.0
+    return out
+
+
 def cu_matrix(spec: ControlledGateSpec) -> np.ndarray:
     """Target matrix |0><0| (x) I + |1><1| (x) e^{i alpha}(cos theta I + i sin theta n.sigma)."""
-    u = np.exp(1j * spec.alpha) * (np.cos(spec.theta) * I2
-                                   + 1j * np.sin(spec.theta) * bloch_dot(spec.axis))
-    return tensor(P0, I2) + tensor(P1, u)
+    return _controlled(np.exp(1j * spec.alpha) * su2(*spec.axis, spec.theta))
 
 
 def cu_reference_decomposition(
@@ -250,8 +257,7 @@ def preset_barenco(alpha_b: float, phi_b: float, theta_b: float) -> ControlledGa
 def barenco_matrix(alpha_b: float, phi_b: float, theta_b: float) -> np.ndarray:
     """Direct matrix of the universal three-angle controlled gate."""
     axis = (math.cos(phi_b), math.sin(phi_b), 0.0)
-    u = np.exp(1j * alpha_b) * rotation(axis, 2.0 * theta_b)
-    return tensor(P0, I2) + tensor(P1, u)
+    return _controlled(np.exp(1j * alpha_b) * rotation(axis, 2.0 * theta_b))
 
 
 def conjugation_identities(n, perp=None) -> dict[str, float]:
@@ -297,14 +303,13 @@ def block_residuals(plan: SynthesisPlan, target: np.ndarray,
     """
     axis = plan.spec.axis
     s_plus, s_minus = branches
-    pre = plan.pre
     rzn = two_qubit_rotation(Z_HAT, axis, plan.spec.theta)
     bare_plus = tensor(rotation_z(0.5 * math.pi), rotation(axis, 0.5 * math.pi))
     bare_minus = tensor(rotation_z(-0.5 * math.pi), rotation(axis, -0.5 * math.pi))
-    return (distance_up_to_phase(plan.post_plus @ s_plus @ pre, target),
-            distance_up_to_phase(plan.post_minus @ s_minus @ pre, target),
-            distance_up_to_phase(bare_plus @ s_plus @ pre, rzn),
-            distance_up_to_phase(bare_minus @ s_minus @ pre, rzn))
+    return (distance_up_to_phase(plan.post_plus @ s_plus @ plan.pre, target),
+            distance_up_to_phase(plan.post_minus @ s_minus @ plan.pre, target),
+            distance_up_to_phase(bare_plus @ s_plus @ plan.pre, rzn),
+            distance_up_to_phase(bare_minus @ s_minus @ plan.pre, rzn))
 
 
 def verify_synthesis(spec: ControlledGateSpec, *, trials: int = 100,
@@ -326,19 +331,18 @@ def verify_synthesis(spec: ControlledGateSpec, *, trials: int = 100,
     residual_plus, residual_minus, bare_plus, bare_minus = block_residuals(
         plan, target, plan.branch_operators())
     bare_correction_residual = max(bare_plus, bare_minus)
-    pre = plan.pre
 
     # apply_switch then measure_ancilla on every trial at once, one trial per
     # row: their checks that hold by construction run here, once, and
     # project_branches checks each trial's staged state for normalization.
     joint = switch_unitary(plan.gate_a, plan.gate_b)
-    if joint.target_dim != pre.shape[0] or PLUS.shape != (2,):
+    if joint.target_dim != plan.pre.shape[0] or PLUS.shape != (2,):
         raise ValueError("switch joint does not act on the pre-gated state "
                          "and a single control qubit")
     psi = random_states(np.random.default_rng(seed), 2, trials)
     expected = matvecs(target, psi)
     staged = matvecs(joint.matrix,
-                     (matvecs(pre, psi)[:, :, None] * PLUS).reshape(trials, -1))
+                     (matvecs(plan.pre, psi)[:, :, None] * PLUS).reshape(trials, -1))
     branches = project_branches(staged, branch_functionals(plan.measurement_theta))
     # a zero-probability branch counts as infidelity 1
     infidelity = np.maximum(*(

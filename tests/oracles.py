@@ -244,3 +244,106 @@ def kronecker_switch_channel_n(channels, rho, omega):
             kraus += tensor(prod_, marker)
         out += kraus @ joint_in @ kraus.conj().T
     return out
+
+
+# ---------------------------------------------------------------------------
+# the single-qubit algebra as numpy expressions: linalg and synthesis build
+# these 2x2s (and the 4x4s around them) from Python floats, and their bytes
+# must equal these, signed zeros included
+# ---------------------------------------------------------------------------
+
+I2 = np.eye(2, dtype=complex)
+
+
+def same_bytes(got, want) -> bool:
+    """Equal dtype, shape and bytes: signed zeros and NaN payloads count."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+def numpy_bloch_dot(n):
+    from switchsynth.linalg import unit_bloch
+
+    v = unit_bloch(n)
+    return v[0] * PAULI["x"] + v[1] * PAULI["y"] + v[2] * PAULI["z"]
+
+
+def numpy_su2(n, angle, sign=1):
+    if sign > 0:
+        return np.cos(angle) * I2 + 1j * np.sin(angle) * numpy_bloch_dot(n)
+    return np.cos(angle) * I2 - 1j * np.sin(angle) * numpy_bloch_dot(n)
+
+
+def numpy_rotation(n, theta):
+    half = 0.5 * theta
+    return np.cos(half) * I2 - 1j * np.sin(half) * numpy_bloch_dot(n)
+
+
+def numpy_two_qubit_rotation(n_first, n_second, theta):
+    from switchsynth.linalg import tensor
+
+    half = 0.5 * theta
+    return (np.cos(half) * np.eye(4, dtype=complex)
+            - 1j * np.sin(half) * tensor(numpy_bloch_dot(n_first),
+                                         numpy_bloch_dot(n_second)))
+
+
+def numpy_canonical_perp(n):
+    from switchsynth.linalg import unit_bloch
+
+    v = unit_bloch(n)
+    p = np.array([0.0, 0.0, 1.0]) - v[2] * v
+    norm = np.linalg.norm(p)
+    if norm <= 1e-8:
+        return np.array([1.0, 0.0, 0.0])
+    return p / norm
+
+
+def _numpy_controlled(u):
+    from switchsynth.linalg import tensor
+
+    return tensor(P0, I2) + tensor(P1, u)
+
+
+def numpy_cu_matrix(spec):
+    u = np.exp(1j * spec.alpha) * (np.cos(spec.theta) * I2
+                                   + 1j * np.sin(spec.theta) * numpy_bloch_dot(spec.axis))
+    return _numpy_controlled(u)
+
+
+def numpy_barenco_matrix(alpha_b, phi_b, theta_b):
+    import math
+
+    axis = (math.cos(phi_b), math.sin(phi_b), 0.0)
+    return _numpy_controlled(np.exp(1j * alpha_b) * numpy_rotation(axis, 2.0 * theta_b))
+
+
+def numpy_plan_matrices(spec):
+    """A plan's ten factors and five products, keyed by their plan names."""
+    import math
+
+    from switchsynth.linalg import tensor
+
+    x, perp_dot = PAULI["x"], numpy_bloch_dot(spec.perp)
+    factors = {
+        "pre_control": x, "pre_target": perp_dot,
+        "a_control": x, "a_target": perp_dot,
+        "b_control": numpy_rotation((0.0, 0.0, 1.0), 0.5 * math.pi),
+        "b_target": numpy_rotation(spec.axis, 0.5 * math.pi),
+        "post_plus_control": numpy_rotation((0.0, 0.0, 1.0), spec.alpha + 0.5 * math.pi),
+        "post_plus_target": numpy_rotation(spec.axis, -spec.theta + 0.5 * math.pi),
+        "post_minus_control": numpy_rotation((0.0, 0.0, 1.0), spec.alpha - 0.5 * math.pi),
+        "post_minus_target": numpy_rotation(spec.axis, -spec.theta - 0.5 * math.pi),
+    }
+    phase = complex(np.exp(0.5j * spec.alpha))
+    products = {
+        "pre": tensor(x, perp_dot),
+        "gate_a": tensor(x, perp_dot),
+        "gate_b": tensor(factors["b_control"], factors["b_target"]),
+        "post_plus": phase * tensor(factors["post_plus_control"],
+                                    factors["post_plus_target"]),
+        "post_minus": phase * tensor(factors["post_minus_control"],
+                                     factors["post_minus_target"]),
+    }
+    return {**factors, **products}

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -306,3 +307,15 @@ def test_four_term_map_and_its_choi_matrix_are_the_kronecker_loop_bitwise(dim):
     assert (_four_term_map(ops, ops, SIGNED_ZERO_RHO, SIGNED_ZERO_RHO).tobytes()
             == oracles.kronecker_four_term_map(ops, ops, SIGNED_ZERO_RHO,
                                                SIGNED_ZERO_RHO).tobytes())
+
+
+@pytest.mark.parametrize("input_dim", [2.0, 1.5, True, np.float64(2.0), "2", None])
+def test_choi_matrix_refuses_an_input_dimension_that_is_not_an_integer(input_dim):
+    with pytest.raises(ValueError, match=re.escape(
+            f"input_dim must be an integer, got {input_dim!r}")):
+        choi_matrix(lambda m: m, input_dim)
+
+
+def test_choi_matrix_takes_a_numpy_integer_dimension():
+    assert_allclose(choi_matrix(lambda m: m, np.int64(2)),
+                    choi_matrix(lambda m: m, 2), atol=0)

@@ -498,3 +498,28 @@ def test_golden_cli_documents_are_unchanged(tmp_path, capsys):
             prog.write_text(out)
         digests[name] = hashlib.sha256(out.encode()).hexdigest()
     assert digests == GOLDEN_CLI_SHA256
+
+
+@pytest.mark.parametrize("kind", ["basis:x", "basis:", "basis:-1", "basis: 3",
+                                  "basis:3_0", "basis:+3", "basis:1.0",
+                                  "basis:٣", "basis:" + "9" * 5000])
+def test_simulate_malformed_basis_input_names_the_flag_and_form(tmp_path, capsys, kind):
+    circ = tmp_path / "bell.circ"
+    circ.write_text(BELL_TEXT)
+    prog = tmp_path / "bell.json"
+    run_cli(capsys, "lower", str(circ), "--output", str(prog))
+    code, out, err = run_cli(capsys, "simulate", str(prog), "--input", kind)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --input basis:K: K must be a non-negative decimal integer\n"
+
+
+def test_simulate_basis_input_takes_leading_zeros(tmp_path, capsys):
+    circ = tmp_path / "bell.circ"
+    circ.write_text(BELL_TEXT)
+    prog = tmp_path / "bell.json"
+    run_cli(capsys, "lower", str(circ), "--output", str(prog))
+    _, plain, _ = run_cli(capsys, "simulate", str(prog), "--input", "basis:2")
+    code, padded, _ = run_cli(capsys, "simulate", str(prog), "--input", "basis:002")
+    assert code == 0
+    assert padded.replace("basis:002", "basis:2") == plain
