@@ -7,29 +7,21 @@ Subcommands: ``synth`` (plan + certificate for one controlled gate),
 Exit codes: 0 success, 1 a verification or equivalence check failed,
 2 usage, parse, or I/O errors. Given the same seed and inputs, emitted
 documents are byte-identical.
+
+Each command imports only the modules it runs. Unless one of
+``THREAD_VARS`` is set, ``main`` starts numpy on one BLAS thread: with more,
+a large state's sums can round differently with the host's core count.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
-from .circuits import CONTROLLED_GATES, GATES, CircuitParseError, parse_circuit
-from .jsonio import dumps, format_float
-from .lowering import check_equivalence, lower
-from .programs import (
-    ProgramError,
-    parse_program,
-    serialize_program,
-    simulate_program,
-)
-from .sampling import random_state
-from .suites import SUITE_NAMES, run_suite
-from .synthesis import ControlledGateSpec, synthesize, verify_synthesis
-from .linalg import DEFAULT_TOLERANCE, basis_state, require_tolerance, require_trials
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+               "MKL_NUM_THREADS", "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 def _complex_text(values) -> str:
@@ -62,6 +54,7 @@ def _checked(convert, require, prefix: str = ""):
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    from .linalg import DEFAULT_TOLERANCE, require_tolerance, require_trials
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--trials", type=_checked(int, require_trials, "trials "),
                         default=100)
@@ -71,9 +64,52 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", default=None, metavar="PATH")
 
 
-# every parameter flag of synth: the union of its gates' parameters
-_PARAM_FLAGS = tuple(dict.fromkeys(p for g in CONTROLLED_GATES
-                                   for p in GATES[g].params))
+class _Command(argparse.ArgumentParser):
+    """A subcommand's parser; ``add(parser)`` adds its arguments when it is
+    first parsed, so the modules they name load only for that command."""
+
+    def __init__(self, *, add, **kwargs):
+        super().__init__(**kwargs)
+        self._add = add
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add is not None:
+            add, self._add = self._add, None
+            add(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _add_synth(synth: argparse.ArgumentParser, parser: argparse.ArgumentParser) -> None:
+    from .circuits import CONTROLLED_GATES, GATES
+    # every parameter flag: the union of the controlled gates' parameters
+    flags = tuple(dict.fromkeys(p for g in CONTROLLED_GATES for p in GATES[g].params))
+    synth.add_argument("--gate", choices=CONTROLLED_GATES, required=True)
+    for flag in flags:
+        synth.add_argument(f"--{flag}", type=float, default=None)
+    _add_common(synth)
+    synth.set_defaults(run=lambda args: cmd_synth(args, parser, flags))
+
+
+def _add_verify(verify: argparse.ArgumentParser) -> None:
+    from .suites import SUITE_NAMES
+    verify.add_argument("--suite", choices=SUITE_NAMES, required=True)
+    _add_common(verify)
+    verify.set_defaults(run=cmd_verify)
+
+
+def _add_lower(lower_cmd: argparse.ArgumentParser) -> None:
+    lower_cmd.add_argument("input", metavar="CIRCUIT")
+    lower_cmd.add_argument("--output", default=None, metavar="PATH")
+    lower_cmd.set_defaults(run=cmd_lower)
+
+
+def _add_simulate(simulate: argparse.ArgumentParser) -> None:
+    simulate.add_argument("program", metavar="PROGRAM")
+    simulate.add_argument("--input", default="zeros",
+                          help="zeros, basis:K, or random (default zeros)")
+    simulate.add_argument("--check-against", default=None, metavar="CIRCUIT")
+    _add_common(simulate)
+    simulate.set_defaults(run=cmd_simulate)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,49 +117,32 @@ def build_parser() -> argparse.ArgumentParser:
         prog="switchsynth",
         description="Controlled gates from single-qubit gates in superposed "
                     "causal orders.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    synth = sub.add_parser("synth", help="synthesize and certify one gate")
-    synth.add_argument("--gate", choices=CONTROLLED_GATES, required=True)
-    for flag in _PARAM_FLAGS:
-        synth.add_argument(f"--{flag}", type=float, default=None)
-    _add_common(synth)
-    synth.set_defaults(run=lambda args: cmd_synth(args, parser))
-
-    verify = sub.add_parser("verify", help="run a property suite")
-    verify.add_argument("--suite", choices=SUITE_NAMES, required=True)
-    _add_common(verify)
-    verify.set_defaults(run=cmd_verify)
-
-    lower_cmd = sub.add_parser("lower", help="compile a circuit file")
-    lower_cmd.add_argument("input", metavar="CIRCUIT")
-    lower_cmd.add_argument("--output", default=None, metavar="PATH")
-    lower_cmd.set_defaults(run=cmd_lower)
-
-    simulate = sub.add_parser("simulate", help="run a switch program")
-    simulate.add_argument("program", metavar="PROGRAM")
-    simulate.add_argument("--input", default="zeros",
-                          help="zeros, basis:K, or random (default zeros)")
-    simulate.add_argument("--check-against", default=None, metavar="CIRCUIT")
-    _add_common(simulate)
-    simulate.set_defaults(run=cmd_simulate)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
+    sub.add_parser("synth", help="synthesize and certify one gate",
+                   add=lambda synth: _add_synth(synth, parser))
+    sub.add_parser("verify", help="run a property suite", add=_add_verify)
+    sub.add_parser("lower", help="compile a circuit file", add=_add_lower)
+    sub.add_parser("simulate", help="run a switch program", add=_add_simulate)
     return parser
 
 
-def _spec_for_gate(args, parser: argparse.ArgumentParser) -> ControlledGateSpec:
+def _spec_for_gate(args, parser: argparse.ArgumentParser, flags: tuple[str, ...]):
+    from .circuits import GATES
     gate = GATES[args.gate]
     missing = [f"--{name}" for name in gate.params if getattr(args, name) is None]
     if missing:
         parser.error(f"--gate {args.gate} requires {' '.join(missing)}")
-    extra = [f"--{name}" for name in _PARAM_FLAGS
+    extra = [f"--{name}" for name in flags
              if name not in gate.params and getattr(args, name) is not None]
     if extra:
         parser.error(f"--gate {args.gate} does not take {' '.join(extra)}")
     return gate.spec({name: getattr(args, name) for name in gate.params})
 
 
-def cmd_synth(args, parser: argparse.ArgumentParser) -> int:
-    spec = _spec_for_gate(args, parser)
+def cmd_synth(args, parser: argparse.ArgumentParser, flags: tuple[str, ...]) -> int:
+    from .jsonio import dumps, format_float
+    from .synthesis import synthesize, verify_synthesis
+    spec = _spec_for_gate(args, parser, flags)
     plan = synthesize(spec)
     report = verify_synthesis(spec, trials=args.trials, seed=args.seed,
                               tolerance=args.tolerance, target_name=args.gate)
@@ -176,6 +195,8 @@ def cmd_synth(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .jsonio import dumps, format_float
+    from .suites import run_suite
     results = run_suite(args.suite, trials=args.trials, seed=args.seed,
                         tolerance=args.tolerance)
     passed = all(r.passed for r in results)
@@ -205,6 +226,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lower(args) -> int:
+    from .circuits import parse_circuit
+    from .lowering import lower
+    from .programs import serialize_program
     with open(args.input) as handle:
         circuit = parse_circuit(handle.read())
     _write_output(serialize_program(lower(circuit)), args.output)
@@ -212,6 +236,9 @@ def cmd_lower(args) -> int:
 
 
 def _initial_state(kind: str, num_qubits: int, seed: int) -> np.ndarray:
+    import numpy as np
+    from .linalg import basis_state
+    from .sampling import random_state
     if kind == "random":
         return random_state(np.random.default_rng([seed, 1]), num_qubits)
     k = "0" if kind == "zeros" else kind.removeprefix("basis:")
@@ -227,6 +254,10 @@ def _initial_state(kind: str, num_qubits: int, seed: int) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
+    from .circuits import parse_circuit
+    from .jsonio import dumps, format_float
+    from .lowering import check_equivalence
+    from .programs import parse_program, simulate_program
     with open(args.program) as handle:
         program = parse_program(handle.read())
     state = _initial_state(args.input, program.num_data_qubits, args.seed)
@@ -271,6 +302,9 @@ def cmd_simulate(args) -> int:
 
 
 def main(argv=None) -> int:
+    # BLAS reads its thread count once, when numpy loads
+    if "numpy" not in sys.modules and not any(var in os.environ for var in THREAD_VARS):
+        os.environ["OMP_NUM_THREADS"] = "1"
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -280,7 +314,7 @@ def main(argv=None) -> int:
         return args.run(args)
     except SystemExit as err:  # parser.error inside a command
         return int(err.code or 0)
-    except (CircuitParseError, ProgramError, OSError, ValueError) as err:
+    except (OSError, ValueError) as err:  # CircuitParseError, ProgramError too
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -199,10 +199,14 @@ def branch_gates(a: np.ndarray, b: np.ndarray,
     b = require_unitary(b, "b")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return branch_products(a @ b, b @ a, theta)
+
+
+def branch_products(ab: np.ndarray, ba: np.ndarray,
+                    theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """``branch_gates`` from the order products AB and BA, without checks."""
     c = np.cos(0.5 * theta)
     s = np.sin(0.5 * theta)
-    ab = a @ b
-    ba = b @ a
     return c * ab + 1j * s * ba, 1j * s * ab + c * ba
 
 
@@ -222,9 +226,7 @@ def branch_gates_tensor(a_list, b_list, theta: float) -> tuple[np.ndarray, np.nd
             raise ValueError("factors must be single-qubit gates")
     ab = tensor(*[a @ b for a, b in zip(a_list, b_list)])
     ba = tensor(*[b @ a for a, b in zip(a_list, b_list)])
-    c = np.cos(0.5 * theta)
-    s = np.sin(0.5 * theta)
-    return c * ab + 1j * s * ba, 1j * s * ab + c * ba
+    return branch_products(ab, ba, theta)
 
 
 def _four_term_map(ops_a, ops_b, rho: np.ndarray, omega: np.ndarray) -> np.ndarray:

@@ -25,11 +25,13 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOLERANCE,
     PLUS,
+    UNITARY_ATOL,
     X,
     bloch_dot,
     canonical_perp,
     distance_up_to_phase,
     fidelity,
+    is_unitary,
     matvecs,
     require_check_inputs,
     rotation,
@@ -40,7 +42,13 @@ from .linalg import (
     unit_bloch,
 )
 from .sampling import random_bloch, random_states
-from .switch import branch_functionals, branch_gates, project_branches, switch_unitary
+from .switch import (
+    branch_functionals,
+    branch_gates,
+    branch_products,
+    joint_matrix,
+    project_branches,
+)
 
 TWO_PI = 2.0 * math.pi
 ORTHOGONALITY_ATOL = 1e-10
@@ -328,20 +336,21 @@ def verify_synthesis(spec: ControlledGateSpec, *, trials: int = 100,
     require_check_inputs(trials, tolerance)
     plan = synthesize(spec)
     target = cu_matrix(spec)
+    # switch_unitary's and branch_gates' checks on the plan's two gates, run
+    # once; the shapes hold by construction
+    a, b = plan.gate_a, plan.gate_b
+    for name, unitary in zip("ab", is_unitary(np.stack((a, b)))):
+        if not unitary:
+            raise ValueError(f"{name} is not unitary within {UNITARY_ATOL}")
     residual_plus, residual_minus, bare_plus, bare_minus = block_residuals(
-        plan, target, plan.branch_operators())
+        plan, target, branch_products(a @ b, b @ a, plan.measurement_theta))
     bare_correction_residual = max(bare_plus, bare_minus)
 
     # apply_switch then measure_ancilla on every trial at once, one trial per
-    # row: their checks that hold by construction run here, once, and
-    # project_branches checks each trial's staged state for normalization.
-    joint = switch_unitary(plan.gate_a, plan.gate_b)
-    if joint.target_dim != plan.pre.shape[0] or PLUS.shape != (2,):
-        raise ValueError("switch joint does not act on the pre-gated state "
-                         "and a single control qubit")
+    # row; project_branches checks each trial's staged state for normalization
     psi = random_states(np.random.default_rng(seed), 2, trials)
     expected = matvecs(target, psi)
-    staged = matvecs(joint.matrix,
+    staged = matvecs(joint_matrix(a, b),
                      (matvecs(plan.pre, psi)[:, :, None] * PLUS).reshape(trials, -1))
     branches = project_branches(staged, branch_functionals(plan.measurement_theta))
     # a zero-probability branch counts as infidelity 1

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import random
 import subprocess
 import sys
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from switchsynth.circuits import CONTROLLED_GATES, GATES, parse_circuit
-from switchsynth.cli import main
+from switchsynth.cli import THREAD_VARS, main
 from switchsynth.linalg import MAX_QUBITS, MAX_TRIALS
 
 BELL_TEXT = "qubits 2\nh 0\ncnot 0 1\n"
@@ -523,3 +525,90 @@ def test_simulate_basis_input_takes_leading_zeros(tmp_path, capsys):
     code, padded, _ = run_cli(capsys, "simulate", str(prog), "--input", "basis:002")
     assert code == 0
     assert padded.replace("basis:002", "basis:2") == plain
+
+
+# each command (CIRCUIT and PROGRAM stand for files) and the switchsynth
+# modules its start loads, from process start to exit
+COMMAND_MODULES = {
+    ("--help",): ["switchsynth", "switchsynth.cli"],
+    ("synth", "--gate", "cnot", "--trials", "2"): [
+        "switchsynth", "switchsynth.circuits", "switchsynth.cli", "switchsynth.jsonio",
+        "switchsynth.linalg", "switchsynth.sampling", "switchsynth.switch",
+        "switchsynth.synthesis"],
+    ("verify", "--suite", "channels", "--trials", "2"): [
+        "switchsynth", "switchsynth.cli", "switchsynth.jsonio", "switchsynth.linalg",
+        "switchsynth.sampling", "switchsynth.suites", "switchsynth.switch",
+        "switchsynth.synthesis"],
+    ("lower", "CIRCUIT"): [
+        "switchsynth", "switchsynth.circuits", "switchsynth.cli", "switchsynth.jsonio",
+        "switchsynth.linalg", "switchsynth.lowering", "switchsynth.programs",
+        "switchsynth.sampling", "switchsynth.switch", "switchsynth.synthesis"],
+    ("simulate", "PROGRAM", "--check-against", "CIRCUIT", "--trials", "2"): [
+        "switchsynth", "switchsynth.circuits", "switchsynth.cli", "switchsynth.jsonio",
+        "switchsynth.linalg", "switchsynth.lowering", "switchsynth.programs",
+        "switchsynth.sampling", "switchsynth.switch", "switchsynth.synthesis"],
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES, ids=lambda command: command[0])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
+    circ = tmp_path / "bell.circ"
+    circ.write_text(BELL_TEXT)
+    prog = tmp_path / "bell.json"
+    main(["lower", str(circ), "--output", str(prog)])
+    files = {"CIRCUIT": str(circ), "PROGRAM": str(prog)}
+    argv = [files.get(arg, arg) for arg in command]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import contextlib, json, os, sys\n"
+         "from switchsynth.cli import main\n"
+         "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+         f"    code = main({argv!r})\n"
+         "print(json.dumps([code, sorted(m for m in sys.modules\n"
+         "                               if m.startswith('switchsynth'))]))"],
+        capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == [0, COMMAND_MODULES[command]]
+
+
+def _without_thread_vars(**extra):
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    return {**env, **extra}
+
+
+def test_documents_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 14 data qubits: with two BLAS threads numpy's large-state sums round
+    # differently from one thread, and the final state's bytes change
+    rng = random.Random(5)
+    lines = ["qubits 14"]
+    for _ in range(40):
+        a, b = rng.sample(range(14), 2)
+        lines += [f"h {rng.randrange(14)}", f"cnot {a} {b}"]
+    circ = tmp_path / "wide.circ"
+    circ.write_text("\n".join(lines) + "\n")
+    prog = tmp_path / "wide.json"
+    subprocess.run([sys.executable, "-m", "switchsynth", "lower", str(circ),
+                    "--output", str(prog)], env=_without_thread_vars(), check=True)
+    outputs = [subprocess.run(
+        [sys.executable, "-m", "switchsynth", "simulate", str(prog), "--input", "random"],
+        capture_output=True, env=env, check=True).stdout
+        for env in (_without_thread_vars(), _without_thread_vars(OPENBLAS_NUM_THREADS="1"))]
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("variables,numpy_first,expected", [
+    ({}, False, "1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, False, None),
+    ({"OMP_NUM_THREADS": "2"}, False, "2"),
+    ({}, True, None),
+], ids=["unset", "user_openblas", "user_omp", "numpy_loaded"])
+def test_main_defaults_to_one_blas_thread_only_when_nothing_is_set(
+        variables, numpy_first, expected):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, os\n"
+         + ("import numpy\n" if numpy_first else "")
+         + "from switchsynth.cli import main\n"
+         "main(['lower', '--help'])\n"
+         "print(json.dumps(os.environ.get('OMP_NUM_THREADS')))"],
+        capture_output=True, text=True, env=_without_thread_vars(**variables), check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == expected

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -360,9 +361,9 @@ def test_verify_synthesis_scores_a_zero_probability_branch(monkeypatch):
     # A and A in both orders leave the control in |+>, and a measurement in
     # the |+>, |-> basis then never gives minus: that branch has probability
     # 0 on every trial and counts as infidelity 1, as in the per-trial loop
-    original = switch.switch_unitary
+    original = switch.joint_matrix
     for module in (synthesis, switch):
-        monkeypatch.setattr(module, "switch_unitary", lambda a, b: original(a, a))
+        monkeypatch.setattr(module, "joint_matrix", lambda a, b: original(a, a))
         monkeypatch.setattr(module, "branch_functionals", lambda theta: (
             np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
             np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)))
@@ -441,6 +442,14 @@ def test_verify_synthesis_rejects_trials_above_the_limit_before_sampling(
     monkeypatch.setattr(synthesis, "random_states", never)
     with pytest.raises(ValueError, match=f"trials must be at most {MAX_TRIALS}"):
         verify_synthesis(preset("cnot"), trials=MAX_TRIALS + 1)
+
+
+@pytest.mark.parametrize("factor", ["a_target", "b_control"])
+def test_verify_synthesis_refuses_a_non_unitary_switched_gate(monkeypatch, factor):
+    plan = dataclasses.replace(synthesize(preset("cnot")), **{factor: 2 * I2})
+    monkeypatch.setattr(synthesis, "synthesize", lambda spec: plan)
+    with pytest.raises(ValueError, match=f"^{factor[0]} is not unitary within 1e-10$"):
+        verify_synthesis(preset("cnot"), trials=5)
 
 
 def test_block_residuals_are_the_reported_residuals():
