@@ -19,7 +19,7 @@ Tuples are written as lists.
 from __future__ import annotations
 
 import math
-from json.encoder import encode_basestring_ascii as _quote  # json.dumps(str)
+from _json import encode_basestring_ascii as _quote  # json.encoder's; loads no json
 
 import numpy as np
 

@@ -3,7 +3,8 @@
 Every controlled gate becomes the same seven-instruction block: allocate a
 |+> ancilla, apply the pre gate, run the switched pair against the ancilla,
 measure the ancilla at the plan's angle, apply the branch correction on
-either outcome, discard. Single-qubit gates pass through as local matrices.
+either outcome, discard. Single-qubit gates pass through as local matrices;
+any other gate without a controlled-gate spec is refused.
 """
 
 from __future__ import annotations
@@ -55,8 +56,11 @@ def lower(circuit: Circuit) -> SwitchProgram:
     gate_index = 0
     for inst in circuit.instructions:
         if inst.gate not in CONTROLLED_GATES:
-            instructions.append(ApplyLocal(
-                program.add_matrix(instruction_matrix(inst)), inst.qubits))
+            matrix = instruction_matrix(inst)  # ValueError for an unknown gate
+            if len(inst.qubits) > 1:  # a multi-qubit gate never bypasses the switch
+                raise ValueError(f"{inst.gate} acts on {len(inst.qubits)} qubits but has "
+                                 f"no controlled-gate spec, so no switch block lowers it")
+            instructions.append(ApplyLocal(program.add_matrix(matrix), inst.qubits))
             continue
         spec = controlled_gate_spec(inst)
         block = blocks.get(spec)

@@ -146,34 +146,51 @@ class SimulationTrace:
 def validate_program(program: SwitchProgram) -> list[tuple]:
     """Check the static contract in one pass; raises ProgramError on violation.
 
+    Each table matrix is a square 2-D complex array, unitary within
+    ``UNITARY_ATOL`` (the first bad id in table order is named); then
     ``num_data_qubits`` is an integer from 0 to ``MAX_QUBITS``; ancillas are
     allocated before use and discarded after their last use; measurements
     precede any conditional referencing their result; matrix references
-    resolve at matching dimensions; angles are finite; the data qubits plus
-    the ancillas allocated and not yet measured never exceed
-    ``MAX_HELD_QUBITS``. Returns each instruction resolved, as ``(inst,
-    qubits, total, index)``: the qubits it acts on (a switch's ancilla last,
-    a measurement's ancilla alone), the qubit count of the state it acts
-    on, and the record index of the measurement it makes or reads, or None.
+    resolve at matching dimensions; angles are finite numbers; the data
+    qubits plus the ancillas held never exceed ``MAX_HELD_QUBITS``. Returns
+    each instruction resolved, as ``(inst, qubits, total, index)``: the
+    qubits it acts on (a switch's ancilla last, a measurement's ancilla
+    alone), the qubit count of the state it acts on, and the record index of
+    the measurement it makes or reads, or None.
     """
-    n = total = program.num_data_qubits  # total: qubits in the state
+    matrices = program.matrices
+    faults: dict[str, str] = {}  # bad id -> its message
+    shapes: dict[tuple, list[str]] = {}  # shape -> the ids of that shape
+    for key, m in matrices.items():
+        if (isinstance(m, np.ndarray) and m.dtype == complex and m.ndim == 2
+                and m.shape[0] == m.shape[1]):
+            shapes.setdefault(m.shape, []).append(key)
+        else:
+            got = (f"{m.dtype} array of shape {m.shape}"
+                   if isinstance(m, np.ndarray) else type(m).__name__)
+            faults[key] = f"matrix {key!r} must be a square 2-D complex array, got {got}"
+    for keys in shapes.values():  # one stacked check per shape
+        unitary = is_unitary(np.stack([matrices[key] for key in keys]))
+        faults.update((key, f"matrix {key!r} is not unitary within {UNITARY_ATOL}")
+                      for key, ok in zip(keys, unitary) if not ok)
+    if faults:
+        raise ProgramError(faults[next(key for key in matrices if key in faults)])
+
+    n = program.num_data_qubits
     if type(n) is not int or n < 0:
-        raise ProgramError(f"num_data_qubits must be a non-negative "
-                           f"integer, got {n!r}")
+        raise ProgramError(f"num_data_qubits must be a non-negative integer, got {n!r}")
     if n > MAX_QUBITS:
-        raise ProgramError(f"num_data_qubits {n} exceeds the maximum of "
-                           f"{MAX_QUBITS}")
+        raise ProgramError(f"num_data_qubits {n} exceeds the maximum of {MAX_QUBITS}")
     data_qubits = set(range(n))
-    positions: dict[str, int] = {}  # ancilla allocated, not measured -> qubit
-    measured: set[str] = set()  # ancillas measured, not yet discarded
-    done: set[str] = set()
+    held: list[str] = []  # the ancilla ledger: those held, in qubit order,
+    phase: dict[str, str] = {}  # and each one's "held", "measured" or "discarded"
     results: dict[str, int] = {}  # result label -> index in the record
     resolved: list[tuple] = []
 
     def check_matrix(key: str, qubits, what: str) -> None:
-        if key not in program.matrices:
+        if key not in matrices:
             raise ProgramError(f"{what} references unknown matrix {key!r}")
-        dim, want = program.matrices[key].shape[0], 2 ** len(qubits)
+        dim, want = matrices[key].shape[0], 2 ** len(qubits)
         if dim != want:
             raise ProgramError(f"{what} matrix {key!r} has dim {dim}, "
                                f"expected {want}")
@@ -183,84 +200,69 @@ def validate_program(program: SwitchProgram) -> list[tuple]:
         if not distinct <= data_qubits:
             raise ProgramError(f"{what} qubit out of range for {n} data qubits")
 
-    def check_ancilla(label: str, want_measured: bool, what: str) -> None:
-        if label in done:
-            raise ProgramError(f"{what} uses discarded ancilla {label!r}")
-        if label not in positions and label not in measured:
-            raise ProgramError(f"{what} uses unallocated ancilla {label!r}")
-        if not want_measured and label in measured:
-            raise ProgramError(f"{what} uses already measured ancilla {label!r}")
-        if want_measured and label not in measured:
-            raise ProgramError(f"{what} needs ancilla {label!r} measured first")
+    def check_ancilla(label: str, want: str, what: str) -> None:
+        now = phase.get(label)  # the message follows from the phase it is in
+        if now != want:
+            raise ProgramError({
+                None: f"{what} uses unallocated ancilla {label!r}",
+                "held": f"{what} needs ancilla {label!r} measured first",
+                "measured": f"{what} uses already measured ancilla {label!r}",
+                "discarded": f"{what} uses discarded ancilla {label!r}"}[now])
 
     for index, inst in enumerate(program.instructions):
-        before, qubits, at = total, (), None
+        total, qubits, at = n + len(held), (), None
         if isinstance(inst, AllocAncilla):
             if inst.state != "plus":
                 raise ProgramError(f"unsupported ancilla state {inst.state!r}")
-            if inst.ancilla in positions.keys() | measured | done:
+            if inst.ancilla in phase:
                 raise ProgramError(f"ancilla {inst.ancilla!r} allocated twice")
-            positions[inst.ancilla] = total
-            total += 1
-            if total > MAX_HELD_QUBITS:
-                raise ProgramError(f"instruction {index} (alloc_ancilla "
-                                   f"{inst.ancilla!r}) holds {total} qubits at "
-                                   f"once, above the maximum of "
-                                   f"{MAX_HELD_QUBITS}")
+            if total == MAX_HELD_QUBITS:
+                raise ProgramError(f"instruction {index} (alloc_ancilla {inst.ancilla!r}) "
+                                   f"holds {total + 1} qubits at once, above the "
+                                   f"maximum of {MAX_HELD_QUBITS}")
+            held.append(inst.ancilla)
+            phase[inst.ancilla] = "held"
         elif isinstance(inst, ApplyLocal):
             check_matrix(inst.matrix, inst.qubits, "apply_local")
             qubits = tuple(inst.qubits)
         elif isinstance(inst, SwitchApply):
             check_matrix(inst.gate_a, inst.qubits, "switch_apply")
             check_matrix(inst.gate_b, inst.qubits, "switch_apply")
-            check_ancilla(inst.ancilla, False, "switch_apply")
-            qubits = (*inst.qubits, positions[inst.ancilla])
+            check_ancilla(inst.ancilla, "held", "switch_apply")
+            qubits = (*inst.qubits, n + held.index(inst.ancilla))
         elif isinstance(inst, MeasureAncilla):
-            check_ancilla(inst.ancilla, False, "measure_ancilla")
+            check_ancilla(inst.ancilla, "held", "measure_ancilla")
             if inst.result in results:
                 raise ProgramError(f"result label {inst.result!r} reused")
-            if not math.isfinite(inst.theta):
+            try:
+                finite = math.isfinite(_angle(inst.theta, "measure_ancilla theta"))
+            except OverflowError:  # an int beyond float range
+                finite = False
+            if not finite:
                 raise ProgramError(f"instruction {index} (measure_ancilla "
                                    f"{inst.ancilla!r}): measurement angle must "
                                    f"be finite, got {inst.theta}")
             at = results[inst.result] = len(results)
-            measured.add(inst.ancilla)
-            pos = positions.pop(inst.ancilla)
-            qubits, total = (pos,), total - 1
-            for label, later in positions.items():  # the rest close the gap
-                if later > pos:
-                    positions[label] = later - 1
+            qubits = (n + held.index(inst.ancilla),)
+            held.remove(inst.ancilla)  # the later ones close the gap
+            phase[inst.ancilla] = "measured"
         elif isinstance(inst, CondApply):
             if inst.outcome not in ("plus", "minus"):
                 raise ProgramError(f"unknown outcome {inst.outcome!r}")
             if inst.result not in results:
-                raise ProgramError(f"cond_apply references unmeasured result "
-                                   f"{inst.result!r}")
+                raise ProgramError(f"cond_apply references unmeasured result {inst.result!r}")
             check_matrix(inst.matrix, inst.qubits, "cond_apply")
             qubits, at = tuple(inst.qubits), results[inst.result]
         elif isinstance(inst, Discard):
-            check_ancilla(inst.ancilla, True, "discard")
-            measured.remove(inst.ancilla)
-            done.add(inst.ancilla)
+            check_ancilla(inst.ancilla, "measured", "discard")
+            phase[inst.ancilla] = "discarded"
         else:
             raise ProgramError(f"unknown instruction {inst!r}")
-        resolved.append((inst, qubits, before, at))
-    if positions or measured:
-        raise ProgramError(f"ancillas never discarded: "
-                           f"{sorted({*positions, *measured})}")
+        resolved.append((inst, qubits, total, at))
+    kept = sorted(label for label, now in phase.items() if now != "discarded")
+    if kept:
+        raise ProgramError(f"ancillas never discarded: {kept}")
     return resolved
-
-
-def _require_unitary(matrices: dict[str, np.ndarray]) -> None:
-    """ProgramError naming the first id, in order, whose matrix is not unitary."""
-    shapes: dict[tuple, list[str]] = {}
-    for key, m in matrices.items():
-        shapes.setdefault(m.shape, []).append(key)
-    unitary = {key: ok for keys in shapes.values() for key, ok in
-               zip(keys, is_unitary(np.stack([matrices[key] for key in keys])))}
-    for key in matrices:
-        if not unitary[key]:
-            raise ProgramError(f"matrix {key!r} is not unitary within {UNITARY_ATOL}")
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +296,7 @@ def _matrix_from_entries(entries, key: str) -> np.ndarray:
     dim = math.isqrt(len(entries))
     if dim * dim != len(entries):
         raise ProgramError(f"matrix {key!r} has {len(entries)} entries, not square")
-    flat = np.array([complex(re, im) for re, im in entries])
-    return flat.reshape(dim, dim)
+    return np.array([complex(re, im) for re, im in entries], dtype=complex).reshape(dim, dim)
 
 
 def _string(value, name: str) -> str:
@@ -305,9 +306,11 @@ def _string(value, name: str) -> str:
 
 
 def _angle(value, name: str) -> float:
-    if type(value) not in (int, float):  # the instruction pass checks finiteness
+    """The one type rule of an angle: an int or a float, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProgramError(f"{name} must be a number, got {value!r}")
-    return float(value)  # OverflowError for an int beyond float range
+    float(value)  # OverflowError for an int beyond float range
+    return value
 
 
 def _qubits(value, name: str) -> tuple[int, ...]:
@@ -324,12 +327,10 @@ _FIELDS = {tag: [(f.name, f.default is MISSING,
 
 
 def parse_program(text: str) -> SwitchProgram:
-    """Parse serialized JSON back into a validated SwitchProgram.
+    """Parse serialized JSON back into a program ``validate_program`` accepts.
 
-    ``num_data_qubits`` must be an integer from 0 to ``MAX_QUBITS``, every
-    matrix in the table must be unitary within ``UNITARY_ATOL``, and each
-    record field must hold the JSON type of its annotation: a string, a
-    number for ``theta``, a list of integers for ``qubits``.
+    Each record field must first hold the JSON type of its annotation: a
+    string, a number for ``theta``, a list of integers for ``qubits``.
     """
     try:
         doc = json.loads(text)
@@ -360,7 +361,6 @@ def parse_program(text: str) -> SwitchProgram:
         if isinstance(err, ProgramError):
             raise
         raise ProgramError(f"malformed program document: {err}") from None
-    _require_unitary(matrices)
     program = SwitchProgram(num_data_qubits=num_data_qubits, matrices=matrices,
                             instructions=tuple(instructions))
     validate_program(program)
@@ -372,21 +372,20 @@ def parse_program(text: str) -> SwitchProgram:
 # ---------------------------------------------------------------------------
 #
 # One executor serves sampled, forced and exhaustive runs. Binding reads the
-# instruction pass's output, checks the matrix table with one stacked call per
-# size, builds each distinct switch joint once and resolves every axis order
-# and branch functional, leaving segments: the updates up to a measurement,
-# then that measurement. The walk runs them along the branch tree a level at a
-# time: the nodes at one depth are the rows of one (rows, 2^total) stack and
-# each step is one numpy call on it; a `cond_apply` updates the rows whose
-# recorded outcome matches. At a measurement (of the last qubit, by
-# construction) a chooser projects the stack and keeps the followed
-# post-measurement states, plus branch first, as the next level's rows, so a
-# prefix shared by many branch assignments runs once. Each level is cut into
-# chunks of at most max(1, CAP // dim) rows, walked depth first. A sampled or
-# forced run is the same walk on one row. Numpy's stacked matmul runs each row
-# on the one-state product's kernel and shapes, and every other step acts on
-# each row alone, so every leaf is bit-identical to a replay of its branch
-# assignment one instruction at a time.
+# output of validate_program, builds each distinct switch joint once and
+# resolves every axis order and branch functional, leaving segments: the
+# updates up to a measurement, then that measurement. The walk runs them along
+# the branch tree a level at a time: the nodes at one depth are the rows of
+# one (rows, 2^total) stack and each step is one numpy call on it; a
+# `cond_apply` updates the rows whose recorded outcome matches. At a
+# measurement (of the last qubit, by construction) a chooser projects the
+# stack and keeps the followed post-measurement states, plus branch first, as
+# the next level's rows, so a prefix shared by many branch assignments runs
+# once. Each level is cut into chunks of at most max(1, CAP // dim) rows,
+# walked depth first. A sampled or forced run is the same walk on one row.
+# Numpy's stacked matmul runs each row on the one-state product's kernel and
+# shapes, and every other step acts on each row alone, so every leaf is bit-
+# identical to a replay of its branch assignment one instruction at a time.
 
 CAP = 1024  # amplitudes per chunk of the walk
 
@@ -503,9 +502,6 @@ class _BoundProgram:
     def __init__(self, program: SwitchProgram):
         resolved = validate_program(program)
         self.num_data_qubits = program.num_data_qubits
-        matrices = {key: np.asarray(m, dtype=complex)
-                    for key, m in program.matrices.items()}
-        _require_unitary(matrices)  # as parse_program checks its table
         joints: dict[tuple[str, str], np.ndarray] = {}
         self.segments: list[tuple[list, tuple[tuple, str] | None]] = []
         steps: list = []
@@ -513,12 +509,12 @@ class _BoundProgram:
             if isinstance(inst, AllocAncilla):
                 steps.append(_alloc)
             elif isinstance(inst, ApplyLocal):
-                steps.append(_local(matrices[inst.matrix], qubits, total))
+                steps.append(_local(program.matrices[inst.matrix], qubits, total))
             elif isinstance(inst, SwitchApply):
                 key = (inst.gate_a, inst.gate_b)
                 if key not in joints:
-                    joints[key] = joint_matrix(matrices[inst.gate_a],
-                                               matrices[inst.gate_b])
+                    joints[key] = joint_matrix(program.matrices[inst.gate_a],
+                                               program.matrices[inst.gate_b])
                 steps.append(_local(joints[key], qubits, total))
             elif isinstance(inst, MeasureAncilla):
                 if qubits[0] != total - 1:
@@ -528,7 +524,7 @@ class _BoundProgram:
                 steps = []
             elif isinstance(inst, CondApply):
                 steps.append(_conditional(index, inst.outcome, _local(
-                    matrices[inst.matrix], qubits, total)))
+                    program.matrices[inst.matrix], qubits, total)))
             # Discard: the state already lost the ancilla at its measurement
         self.segments.append((steps, None))
         self.labels = tuple(label for _, (_, label) in self.segments[:-1])
@@ -546,6 +542,9 @@ class _BoundProgram:
         if state_num_qubits(state) != self.num_data_qubits:
             raise ProgramError(f"input has {state_num_qubits(state)} qubits, "
                                f"program needs {self.num_data_qubits}")
+        norm = np.vdot(state, state).real
+        if not abs(norm - 1.0) <= UNITARY_ATOL:  # NaN too
+            raise ProgramError(f"input state is not normalized: squared norm {norm}")
         work = [(0, state.reshape(1, -1), chooser.root)]
         while work:
             depth, states, nodes = work.pop()

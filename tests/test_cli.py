@@ -570,6 +570,22 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
     assert json.loads(proc.stdout) == [0, COMMAND_MODULES[command]]
 
 
+@pytest.mark.parametrize("command", [command for command in COMMAND_MODULES
+                                     if command[0] in ("synth", "verify")],
+                         ids=lambda command: command[0])
+def test_synth_and_verify_starts_leave_the_json_package_unloaded(command):
+    # jsonio quotes strings with the C function json.encoder re-exports
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import contextlib, os, sys\n"
+         "from switchsynth.cli import main\n"
+         "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+         f"    code = main({list(command)!r})\n"
+         "print(code, 'json' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == "0 False\n"
+
+
 def _without_thread_vars(**extra):
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     return {**env, **extra}

@@ -1,16 +1,31 @@
-"""Property-based fuzzing of the two outside-input parsers.
+"""Property-based fuzzing of the outside inputs: the two parsers and the
+program contract.
 
 Each parser either returns or raises its own error type; any other exception
-would reach the CLI as a traceback.
+would reach the CLI as a traceback. Every entry point of a program (validate,
+serialize, simulate, check) refuses the same broken programs with the same
+message, and what serialize_program writes parses back to the same text.
 """
 
 import json
+import math
+from dataclasses import replace
 
-from hypothesis import given, settings, strategies as st
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from switchsynth.circuits import GATES, CircuitParseError, parse_circuit
-from switchsynth.lowering import lower
-from switchsynth.programs import ProgramError, parse_program, serialize_program
+from switchsynth.linalg import basis_state
+from switchsynth.lowering import check_equivalence, lower
+from switchsynth.programs import (
+    MeasureAncilla,
+    ProgramError,
+    parse_program,
+    serialize_program,
+    simulate_program,
+    validate_program,
+)
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=400)
 
@@ -65,3 +80,88 @@ def test_parse_circuit_returns_or_raises_circuit_parse_error(lines, header):
         parse_circuit(text)
     except CircuitParseError:
         pass
+
+
+# the program contract, as validate_program owns it at every entry point
+CIRCUIT = parse_circuit("qubits 2\nh 0\ncnot 0 1\nrz 1 theta=0.4\n"
+                        "cu 1 0 alpha=0.3 theta=1.1 nx=0 ny=0.6 nz=0.8\ncz 0 1\n")
+PROGRAM = lower(CIRCUIT)
+MEASUREMENTS = [index for index, inst in enumerate(PROGRAM.instructions)
+                if isinstance(inst, MeasureAncilla)]
+NOT_UNITARY = "is not unitary within 1e-10"
+NOT_SQUARE = "must be a square 2-D complex array, got "
+# a broken table entry made from a lowered one, and the message after its id
+BAD_ENTRIES = {
+    "scaled": (lambda m: 1.5 * m, NOT_UNITARY),
+    "non-square": (lambda m: np.hstack([m, m]), NOT_SQUARE),
+    "list": (lambda m: m.tolist(), NOT_SQUARE),
+    "float": (lambda m: m.real.copy(), NOT_SQUARE),
+    "nan": (lambda m: np.full_like(m, complex(math.nan, 0.0)), NOT_UNITARY),
+}
+BAD_THETAS = [True, "x", None, math.nan, -math.inf, 10 ** 400]
+
+
+def edited(matrices, theta):
+    """PROGRAM with some table entries replaced and maybe one angle."""
+    program = replace(PROGRAM, matrices={**PROGRAM.matrices, **matrices})
+    if theta is not None:
+        index, value = theta
+        instructions = list(program.instructions)
+        instructions[index] = replace(instructions[index], theta=value)
+        program.instructions = tuple(instructions)
+    return program
+
+
+def theta_fault(index, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return f"measure_ancilla theta must be a number, got {value!r}"
+    return (f"instruction {index} (measure_ancilla "
+            f"{PROGRAM.instructions[index].ancilla!r}): measurement angle must be finite")
+
+
+@FUZZ
+@given(edits=st.dictionaries(st.sampled_from(sorted(PROGRAM.matrices)),
+                             st.sampled_from(sorted(BAD_ENTRIES)), max_size=3),
+       theta=st.none() | st.tuples(st.sampled_from(MEASUREMENTS),
+                                   st.sampled_from(BAD_THETAS)))
+def test_every_entry_point_names_the_first_contract_fault(edits, theta):
+    assume(edits or theta)
+    program = edited({key: BAD_ENTRIES[kind][0](PROGRAM.matrices[key])
+                      for key, kind in edits.items()}, theta)
+    first = next((key for key in program.matrices if key in edits), None)
+    want = (f"matrix {first!r} {BAD_ENTRIES[edits[first]][1]}" if first is not None
+            else theta_fault(*theta))
+    for run in (validate_program, serialize_program,
+                lambda p: simulate_program(p, basis_state(2, 0), seed=0),
+                lambda p: check_equivalence(CIRCUIT, p, trials=1)):
+        with pytest.raises(ProgramError) as err:
+            run(program)
+        assert str(err.value).startswith(want)
+
+
+# table entries from lowered ones, unitary or not, and angles of every type
+ENTRY_EDITS = st.one_of(
+    st.floats(-math.pi, math.pi).map(lambda phi: lambda m: np.exp(1j * phi) * m),
+    st.floats(0.0, 1e-9).map(lambda eps: lambda m: m + eps),  # about UNITARY_ATOL
+    st.floats().map(lambda scale: lambda m: scale * m),
+    st.sampled_from([kind for kind, _ in BAD_ENTRIES.values()]),
+)
+THETAS = (st.floats() | st.integers(min_value=-10 ** 400, max_value=10 ** 400)
+          | st.floats(-10.0, 10.0).map(np.float64) | st.booleans() | st.none()
+          | st.text(max_size=3))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@FUZZ
+@given(edits=st.dictionaries(st.sampled_from(sorted(PROGRAM.matrices)), ENTRY_EDITS,
+                             max_size=3),
+       theta=st.none() | st.tuples(st.sampled_from(MEASUREMENTS), THETAS))
+def test_every_serialized_program_parses_and_reserializes_byte_for_byte(edits, theta):
+    program = edited({key: edit(PROGRAM.matrices[key]) for key, edit in edits.items()},
+                     theta)
+    try:
+        text = serialize_program(program)
+    except ProgramError:
+        return
+    assert serialize_program(parse_program(text)) == text

@@ -61,6 +61,14 @@ def test_dumps_escapes_strings():
     assert json.loads(text) == {'key with "quotes"': "line\nbreak"}
 
 
+def test_dumps_quotes_strings_with_json_encoders_function():
+    # jsonio imports the C function from _json, so a start loads no json package
+    from json.encoder import encode_basestring_ascii
+
+    from switchsynth import jsonio
+    assert jsonio._quote is encode_basestring_ascii
+
+
 def test_dumps_is_deterministic():
     doc = {"floats": [math.pi, math.e, 1 / 3], "flag": False}
     assert dumps(doc) == dumps(doc)

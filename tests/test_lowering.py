@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from switchsynth.circuits import parse_circuit, simulate_circuit
+from switchsynth.circuits import (
+    CONTROLLED_GATES,
+    GATES,
+    Gate,
+    parse_circuit,
+    simulate_circuit,
+)
+from switchsynth.cli import main
 from switchsynth import lowering, programs
 from switchsynth.linalg import MAX_QUBITS, X, basis_state, fidelity
 from switchsynth.lowering import MAX_EXHAUSTIVE_ASSIGNMENTS, check_equivalence, lower
@@ -311,6 +318,37 @@ def test_simulate_rejects_a_non_normalized_input():
     program = lower(parse_circuit("qubits 2\ncnot 0 1\n"))
     with pytest.raises(ValueError, match="not normalized"):
         simulate_program(program, 2 * basis_state(2, 0), seed=0)
+
+
+@pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-9, math.nan])
+def test_simulate_without_measurements_rejects_a_non_normalized_input(scale):
+    program = lower(parse_circuit("qubits 2\nh 0\nx 1\n"))
+    with pytest.raises(programs.ProgramError,
+                       match="input state is not normalized: squared norm"):
+        simulate_program(program, scale * basis_state(2, 0), seed=0)
+    with pytest.raises(programs.ProgramError, match="input state is not normalized"):
+        next(_BoundProgram(program).walk(scale * basis_state(2, 0),
+                                         _Tree(np.zeros((1, 0), dtype=bool))))
+
+
+def test_every_multi_qubit_gate_lowers_to_a_switch_block():
+    assert [name for name, gate in GATES.items() if gate.arity >= 2] == \
+        [name for name in GATES if name in CONTROLLED_GATES]
+
+
+def test_lower_refuses_a_multi_qubit_gate_without_a_spec(monkeypatch, tmp_path,
+                                                          capsys):
+    swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+    monkeypatch.setitem(GATES, "swap", Gate(2, (), lambda p: swap.copy()))
+    text = "qubits 2\nh 0\nswap 0 1\n"
+    with pytest.raises(ValueError, match="swap acts on 2 qubits but has no "
+                                         "controlled-gate spec"):
+        lower(parse_circuit(text))
+    circ = tmp_path / "swap.circ"
+    circ.write_text(text)
+    assert main(["lower", str(circ)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "swap acts on 2 qubits" in captured.err
 
 
 @pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf])

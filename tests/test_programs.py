@@ -122,10 +122,14 @@ def test_matrix_text_is_format_float_text():
         f"{format_float(re)},{format_float(im)}" for re, im in matrix_entries(m))
     assert matrix_text(m.T.copy().T) == matrix_text(m)  # column-major input
     program = SwitchProgram(num_data_qubits=1)
-    program.add_matrix(m)
-    # serialize_program's one-format entries are what dumps writes for the
-    # plain document
-    assert serialize_program(program) == dumps(program_document(program))
+    key = program.add_matrix(m)
+    # the document's one-format entries are format_float text too
+    assert f'"{key}": [' + ", ".join(
+        f"[{format_float(re)}, {format_float(im)}]" for re, im in matrix_entries(m)
+    ) + "]" in dumps(program_document(program))
+    # the table is not unitary, so serialize_program refuses it
+    with pytest.raises(ProgramError, match=f"matrix '{key}' is not unitary"):
+        serialize_program(program)
 
 
 @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(1.0, np.inf),
