@@ -86,8 +86,9 @@ GATES: dict[str, Gate] = {
 
 CONTROLLED_GATES = tuple(name for name, gate in GATES.items() if gate.spec is not None)
 
-_INT_RE = re.compile(r"^\d+$")
-_FLOAT_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+# ASCII digits only: ``\d`` alone also matches other scripts' digits
+_INT_RE = re.compile(r"^\d+$", re.ASCII)
+_FLOAT_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$", re.ASCII)
 
 # hand-typed axes are accepted when this close to unit length, then snapped
 AXIS_NORM_ATOL = 1e-6

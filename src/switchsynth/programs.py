@@ -148,7 +148,9 @@ def validate_program(program: SwitchProgram) -> list[tuple]:
 
     Each table matrix is a square 2-D complex array, unitary within
     ``UNITARY_ATOL`` (the first bad id in table order is named); then
-    ``num_data_qubits`` is an integer from 0 to ``MAX_QUBITS``; ancillas are
+    ``num_data_qubits`` is an integer from 0 to ``MAX_QUBITS``; each field of
+    an instruction holds its annotation's type, by the rules ``parse_program``
+    applies (a list or a tuple of ints for ``qubits``); ancillas are
     allocated before use and discarded after their last use; measurements
     precede any conditional referencing their result; matrix references
     resolve at matching dimensions; angles are finite numbers; the data
@@ -169,10 +171,12 @@ def validate_program(program: SwitchProgram) -> list[tuple]:
             got = (f"{m.dtype} array of shape {m.shape}"
                    if isinstance(m, np.ndarray) else type(m).__name__)
             faults[key] = f"matrix {key!r} must be a square 2-D complex array, got {got}"
-    for keys in shapes.values():  # one stacked check per shape
-        unitary = is_unitary(np.stack([matrices[key] for key in keys]))
-        faults.update((key, f"matrix {key!r} is not unitary within {UNITARY_ATOL}")
-                      for key, ok in zip(keys, unitary) if not ok)
+    # huge or non-finite entries raise only the ProgramError, no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for keys in shapes.values():  # one stacked check per shape
+            unitary = is_unitary(np.stack([matrices[key] for key in keys]))
+            faults.update((key, f"matrix {key!r} is not unitary within {UNITARY_ATOL}")
+                          for key, ok in zip(keys, unitary) if not ok)
     if faults:
         raise ProgramError(faults[next(key for key in matrices if key in faults)])
 
@@ -187,8 +191,8 @@ def validate_program(program: SwitchProgram) -> list[tuple]:
     results: dict[str, int] = {}  # result label -> index in the record
     resolved: list[tuple] = []
 
-    def check_matrix(key: str, qubits, what: str) -> None:
-        if key not in matrices:
+    def check_matrix(key: str, field: str, qubits: tuple[int, ...], what: str) -> None:
+        if _string(key, what, field) not in matrices:
             raise ProgramError(f"{what} references unknown matrix {key!r}")
         dim, want = matrices[key].shape[0], 2 ** len(qubits)
         if dim != want:
@@ -201,7 +205,8 @@ def validate_program(program: SwitchProgram) -> list[tuple]:
             raise ProgramError(f"{what} qubit out of range for {n} data qubits")
 
     def check_ancilla(label: str, want: str, what: str) -> None:
-        now = phase.get(label)  # the message follows from the phase it is in
+        # the message follows from the phase it is in
+        now = phase.get(_string(label, what, "ancilla"))
         if now != want:
             raise ProgramError({
                 None: f"{what} uses unallocated ancilla {label!r}",
@@ -212,7 +217,8 @@ def validate_program(program: SwitchProgram) -> list[tuple]:
     for index, inst in enumerate(program.instructions):
         total, qubits, at = n + len(held), (), None
         if isinstance(inst, AllocAncilla):
-            if inst.state != "plus":
+            _string(inst.ancilla, "alloc_ancilla", "ancilla")
+            if _string(inst.state, "alloc_ancilla", "state") != "plus":
                 raise ProgramError(f"unsupported ancilla state {inst.state!r}")
             if inst.ancilla in phase:
                 raise ProgramError(f"ancilla {inst.ancilla!r} allocated twice")
@@ -223,19 +229,20 @@ def validate_program(program: SwitchProgram) -> list[tuple]:
             held.append(inst.ancilla)
             phase[inst.ancilla] = "held"
         elif isinstance(inst, ApplyLocal):
-            check_matrix(inst.matrix, inst.qubits, "apply_local")
-            qubits = tuple(inst.qubits)
+            qubits = _qubits(inst.qubits, "apply_local", "qubits")
+            check_matrix(inst.matrix, "matrix", qubits, "apply_local")
         elif isinstance(inst, SwitchApply):
-            check_matrix(inst.gate_a, inst.qubits, "switch_apply")
-            check_matrix(inst.gate_b, inst.qubits, "switch_apply")
+            local = _qubits(inst.qubits, "switch_apply", "qubits")
+            check_matrix(inst.gate_a, "gate_a", local, "switch_apply")
+            check_matrix(inst.gate_b, "gate_b", local, "switch_apply")
             check_ancilla(inst.ancilla, "held", "switch_apply")
-            qubits = (*inst.qubits, n + held.index(inst.ancilla))
+            qubits = (*local, n + held.index(inst.ancilla))
         elif isinstance(inst, MeasureAncilla):
             check_ancilla(inst.ancilla, "held", "measure_ancilla")
-            if inst.result in results:
+            if _string(inst.result, "measure_ancilla", "result") in results:
                 raise ProgramError(f"result label {inst.result!r} reused")
             try:
-                finite = math.isfinite(_angle(inst.theta, "measure_ancilla theta"))
+                finite = math.isfinite(_angle(inst.theta, "measure_ancilla", "theta"))
             except OverflowError:  # an int beyond float range
                 finite = False
             if not finite:
@@ -247,12 +254,12 @@ def validate_program(program: SwitchProgram) -> list[tuple]:
             held.remove(inst.ancilla)  # the later ones close the gap
             phase[inst.ancilla] = "measured"
         elif isinstance(inst, CondApply):
-            if inst.outcome not in ("plus", "minus"):
+            if _string(inst.outcome, "cond_apply", "outcome") not in ("plus", "minus"):
                 raise ProgramError(f"unknown outcome {inst.outcome!r}")
-            if inst.result not in results:
+            if _string(inst.result, "cond_apply", "result") not in results:
                 raise ProgramError(f"cond_apply references unmeasured result {inst.result!r}")
-            check_matrix(inst.matrix, inst.qubits, "cond_apply")
-            qubits, at = tuple(inst.qubits), results[inst.result]
+            qubits, at = _qubits(inst.qubits, "cond_apply", "qubits"), results[inst.result]
+            check_matrix(inst.matrix, "matrix", qubits, "cond_apply")
         elif isinstance(inst, Discard):
             check_ancilla(inst.ancilla, "measured", "discard")
             phase[inst.ancilla] = "discarded"
@@ -299,38 +306,53 @@ def _matrix_from_entries(entries, key: str) -> np.ndarray:
     return np.array([complex(re, im) for re, im in entries], dtype=complex).reshape(dim, dim)
 
 
-def _string(value, name: str) -> str:
+# the type rule of each field annotation, which parse_program applies to a
+# record's JSON values and validate_program to an instruction's fields: each
+# takes the value, its op tag and its field name, and returns the field's value
+def _string(value, op: str, name: str) -> str:
     if type(value) is not str:
-        raise ProgramError(f"{name} must be a string, got {value!r}")
+        raise ProgramError(f"{op} {name} must be a string, got {value!r}")
     return value
 
 
-def _angle(value, name: str) -> float:
+def _angle(value, op: str, name: str) -> float:
     """The one type rule of an angle: an int or a float, not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProgramError(f"{name} must be a number, got {value!r}")
+        raise ProgramError(f"{op} {name} must be a number, got {value!r}")
     float(value)  # OverflowError for an int beyond float range
     return value
 
 
-def _qubits(value, name: str) -> tuple[int, ...]:
-    if type(value) is not list or not all(type(q) is int for q in value):
+def _qubits(value, op: str, name: str) -> tuple[int, ...]:
+    """Qubit indices are a list or a tuple of plain ints (not bools)."""
+    if type(value) not in (list, tuple) or not all(type(q) is int for q in value):
         raise ProgramError(f"qubit indices must be integers, got {value!r}")
     return tuple(value)
 
 
-# per op tag: (name, required, check) of each field; the check, one per field
-# annotation, takes the JSON value and returns the field's value
+# per op tag: (name, required, check) of each field, and the keys a record
+# may hold
 _FIELDS = {tag: [(f.name, f.default is MISSING,
                   {"str": _string, "float": _angle, "tuple[int, ...]": _qubits}[f.type])
                  for f in fields(cls)] for tag, cls in OPS.items()}
+_KEYS = {tag: {"op", *(f.name for f in fields(cls))} for tag, cls in OPS.items()}
+_DOCUMENT_KEYS = {"num_data_qubits", "matrices", "instructions"}
+
+
+def _refuse_unknown_keys(doc: dict, known: set[str], op: str | None = None) -> None:
+    """Name the first key of the document (or of an ``op`` record) not known."""
+    if not doc.keys() <= known:
+        key = next(key for key in doc if key not in known)
+        where = f"{op} record" if op else "the program document"
+        raise ProgramError(f"unknown key {key!r} in {where}")
 
 
 def parse_program(text: str) -> SwitchProgram:
     """Parse serialized JSON back into a program ``validate_program`` accepts.
 
-    Each record field must first hold the JSON type of its annotation: a
-    string, a number for ``theta``, a list of integers for ``qubits``.
+    The document and each record hold only the keys they know, and each
+    record field must first hold the JSON type of its annotation: a string, a
+    number for ``theta``, a list of integers for ``qubits``.
     """
     try:
         doc = json.loads(text)
@@ -338,6 +360,7 @@ def parse_program(text: str) -> SwitchProgram:
         raise ProgramError(f"invalid program JSON: {err}") from None
     if not isinstance(doc, dict):
         raise ProgramError("program document must be a JSON object")
+    _refuse_unknown_keys(doc, _DOCUMENT_KEYS)
     try:
         num_data_qubits = doc["num_data_qubits"]
         if not isinstance(doc["matrices"], dict):
@@ -354,8 +377,9 @@ def parse_program(text: str) -> SwitchProgram:
             op = record["op"]
             if op not in OPS:
                 raise ProgramError(f"unknown instruction op {op!r}")
+            _refuse_unknown_keys(record, _KEYS[op], op)
             instructions.append(OPS[op](**{
-                name: check(record[name], f"{op} {name}")
+                name: check(record[name], op, name)
                 for name, required, check in _FIELDS[op] if required or name in record}))
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         if isinstance(err, ProgramError):

@@ -246,3 +246,19 @@ def test_parse_circuit_rejects_overflowing_numbers(text, column):
         parse_circuit(text)
     assert "is not finite" in str(err.value)
     assert (err.value.line, err.value.column) == (2, column)
+
+
+# Arabic-Indic and fullwidth digits: ``int`` and ``float`` read them, the
+# circuit language does not
+@pytest.mark.parametrize("text,fragment,line,column", [
+    ("qubits \u0663\nh 0\n", "malformed qubit count '\u0663'", 1, 8),
+    ("qubits 3\nh \u0662\n", "malformed qubit index '\u0662'", 2, 3),
+    ("qubits 3\ncnot 0 \uff11\n", "malformed qubit index '\uff11'", 2, 8),
+    ("qubits 3\nrx 0 theta=\u0661.\u0665\n", "malformed number '\u0661.\u0665'", 2, 6),
+    ("qubits 3\nrx 0 theta=1e\u0663\n", "malformed number '1e\u0663'", 2, 6),
+], ids=["count", "index", "fullwidth_index", "number", "exponent"])
+def test_parse_circuit_reads_ascii_digits_only(text, fragment, line, column):
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit(text)
+    assert fragment in str(err.value)
+    assert (err.value.line, err.value.column) == (line, column)

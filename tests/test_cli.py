@@ -435,6 +435,18 @@ def test_simulate_wrongly_typed_program_exits_2_without_traceback(
     assert "Traceback" not in proc.stderr
 
 
+def test_simulate_unknown_record_key_exits_2_naming_it(tmp_path, capsys):
+    # a misspelled "state" would otherwise parse as a |+> ancilla
+    prog = tmp_path / "typo.json"
+    prog.write_text('{"num_data_qubits": 1, "matrices": {}, "instructions": ['
+                    '{"op": "alloc_ancilla", "ancilla": "a0", "stat": "minus"}, '
+                    '{"op": "measure_ancilla", "theta": 0.5, "ancilla": "a0", '
+                    '"result": "m0"}, {"op": "discard", "ancilla": "a0"}]}')
+    code, out, err = run_cli(capsys, "simulate", str(prog))
+    assert (code, out) == (2, "")
+    assert err == "error: unknown key 'stat' in alloc_ancilla record\n"
+
+
 # every gate of the circuit language, once
 ALL_GATES_TEXT = """qubits 3
 h 0

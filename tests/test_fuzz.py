@@ -9,7 +9,7 @@ message, and what serialize_program writes parses back to the same text.
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -101,14 +101,18 @@ BAD_ENTRIES = {
 BAD_THETAS = [True, "x", None, math.nan, -math.inf, 10 ** 400]
 
 
-def edited(matrices, theta):
-    """PROGRAM with some table entries replaced and maybe one angle."""
+def edited(matrices, theta, field=None):
+    """PROGRAM with some table entries replaced, maybe one angle and maybe one
+    other instruction field, given as (index, name, value)."""
     program = replace(PROGRAM, matrices={**PROGRAM.matrices, **matrices})
+    instructions = list(program.instructions)
     if theta is not None:
         index, value = theta
-        instructions = list(program.instructions)
         instructions[index] = replace(instructions[index], theta=value)
-        program.instructions = tuple(instructions)
+    if field is not None:
+        index, name, value = field
+        instructions[index] = replace(instructions[index], **{name: value})
+    program.instructions = tuple(instructions)
     return program
 
 
@@ -149,17 +153,35 @@ ENTRY_EDITS = st.one_of(
 THETAS = (st.floats() | st.integers(min_value=-10 ** 400, max_value=10 ** 400)
           | st.floats(-10.0, 10.0).map(np.float64) | st.booleans() | st.none()
           | st.text(max_size=3))
+# every label, matrix reference and qubit list of PROGRAM, and values for it:
+# the program's own labels and ids, other text, and values of other types
+SITES = [(index, f.name) for index, inst in enumerate(PROGRAM.instructions)
+         for f in fields(inst) if f.name != "theta"]
+LABELS = sorted({getattr(PROGRAM.instructions[index], name)
+                 for index, name in SITES if name != "qubits"})
+LABEL_VALUES = (st.sampled_from(LABELS) | st.text(max_size=3)
+                | st.sampled_from(LABELS).map(np.str_) | st.integers(-1, 2)
+                | st.booleans() | st.none())
+INDICES = (st.integers(-1, 2) | st.booleans() | st.integers(0, 1).map(np.int64)
+           | st.floats(0.0, 1.0))
+QUBIT_VALUES = (st.lists(INDICES, max_size=3) | st.lists(INDICES, max_size=3).map(tuple)
+                | INDICES | st.none() | st.text(max_size=2))
+FIELD_EDITS = st.sampled_from(SITES).flatmap(lambda site: st.tuples(
+    *map(st.just, site), QUBIT_VALUES if site[1] == "qubits" else LABEL_VALUES))
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+# no RuntimeWarning reaches the caller, whatever the table holds
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @FUZZ
 @given(edits=st.dictionaries(st.sampled_from(sorted(PROGRAM.matrices)), ENTRY_EDITS,
                              max_size=3),
-       theta=st.none() | st.tuples(st.sampled_from(MEASUREMENTS), THETAS))
-def test_every_serialized_program_parses_and_reserializes_byte_for_byte(edits, theta):
-    program = edited({key: edit(PROGRAM.matrices[key]) for key, edit in edits.items()},
-                     theta)
+       theta=st.none() | st.tuples(st.sampled_from(MEASUREMENTS), THETAS),
+       field=st.none() | FIELD_EDITS)
+def test_every_serialized_program_parses_and_reserializes_byte_for_byte(
+        edits, theta, field):
+    with np.errstate(all="ignore"):  # the edits themselves may overflow
+        entries = {key: edit(PROGRAM.matrices[key]) for key, edit in edits.items()}
+    program = edited(entries, theta, field)
     try:
         text = serialize_program(program)
     except ProgramError:

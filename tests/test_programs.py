@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -600,3 +601,98 @@ def test_each_entry_point_runs_the_instruction_pass_once(monkeypatch):
         run()
         # bind walks the instructions only through the pass
         assert (len(passes) - before, program.instructions.walks) == (1, 1)
+
+
+def typed_program():
+    """Two data qubits: a local gate, a switch block and a conditional."""
+    program = SwitchProgram(num_data_qubits=2)
+    h = program.add_matrix(H)
+    program.instructions = (ApplyLocal(h, (0,)),
+                            *switch_block(program, X, Z, 0.3, (1,), 0),
+                            CondApply("m0", "minus", h, (0,)))
+    return program
+
+
+QUBITS_FAULT = "qubit indices must be integers, got {!r}"
+
+
+# (instruction index, field, wrongly typed value, message template)
+@pytest.mark.parametrize("index,field,value,message", [
+    (0, "qubits", (True,), QUBITS_FAULT),
+    (0, "qubits", (np.int64(0),), QUBITS_FAULT),
+    (0, "qubits", 0, QUBITS_FAULT),
+    (0, "qubits", "0", QUBITS_FAULT),
+    (0, "matrix", 1, "apply_local matrix must be a string, got {!r}"),
+    (1, "ancilla", 1, "alloc_ancilla ancilla must be a string, got {!r}"),
+    (1, "state", None, "alloc_ancilla state must be a string, got {!r}"),
+    (2, "gate_a", None, "switch_apply gate_a must be a string, got {!r}"),
+    (2, "gate_b", np.str_("m"), "switch_apply gate_b must be a string, got {!r}"),
+    (2, "qubits", (1.0,), QUBITS_FAULT),
+    (2, "ancilla", ["a0"], "switch_apply ancilla must be a string, got {!r}"),
+    (3, "ancilla", ("a0",), "measure_ancilla ancilla must be a string, got {!r}"),
+    (3, "result", 0, "measure_ancilla result must be a string, got {!r}"),
+    (4, "ancilla", None, "discard ancilla must be a string, got {!r}"),
+    (5, "result", ["m0"], "cond_apply result must be a string, got {!r}"),
+    (5, "outcome", True, "cond_apply outcome must be a string, got {!r}"),
+    (5, "matrix", None, "cond_apply matrix must be a string, got {!r}"),
+    (5, "qubits", [False], QUBITS_FAULT),
+])
+def test_every_entry_point_applies_the_field_type_rules(index, field, value, message):
+    # the rules parse_program applies to a record's JSON values, so a program
+    # serializes only if its document parses
+    program = typed_program()
+    instructions = list(program.instructions)
+    instructions[index] = replace(instructions[index], **{field: value})
+    program.instructions = tuple(instructions)
+    for run in (validate_program, serialize_program,
+                lambda p: simulate_program(p, basis_state(2, 0), seed=0),
+                lambda p: check_equivalence(parse_circuit("qubits 2\n"), p, trials=1)):
+        with pytest.raises(ProgramError) as err:
+            run(program)
+        assert str(err.value) == message.format(value)
+
+
+def test_qubit_lists_and_tuples_serialize_alike():
+    program = typed_program()
+    text = serialize_program(program)
+    program.instructions = tuple(
+        replace(inst, qubits=list(inst.qubits)) if hasattr(inst, "qubits") else inst
+        for inst in program.instructions)
+    assert serialize_program(program) == text
+    assert serialize_program(parse_program(text)) == text
+
+
+ALLOC_A0 = '{"op": "alloc_ancilla", "ancilla": "a0"'
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"num_data_qubits": 1, "matrices": {}, "instructions": ['
+     + ALLOC_A0 + ', "stat": "minus"}, '
+     '{"op": "measure_ancilla", "theta": 0.5, "ancilla": "a0", "result": "m0"}, '
+     '{"op": "discard", "ancilla": "a0"}]}',
+     "unknown key 'stat' in alloc_ancilla record"),
+    ('{"num_data_qubits": 1, "matrices": {}, "instructions": ['
+     + ALLOC_A0 + '}, '
+     '{"op": "measure_ancilla", "theta": 0.5, "ancilla": "a0", "result": "m0", '
+     '"thetta": 1.0}, {"op": "discard", "ancilla": "a0"}]}',
+     "unknown key 'thetta' in measure_ancilla record"),
+    ('{"num_data_qubits": 1, "matrices": {}, "instructions": [], "comment": "x"}',
+     "unknown key 'comment' in the program document"),
+    ('{"num_data_qubits": 1, "matrix": {}, "instructions": []}',
+     "unknown key 'matrix' in the program document"),
+])
+def test_parse_program_refuses_unknown_keys(text, message):
+    with pytest.raises(ProgramError) as err:
+        parse_program(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry", [1e300, math.inf, math.nan])
+def test_huge_table_entries_raise_only_the_program_error(entry):
+    program = SwitchProgram(num_data_qubits=1)
+    program.matrices["k"] = np.diag(np.full(2, entry, dtype=complex))
+    program.instructions = (ApplyLocal("k", (0,)),)
+    for run in (validate_program, serialize_program):
+        with pytest.raises(ProgramError, match="matrix 'k' is not unitary"):
+            run(program)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from switchsynth.suites import SUITE_NAMES, SUITES, run_suite
+from switchsynth.suites import SUITE_NAMES, SUITES, _Ledger, run_suite
 
 EXPECTED_COUNTS = {
     "switch": 5,
@@ -62,3 +62,25 @@ def test_run_suite_rejects_zero_trials(name):
 def test_run_suite_rejects_bad_tolerances(tolerance):
     with pytest.raises(ValueError, match="tolerance must be finite and at least 0"):
         run_suite("switch", trials=1, tolerance=tolerance)
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_worst_trial_reruns_to_the_same_value(seed):
+    results = run_suite("all", trials=12, seed=seed)
+    assert any(r.worst_trial > 0 for r in results)
+    for result in results:
+        again = run_suite(result.suite, trials=result.worst_trial + 1, seed=seed)
+        rerun, = (r for r in again if r.name == result.name)
+        assert (rerun.max_residual, rerun.worst_trial) == (result.max_residual,
+                                                           result.worst_trial)
+
+
+def test_ledger_keeps_the_first_trial_of_a_maximum_and_of_a_count():
+    worst = _Ledger({"residual": 1.0, "failures": 0.0})
+    for worst.trial, (residual, failed) in enumerate(
+            [(0.5, False), (2.0, True), (2.0, False), (1.0, True)]):
+        worst("residual", 0.0, residual)
+        worst.count("failures", failed)
+    residual, failures = worst.results("s")
+    assert (residual.max_residual, residual.worst_trial, residual.passed) == (2.0, 1, False)
+    assert (failures.max_residual, failures.worst_trial, failures.passed) == (2.0, 1, False)
