@@ -22,6 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
+    _FLOAT_RE,
+    _INT_RE,
     MAX_QUBITS,
     UNIT_VECTOR_ATOL,
     H,
@@ -86,10 +88,6 @@ GATES: dict[str, Gate] = {
 
 CONTROLLED_GATES = tuple(name for name, gate in GATES.items() if gate.spec is not None)
 
-# ASCII digits only: ``\d`` alone also matches other scripts' digits
-_INT_RE = re.compile(r"^\d+$", re.ASCII)
-_FLOAT_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$", re.ASCII)
-
 # hand-typed axes are accepted when this close to unit length, then snapped
 AXIS_NORM_ATOL = 1e-6
 
@@ -130,12 +128,12 @@ def _tokens_with_columns(line: str) -> list[tuple[str, int]]:
     return [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", body)]
 
 
-def _snap_axis(values: dict[str, float], line: int, column: int) -> None:
+def _snap_axis(values: dict[str, float], error) -> None:
+    """Snap ``values``' axis (nx, ny, nz) to unit length, or raise ``error(reason)``."""
     axis = np.array([values["nx"], values["ny"], values["nz"]])
     norm = np.linalg.norm(axis)
-    if abs(norm - 1.0) > AXIS_NORM_ATOL:
-        raise CircuitParseError(f"axis (nx, ny, nz) must be unit length, got |n| = {norm}",
-                                line, column)
+    if not abs(norm - 1.0) <= AXIS_NORM_ATOL:  # NaN too
+        raise error(f"axis (nx, ny, nz) must be unit length, got |n| = {norm}")
     if abs(norm - 1.0) > UNIT_VECTOR_ATOL:  # keep reparsing a printed circuit a fixed point
         axis = axis / norm
         values["nx"], values["ny"], values["nz"] = (float(v) for v in axis)
@@ -160,7 +158,7 @@ def parse_circuit(text: str) -> Circuit:
             if len(tokens) != 2:
                 raise CircuitParseError("header must be 'qubits N'", line_no, col)
             count, ccol = tokens[1]
-            if not _INT_RE.match(count):
+            if not _INT_RE.fullmatch(count):
                 raise CircuitParseError(f"malformed qubit count {count!r}", line_no, ccol)
             digits = count.lstrip("0") or "0"
             # by length first: int() refuses more than 4,300 digits
@@ -182,7 +180,7 @@ def parse_circuit(text: str) -> Circuit:
                 line_no, name_col)
         qubits = []
         for token, col in tokens[1:1 + arity]:
-            if not _INT_RE.match(token):
+            if not _INT_RE.fullmatch(token):
                 raise CircuitParseError(f"malformed qubit index {token!r}", line_no, col)
             digits = token.lstrip("0") or "0"
             if len(digits) > len(str(num_qubits)) or int(digits) >= num_qubits:
@@ -203,7 +201,7 @@ def parse_circuit(text: str) -> Circuit:
                                         line_no, col)
             if key in values:
                 raise CircuitParseError(f"duplicate parameter {key!r}", line_no, col)
-            if not _FLOAT_RE.match(raw_value):
+            if not _FLOAT_RE.fullmatch(raw_value):
                 raise CircuitParseError(f"malformed number {raw_value!r}", line_no, col)
             values[key] = float(raw_value)
             if not math.isfinite(values[key]):  # an exponent that overflows
@@ -215,7 +213,7 @@ def parse_circuit(text: str) -> Circuit:
                                         line_no, name_col)
 
         if "nx" in param_names:
-            _snap_axis(values, line_no, name_col)
+            _snap_axis(values, lambda msg: CircuitParseError(msg, line_no, name_col))
 
         instructions.append(Instruction(
             gate=name,

@@ -37,13 +37,16 @@ def _write_output(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def _checked(convert, require, prefix: str = ""):
-    """argparse type: ``require(convert(text))``; ``prefix`` is cut from
-    ``require``'s message, since argparse already names the flag."""
+def _checked(pattern, convert, require=lambda value: value, prefix: str = ""):
+    """argparse type: ``require(convert(text))``, a finite number spelled as
+    circuit text spells it (``pattern`` matches it whole); ``prefix`` is cut
+    from ``require``'s message, since argparse already names the flag."""
     def check(text: str):
         try:
             value = convert(text)
-        except ValueError:
+            if abs(value) < float("inf") and not pattern.fullmatch(text):
+                raise ValueError(text)
+        except ValueError:  # more digits than int() converts too
             raise argparse.ArgumentTypeError(
                 f"invalid {convert.__name__} value: {text!r}") from None
         try:
@@ -54,12 +57,13 @@ def _checked(convert, require, prefix: str = ""):
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    from .linalg import DEFAULT_TOLERANCE, require_tolerance, require_trials
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--trials", type=_checked(int, require_trials, "trials "),
+    from .linalg import (_FLOAT_RE, _INT_RE, DEFAULT_TOLERANCE, require_tolerance,
+                         require_trials)
+    parser.add_argument("--seed", type=_checked(_INT_RE, int), default=42)
+    parser.add_argument("--trials", type=_checked(_INT_RE, int, require_trials, "trials "),
                         default=100)
-    parser.add_argument("--tolerance", type=_checked(float, require_tolerance),
-                        default=DEFAULT_TOLERANCE)
+    parser.add_argument("--tolerance", default=DEFAULT_TOLERANCE,
+                        type=_checked(_FLOAT_RE, float, require_tolerance))
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--output", default=None, metavar="PATH")
 
@@ -80,12 +84,12 @@ class _Command(argparse.ArgumentParser):
 
 
 def _add_synth(synth: argparse.ArgumentParser, parser: argparse.ArgumentParser) -> None:
-    from .circuits import CONTROLLED_GATES, GATES
+    from .circuits import _FLOAT_RE, CONTROLLED_GATES, GATES
     # every parameter flag: the union of the controlled gates' parameters
     flags = tuple(dict.fromkeys(p for g in CONTROLLED_GATES for p in GATES[g].params))
     synth.add_argument("--gate", choices=CONTROLLED_GATES, required=True)
     for flag in flags:
-        synth.add_argument(f"--{flag}", type=float, default=None)
+        synth.add_argument(f"--{flag}", type=_checked(_FLOAT_RE, float), default=None)
     _add_common(synth)
     synth.set_defaults(run=lambda args: cmd_synth(args, parser, flags))
 
@@ -127,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_for_gate(args, parser: argparse.ArgumentParser, flags: tuple[str, ...]):
-    from .circuits import GATES
+    from .circuits import GATES, _snap_axis
     gate = GATES[args.gate]
     missing = [f"--{name}" for name in gate.params if getattr(args, name) is None]
     if missing:
@@ -136,7 +140,10 @@ def _spec_for_gate(args, parser: argparse.ArgumentParser, flags: tuple[str, ...]
              if name not in gate.params and getattr(args, name) is not None]
     if extra:
         parser.error(f"--gate {args.gate} does not take {' '.join(extra)}")
-    return gate.spec({name: getattr(args, name) for name in gate.params})
+    values = {name: getattr(args, name) for name in gate.params}
+    if "nx" in values:  # the axis rule of circuit text
+        _snap_axis(values, lambda msg: ValueError(f"--nx/--ny/--nz: {msg}"))
+    return gate.spec(values)
 
 
 def cmd_synth(args, parser: argparse.ArgumentParser, flags: tuple[str, ...]) -> int:
@@ -237,19 +244,17 @@ def cmd_lower(args) -> int:
 
 def _initial_state(kind: str, num_qubits: int, seed: int) -> np.ndarray:
     import numpy as np
-    from .linalg import basis_state
+    from .linalg import _INT_RE, basis_state
     from .sampling import random_state
     if kind == "random":
         return random_state(np.random.default_rng([seed, 1]), num_qubits)
     k = "0" if kind == "zeros" else kind.removeprefix("basis:")
     if k == kind:
         raise ValueError(f"unknown input kind {kind!r}, expected zeros, basis:K, or random")
-    try:  # ASCII digits only: int() also takes signs, spaces and "_"
-        index = int(k) if k.isascii() and k.isdigit() else -1
-    except ValueError:  # more digits than int() converts
-        index = -1
-    if index < 0:
-        raise ValueError("--input basis:K: K must be a non-negative decimal integer")
+    try:  # int() also takes signs, spaces, "_" and other scripts' digits
+        index = _checked(_INT_RE, int)(k)
+    except argparse.ArgumentTypeError:
+        raise ValueError("--input basis:K: K must be a non-negative decimal integer") from None
     return basis_state(num_qubits, index)
 
 

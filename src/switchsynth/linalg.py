@@ -14,6 +14,7 @@ Every function is pure; nothing here mutates its arguments.
 from __future__ import annotations
 
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -357,6 +358,11 @@ def apply_ordered(state: np.ndarray, matrix: np.ndarray, shape: tuple[int, ...],
 # ---------------------------------------------------------------------------
 # inputs of a sampled check
 # ---------------------------------------------------------------------------
+
+# number text of circuit files and CLI flags, matched whole: ASCII digits only,
+# since ``\d`` alone also matches other scripts' digits
+_INT_RE = re.compile(r"\d+", re.ASCII)
+_FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 
 
 def require_tolerance(tolerance: float) -> float:

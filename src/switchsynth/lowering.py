@@ -22,7 +22,8 @@ from .circuits import (
     simulate_circuit,
 )
 from .linalg import DEFAULT_TOLERANCE, fidelity, require_check_inputs
-from .programs import (
+from .programs import (  # MAX_EXHAUSTIVE_ASSIGNMENTS, re-exported
+    MAX_EXHAUSTIVE_ASSIGNMENTS,
     AllocAncilla,
     ApplyLocal,
     CondApply,
@@ -35,10 +36,6 @@ from .programs import (
 )
 from .sampling import random_state
 from .synthesis import ControlledGateSpec, synthesize
-
-# beyond this many branch assignments, check_equivalence samples instead of
-# enumerating (2**10)
-MAX_EXHAUSTIVE_ASSIGNMENTS = 1024
 
 
 def lower(circuit: Circuit) -> SwitchProgram:
@@ -113,21 +110,6 @@ class EquivalenceReport:
                 if not f.name.startswith("worst_")}
 
 
-def _assignment_table(k: int, rng: np.random.Generator) -> np.ndarray:
-    """The branch assignments a check covers, as ``_Tree`` takes them.
-
-    All 2**k of them when that is at most ``MAX_EXHAUSTIVE_ASSIGNMENTS``;
-    otherwise that many drawn from ``rng``, one ``rng.choice`` per
-    assignment. Rows are sorted, True is plus.
-    """
-    if 2 ** k <= MAX_EXHAUSTIVE_ASSIGNMENTS:
-        # row i spells i in binary, first label most significant: sorted
-        return (np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1 == 1
-    table = np.array([rng.choice(("plus", "minus"), size=k) == "plus"
-                      for _ in range(MAX_EXHAUSTIVE_ASSIGNMENTS)])
-    return table[np.lexsort(table.T[::-1])]
-
-
 def check_equivalence(circuit: Circuit, program: SwitchProgram,
                       trials: int = 100, seed: int = 42,
                       tolerance: float = DEFAULT_TOLERANCE) -> EquivalenceReport:
@@ -149,7 +131,7 @@ def check_equivalence(circuit: Circuit, program: SwitchProgram,
                          f"has {program.num_data_qubits}")
     bound = _BoundProgram(program)
     rng = np.random.default_rng(seed)
-    tree = _Tree(_assignment_table(len(bound.labels), rng))
+    tree = _Tree(len(bound.labels), rng)
 
     # the largest 1 - fidelity, its first trial and its smallest assignment
     worst, worst_trial, worst_row = -math.inf, 0, 0
@@ -167,11 +149,10 @@ def check_equivalence(circuit: Circuit, program: SwitchProgram,
     return EquivalenceReport(
         max_infidelity=max_infidelity,
         trials=trials,
-        branch_assignments=len(tree.table),
+        branch_assignments=tree.size,
         seed=seed,
         tolerance=tolerance,
         passed=max_infidelity <= tolerance,
         worst_trial=worst_trial,
-        worst_assignment=tuple("plus" if plus else "minus"
-                               for plus in tree.table[worst_row]),
+        worst_assignment=tree.assignment(worst_row),
     )

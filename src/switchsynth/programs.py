@@ -20,7 +20,7 @@ import hashlib
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -143,14 +143,37 @@ class SimulationTrace:
     seed: int | None
 
 
+# the type rule of each field annotation, which validate_program applies to an
+# instruction's fields: each takes the value, its op tag and its field name,
+# and returns the field's value
+def _string(value, op: str, name: str) -> str:
+    if type(value) is not str:
+        raise ProgramError(f"{op} {name} must be a string, got {value!r}")
+    return value
+
+
+def _angle(value, op: str, name: str) -> float:
+    """The one type rule of an angle: an int or a float, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProgramError(f"{op} {name} must be a number, got {value!r}")
+    return value
+
+
+def _qubits(value, op: str, name: str) -> tuple[int, ...]:
+    """Qubit indices are a list or a tuple of plain ints (not bools)."""
+    if type(value) not in (list, tuple) or not all(type(q) is int for q in value):
+        raise ProgramError(f"qubit indices must be integers, got {value!r}")
+    return tuple(value)
+
+
 def validate_program(program: SwitchProgram) -> list[tuple]:
     """Check the static contract in one pass; raises ProgramError on violation.
 
-    Each table matrix is a square 2-D complex array, unitary within
-    ``UNITARY_ATOL`` (the first bad id in table order is named); then
-    ``num_data_qubits`` is an integer from 0 to ``MAX_QUBITS``; each field of
-    an instruction holds its annotation's type, by the rules ``parse_program``
-    applies (a list or a tuple of ints for ``qubits``); ancillas are
+    Each table id is a string; then each table matrix is a square 2-D
+    complex array, unitary within ``UNITARY_ATOL`` (the first bad id in table
+    order is named); then ``num_data_qubits`` is an integer from 0 to
+    ``MAX_QUBITS``; each field of an instruction holds its annotation's type
+    (a list or a tuple of ints for ``qubits``); ancillas are
     allocated before use and discarded after their last use; measurements
     precede any conditional referencing their result; matrix references
     resolve at matching dimensions; angles are finite numbers; the data
@@ -161,6 +184,8 @@ def validate_program(program: SwitchProgram) -> list[tuple]:
     the measurement it makes or reads, or None.
     """
     matrices = program.matrices
+    for key in matrices:  # jsonio writes a document's keys only as strings
+        _string(key, "matrix", "id")
     faults: dict[str, str] = {}  # bad id -> its message
     shapes: dict[tuple, list[str]] = {}  # shape -> the ids of that shape
     for key, m in matrices.items():
@@ -243,7 +268,7 @@ def validate_program(program: SwitchProgram) -> list[tuple]:
                 raise ProgramError(f"result label {inst.result!r} reused")
             try:
                 finite = math.isfinite(_angle(inst.theta, "measure_ancilla", "theta"))
-            except OverflowError:  # an int beyond float range
+            except OverflowError:  # math.isfinite of an int beyond float range
                 finite = False
             if not finite:
                 raise ProgramError(f"instruction {index} (measure_ancilla "
@@ -277,19 +302,14 @@ def validate_program(program: SwitchProgram) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
-def _record(inst: ProgramInstruction) -> dict:
-    if type(inst) not in _TAGS:
-        raise ProgramError(f"unknown instruction {inst!r}")
-    # a dataclass instance's __dict__ holds its fields in declaration order
-    return {"op": _TAGS[type(inst)], **vars(inst)}
-
-
 def program_document(program: SwitchProgram) -> dict:
     """The document ``dumps`` writes for a program; matrices stay arrays."""
     return {
         "num_data_qubits": program.num_data_qubits,
         "matrices": dict(sorted(program.matrices.items())),
-        "instructions": [_record(inst) for inst in program.instructions],
+        # a dataclass instance's __dict__ holds its fields in declaration order
+        "instructions": [{"op": _TAGS[type(inst)], **vars(inst)}
+                         for inst in program.instructions],
     }
 
 
@@ -306,36 +326,8 @@ def _matrix_from_entries(entries, key: str) -> np.ndarray:
     return np.array([complex(re, im) for re, im in entries], dtype=complex).reshape(dim, dim)
 
 
-# the type rule of each field annotation, which parse_program applies to a
-# record's JSON values and validate_program to an instruction's fields: each
-# takes the value, its op tag and its field name, and returns the field's value
-def _string(value, op: str, name: str) -> str:
-    if type(value) is not str:
-        raise ProgramError(f"{op} {name} must be a string, got {value!r}")
-    return value
-
-
-def _angle(value, op: str, name: str) -> float:
-    """The one type rule of an angle: an int or a float, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProgramError(f"{op} {name} must be a number, got {value!r}")
-    float(value)  # OverflowError for an int beyond float range
-    return value
-
-
-def _qubits(value, op: str, name: str) -> tuple[int, ...]:
-    """Qubit indices are a list or a tuple of plain ints (not bools)."""
-    if type(value) not in (list, tuple) or not all(type(q) is int for q in value):
-        raise ProgramError(f"qubit indices must be integers, got {value!r}")
-    return tuple(value)
-
-
-# per op tag: (name, required, check) of each field, and the keys a record
-# may hold
-_FIELDS = {tag: [(f.name, f.default is MISSING,
-                  {"str": _string, "float": _angle, "tuple[int, ...]": _qubits}[f.type])
-                 for f in fields(cls)] for tag, cls in OPS.items()}
-_KEYS = {tag: {"op", *(f.name for f in fields(cls))} for tag, cls in OPS.items()}
+# per op tag: the keys a record may hold besides "op"
+_KEYS = {tag: {f.name for f in fields(cls)} for tag, cls in OPS.items()}
 _DOCUMENT_KEYS = {"num_data_qubits", "matrices", "instructions"}
 
 
@@ -350,9 +342,10 @@ def _refuse_unknown_keys(doc: dict, known: set[str], op: str | None = None) -> N
 def parse_program(text: str) -> SwitchProgram:
     """Parse serialized JSON back into a program ``validate_program`` accepts.
 
-    The document and each record hold only the keys they know, and each
-    record field must first hold the JSON type of its annotation: a string, a
-    number for ``theta``, a list of integers for ``qubits``.
+    The document and each record hold only the keys they know. Each record
+    becomes its op's dataclass with the values as written, a JSON list of
+    ``qubits`` as a tuple, and ``validate_program`` then judges every field,
+    so a document and the same program built by hand fail alike.
     """
     try:
         doc = json.loads(text)
@@ -374,13 +367,13 @@ def parse_program(text: str) -> SwitchProgram:
             if not isinstance(record, dict):
                 raise ProgramError(f"instruction record must be a JSON object, "
                                    f"got {record!r}")
-            op = record["op"]
+            op = record.pop("op")
             if op not in OPS:
                 raise ProgramError(f"unknown instruction op {op!r}")
             _refuse_unknown_keys(record, _KEYS[op], op)
-            instructions.append(OPS[op](**{
-                name: check(record[name], op, name)
-                for name, required, check in _FIELDS[op] if required or name in record}))
+            if type(record.get("qubits")) is list:
+                record["qubits"] = tuple(record["qubits"])
+            instructions.append(OPS[op](**record))  # TypeError for a missing field
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         if isinstance(err, ProgramError):
             raise
@@ -412,6 +405,10 @@ def parse_program(text: str) -> SwitchProgram:
 # identical to a replay of its branch assignment one instruction at a time.
 
 CAP = 1024  # amplitudes per chunk of the walk
+
+# beyond this many branch assignments, check_equivalence samples instead of
+# enumerating (2**10)
+MAX_EXHAUSTIVE_ASSIGNMENTS = 1024
 
 _ALL = slice(None)  # a row selection: all rows (_ALL), none (None) or an index array
 
@@ -463,7 +460,8 @@ def _zero_branch(name: str, label: str) -> ProgramError:
 
 
 class _Tree:
-    """Chooser that follows every branch assignment of a table.
+    """Chooser that follows each branch assignment of its table: all 2**k of
+    ``k`` measurements, or ``MAX_EXHAUSTIVE_ASSIGNMENTS`` drawn from ``rng``.
 
     ``table`` is a boolean (assignments, measurements) array, True for plus,
     with its rows in sorted order ("minus" before "plus"), so the rows that
@@ -471,9 +469,20 @@ class _Tree:
     are the arrays ``(lo, hi)``: row i's assignments are ``table[lo[i]:hi[i]]``.
     """
 
-    def __init__(self, table: np.ndarray):
-        self.table = table
-        self.root = (np.zeros(1, dtype=np.intp), np.full(1, len(table)))
+    def __init__(self, k: int, rng: np.random.Generator | None):
+        if 2 ** k <= MAX_EXHAUSTIVE_ASSIGNMENTS:
+            # row i spells i in binary, first label most significant: sorted
+            self.table = (np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1 == 1
+        else:  # one rng.choice per assignment
+            table = np.array([rng.choice(("plus", "minus"), size=k) == "plus"
+                              for _ in range(MAX_EXHAUSTIVE_ASSIGNMENTS)])
+            self.table = table[np.lexsort(table.T[::-1])]
+        self.size = len(self.table)
+        self.root = (np.zeros(1, dtype=np.intp), np.full(1, self.size))
+
+    def assignment(self, row: int) -> tuple[str, ...]:
+        """Row ``row`` of the table as branch names, in measurement order."""
+        return tuple("plus" if plus else "minus" for plus in self.table[row])
 
     def measure(self, depth: int, label: str, nodes, states, functionals):
         lo, hi = nodes

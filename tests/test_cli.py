@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from switchsynth.circuits import CONTROLLED_GATES, GATES, parse_circuit
+from switchsynth.circuits import CONTROLLED_GATES, GATES, controlled_gate_spec, parse_circuit
 from switchsynth.cli import THREAD_VARS, main
 from switchsynth.linalg import MAX_QUBITS, MAX_TRIALS
 
@@ -640,3 +640,61 @@ def test_main_defaults_to_one_blas_thread_only_when_nothing_is_set(
          "print(json.dumps(os.environ.get('OMP_NUM_THREADS')))"],
         capture_output=True, text=True, env=_without_thread_vars(**variables), check=True)
     assert json.loads(proc.stdout.splitlines()[-1]) == expected
+
+
+# number text that int() or float() reads but circuit text refuses
+@pytest.mark.parametrize("flag,kind,text", [
+    ("--trials", "int", "١٠"),
+    ("--trials", "int", "1_0"),
+    ("--seed", "int", "٣"),
+    ("--seed", "int", "-1"),
+    ("--seed", "int", " 3"),
+    ("--tolerance", "float", "1_0"),
+    ("--alpha", "float", "١"),
+    ("--alpha", "float", " 1"),
+    ("--alpha", "float", "1_0"),
+])
+def test_numeric_flags_take_the_number_text_circuit_text_takes(capsys, flag, kind, text):
+    argv = {"--alpha": "0.5", "--theta": "1.0", "--nx": "0", "--ny": "0.6",
+            "--nz": "0.8", flag: text}
+    code, out, err = run_cli(capsys, "synth", "--gate", "cu",
+                             *(x for item in argv.items() for x in item))
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {flag}: invalid {kind} value: {text!r}\n")
+
+
+@pytest.mark.parametrize("command", [["verify", "--suite", "switch"],
+                                     ["synth", "--gate", "cnot"]])
+def test_a_negative_seed_is_a_usage_error_naming_the_flag(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --seed: invalid int value: '-1'\n")
+
+
+def test_numeric_flags_take_leading_zeros_and_exponents(capsys):
+    _, plain, _ = run_cli(capsys, "synth", "--gate", "cu", "--alpha", "0.5",
+                          "--theta", "1", "--nx", "0", "--ny", "0.6", "--nz", "0.8",
+                          "--trials", "3", "--seed", "7")
+    code, spelled, _ = run_cli(capsys, "synth", "--gate", "cu", "--alpha", "5e-1",
+                               "--theta", "+1.", "--nx", "0e0", "--ny", ".6",
+                               "--nz", "0.80", "--trials", "003", "--seed", "07")
+    assert (code, spelled) == (0, plain)
+
+
+def test_synth_snaps_an_axis_as_circuit_text_does(capsys):
+    code, out, _ = run_cli(capsys, "synth", "--gate", "cu", "--alpha", "0",
+                           "--theta", "1", "--nx", "0.6", "--ny", "0",
+                           "--nz", "0.8000001", "--trials", "1")
+    assert code == 0
+    circuit = parse_circuit("qubits 2\ncu 0 1 alpha=0 theta=1 nx=0.6 ny=0 nz=0.8000001\n")
+    spec = controlled_gate_spec(circuit.instructions[0])
+    assert json.loads(out)["spec"]["axis"] == list(spec.axis)
+    assert spec.axis != (0.6, 0.0, 0.8000001)
+
+
+@pytest.mark.parametrize("nz", ["0.9", "0.80001", "nan", "1e999"])
+def test_synth_axis_off_unit_length_is_a_usage_error_naming_the_flags(capsys, nz):
+    code, out, err = run_cli(capsys, "synth", "--gate", "cu", "--alpha", "0",
+                             "--theta", "1", "--nx", "0.6", "--ny", "0", "--nz", nz)
+    assert (code, out) == (2, "")
+    assert "error: --nx/--ny/--nz: axis (nx, ny, nz) must be unit length, got |n| = " in err

@@ -327,8 +327,7 @@ def test_simulate_without_measurements_rejects_a_non_normalized_input(scale):
                        match="input state is not normalized: squared norm"):
         simulate_program(program, scale * basis_state(2, 0), seed=0)
     with pytest.raises(programs.ProgramError, match="input state is not normalized"):
-        next(_BoundProgram(program).walk(scale * basis_state(2, 0),
-                                         _Tree(np.zeros((1, 0), dtype=bool))))
+        next(_BoundProgram(program).walk(scale * basis_state(2, 0), _Tree(0, None)))
 
 
 def test_every_multi_qubit_gate_lowers_to_a_switch_block():
@@ -369,11 +368,10 @@ def deferred(program):
 def exhaustive_leaves(program, psi):
     """(assignment, final state) of every leaf of the stacked walk."""
     bound = _BoundProgram(program)
-    tree = _Tree(lowering._assignment_table(len(bound.labels), None))
+    tree = _Tree(len(bound.labels), None)
     for states, (lo, _) in bound.walk(psi, tree):
         for state, row in zip(states, lo):
-            yield (dict(zip(bound.labels, ("plus" if b else "minus"
-                                           for b in tree.table[row]))), state)
+            yield dict(zip(bound.labels, tree.assignment(row))), state
 
 
 @pytest.mark.parametrize("cap", [1, 64, 2 ** 30])

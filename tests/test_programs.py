@@ -345,7 +345,7 @@ def test_program_document_sorts_matrices():
      '{"op": "alloc_ancilla", "ancilla": "a0"}, '
      '{"op": "measure_ancilla", "theta": 1' + '0' * 400 + ', "ancilla": "a0", '
      '"result": "m0"}, {"op": "discard", "ancilla": "a0"}]}',
-     "malformed program document: int too large to convert to float"),
+     "instruction 1 (measure_ancilla 'a0'): measurement angle must be finite"),
     pytest.param("1" * 5000, "invalid program JSON", id="too_many_digits"),
     pytest.param("[" * 100000, "invalid program JSON", id="too_deep"),
 ])
@@ -696,3 +696,42 @@ def test_huge_table_entries_raise_only_the_program_error(entry):
     for run in (validate_program, serialize_program):
         with pytest.raises(ProgramError, match="matrix 'k' is not unitary"):
             run(program)
+
+
+# the table's fault, named before a field fault of an instruction: a document
+# with a non-unitary "m0", and the same program built by hand
+TABLE_FAULT_CASES = [
+    pytest.param('{"op": "apply_local", "matrix": "m0", "qubits": [true]}',
+                 (ApplyLocal("m0", (True,)),), id="bool_qubit"),
+    pytest.param('{"op": "alloc_ancilla", "ancilla": "a0"}, '
+                 '{"op": "measure_ancilla", "theta": 1' + '0' * 400 + ', '
+                 '"ancilla": "a0", "result": "m0"}, {"op": "discard", "ancilla": "a0"}',
+                 (AllocAncilla("a0"), MeasureAncilla(10 ** 400, "a0", "m0"),
+                  Discard("a0")), id="theta_beyond_float_range"),
+]
+
+
+@pytest.mark.parametrize("records,instructions", TABLE_FAULT_CASES)
+def test_parse_validate_and_serialize_name_the_same_first_fault(records, instructions):
+    text = ('{"num_data_qubits": 1, "matrices": {"m0": [[2, 0], [0, 0], [0, 0], '
+            '[2, 0]]}, "instructions": [' + records + ']}')
+    program = SwitchProgram(num_data_qubits=1,
+                            matrices={"m0": 2 * np.eye(2, dtype=complex)},
+                            instructions=instructions)
+    for run in (lambda p: parse_program(text), validate_program, serialize_program):
+        with pytest.raises(ProgramError) as err:
+            run(program)
+        assert str(err.value) == "matrix 'm0' is not unitary within 1e-10"
+
+
+def test_every_entry_point_refuses_a_table_id_that_is_not_a_string():
+    program = SwitchProgram(num_data_qubits=1)
+    program.instructions = (ApplyLocal(program.add_matrix(H), (0,)),)
+    program.matrices[1] = X
+    for run in (validate_program, serialize_program,
+                lambda p: simulate_program(p, basis_state(1, 0), seed=0),
+                lambda p: check_equivalence(parse_circuit("qubits 1\nh 0\n"), p,
+                                            trials=1)):
+        with pytest.raises(ProgramError) as err:
+            run(program)
+        assert str(err.value) == "matrix id must be a string, got 1"
