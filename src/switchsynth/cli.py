@@ -83,7 +83,7 @@ class _Command(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
 
-def _add_synth(synth: argparse.ArgumentParser, parser: argparse.ArgumentParser) -> None:
+def _add_synth(synth: argparse.ArgumentParser) -> None:
     from .circuits import _FLOAT_RE, CONTROLLED_GATES, GATES
     # every parameter flag: the union of the controlled gates' parameters
     flags = tuple(dict.fromkeys(p for g in CONTROLLED_GATES for p in GATES[g].params))
@@ -91,7 +91,7 @@ def _add_synth(synth: argparse.ArgumentParser, parser: argparse.ArgumentParser) 
     for flag in flags:
         synth.add_argument(f"--{flag}", type=_checked(_FLOAT_RE, float), default=None)
     _add_common(synth)
-    synth.set_defaults(run=lambda args: cmd_synth(args, parser, flags))
+    synth.set_defaults(run=lambda args: cmd_synth(args, synth, flags))
 
 
 def _add_verify(verify: argparse.ArgumentParser) -> None:
@@ -122,8 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Controlled gates from single-qubit gates in superposed "
                     "causal orders.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
-    sub.add_parser("synth", help="synthesize and certify one gate",
-                   add=lambda synth: _add_synth(synth, parser))
+    sub.add_parser("synth", help="synthesize and certify one gate", add=_add_synth)
     sub.add_parser("verify", help="run a property suite", add=_add_verify)
     sub.add_parser("lower", help="compile a circuit file", add=_add_lower)
     sub.add_parser("simulate", help="run a switch program", add=_add_simulate)

@@ -387,10 +387,16 @@ def require_trials(trials: int) -> int:
     return trials
 
 
-def require_check_inputs(trials: int, tolerance: float) -> None:
-    """Raise ValueError unless a sampled check's inputs are valid."""
-    require_trials(trials)
+def require_check_inputs(trials: int, seed: int, tolerance: float) -> tuple[int, int]:
+    """A sampled check's ``trials`` and ``seed`` as plain ints; raises
+    ValueError, naming the argument, unless its inputs are valid."""
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    trials = require_trials(int(trials))
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     require_tolerance(tolerance)
+    return trials, int(seed)
 
 
 # ---------------------------------------------------------------------------

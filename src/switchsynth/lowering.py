@@ -125,7 +125,7 @@ def check_equivalence(circuit: Circuit, program: SwitchProgram,
     2**(k+1) - 1 block runs per trial for all assignments of k measurements,
     not k * 2**k, each level's blocks in stacked numpy calls.
     """
-    require_check_inputs(trials, tolerance)
+    trials, seed = require_check_inputs(trials, seed, tolerance)
     if circuit.num_qubits != program.num_data_qubits:
         raise ValueError(f"circuit has {circuit.num_qubits} qubits, program "
                          f"has {program.num_data_qubits}")

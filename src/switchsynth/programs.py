@@ -21,7 +21,6 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from functools import partial
 
 import numpy as np
 
@@ -390,12 +389,16 @@ def parse_program(text: str) -> SwitchProgram:
 #
 # One executor serves sampled, forced and exhaustive runs. Binding reads the
 # output of validate_program, builds each distinct switch joint once and
-# resolves every axis order and branch functional, leaving segments: the
-# updates up to a measurement, then that measurement. The walk runs them along
-# the branch tree a level at a time: the nodes at one depth are the rows of
-# one (rows, 2^total) stack and each step is one numpy call on it; a
-# `cond_apply` updates the rows whose recorded outcome matches. At a
-# measurement (of the last qubit, by construction) a chooser projects the
+# resolves every axis order and branch functional, leaving segments of plain
+# data: the steps up to a measurement, then that measurement. A step is None,
+# an ancilla allocation, or (matrix, layout, condition): a matrix, its
+# `axis_orders` layout, and None or the (record index, outcome) of a
+# `cond_apply`. A measurement is (functionals, label, move): the (shape, order)
+# that moves its ancilla last, or None if it is last. The walk applies them
+# along the branch tree a level at a time: the nodes at one depth are the rows
+# of one (rows, 2^total) stack and each step is one numpy call on it; a
+# conditional step updates the rows whose recorded outcome matches. At a
+# measurement (of the last qubit, after its move) a chooser projects the
 # stack and keeps the followed post-measurement states, plus branch first, as
 # the next level's rows, so a prefix shared by many branch assignments runs
 # once. Each level is cut into chunks of at most max(1, CAP // dim) rows,
@@ -418,41 +421,6 @@ def _rows(mask: np.ndarray):
     if mask.all():
         return _ALL
     return np.flatnonzero(mask) if mask.any() else None
-
-
-def _local(matrix: np.ndarray, qubits: tuple[int, ...], total: int):
-    """``apply_matrix`` on a stack of ``total``-qubit states, laid out now."""
-    shape, order, split, inverse = axis_orders(qubits, total)
-    return lambda states, took: apply_ordered(states, matrix, shape, order,
-                                              split, inverse)
-
-
-def _alloc(states: np.ndarray, took) -> np.ndarray:
-    return tensor(states, PLUS)
-
-
-def _to_last(pos: int, total: int):
-    """Move the ancilla at ``pos`` behind the ``total - 1`` other qubits."""
-    shape, order, _, _ = axis_orders((*range(pos), *range(pos + 1, total), pos),
-                                     total)
-    return lambda states, took: (states.reshape(shape).transpose(order)
-                                 .reshape(len(states), -1))
-
-
-def _conditional(index: int, outcome: str, apply):
-    """Run the step ``apply`` on the rows whose measurement ``index`` gave
-    ``outcome``."""
-
-    def step(states, took):
-        rows = took(index, outcome)
-        if rows is None:
-            return states
-        if rows is _ALL:
-            return apply(states, took)
-        states = states.copy()
-        states[rows] = apply(states[rows], took)
-        return states
-    return step
 
 
 def _zero_branch(name: str, label: str) -> ProgramError:
@@ -535,32 +503,31 @@ class _BoundProgram:
     def __init__(self, program: SwitchProgram):
         resolved = validate_program(program)
         self.num_data_qubits = program.num_data_qubits
+        matrices = program.matrices
         joints: dict[tuple[str, str], np.ndarray] = {}
-        self.segments: list[tuple[list, tuple[tuple, str] | None]] = []
+        self.segments: list[tuple[list, tuple | None]] = []
         steps: list = []
         for inst, qubits, total, index in resolved:
             if isinstance(inst, AllocAncilla):
-                steps.append(_alloc)
-            elif isinstance(inst, ApplyLocal):
-                steps.append(_local(program.matrices[inst.matrix], qubits, total))
+                steps.append(None)
             elif isinstance(inst, SwitchApply):
                 key = (inst.gate_a, inst.gate_b)
                 if key not in joints:
-                    joints[key] = joint_matrix(program.matrices[inst.gate_a],
-                                               program.matrices[inst.gate_b])
-                steps.append(_local(joints[key], qubits, total))
+                    joints[key] = joint_matrix(matrices[inst.gate_a], matrices[inst.gate_b])
+                steps.append((joints[key], axis_orders(qubits, total), None))
             elif isinstance(inst, MeasureAncilla):
-                if qubits[0] != total - 1:
-                    steps.append(_to_last(qubits[0], total))
-                self.segments.append(
-                    (steps, (branch_functionals(inst.theta), inst.result)))
+                pos = qubits[0]
+                move = None if pos == total - 1 else axis_orders(
+                    (*range(pos), *range(pos + 1, total), pos), total)[:2]
+                self.segments.append((steps, (branch_functionals(inst.theta), inst.result, move)))
                 steps = []
-            elif isinstance(inst, CondApply):
-                steps.append(_conditional(index, inst.outcome, _local(
-                    program.matrices[inst.matrix], qubits, total)))
+            elif isinstance(inst, (ApplyLocal, CondApply)):
+                condition = None if index is None else (index, inst.outcome)
+                steps.append((matrices[inst.matrix], axis_orders(qubits, total),
+                               condition))
             # Discard: the state already lost the ancilla at its measurement
         self.segments.append((steps, None))
-        self.labels = tuple(label for _, (_, label) in self.segments[:-1])
+        self.labels = tuple(label for _, (_, label, _) in self.segments[:-1])
 
     def walk(self, input_state: np.ndarray, chooser):
         """Yield (states, nodes) for every chunk of leaves reached.
@@ -582,13 +549,24 @@ class _BoundProgram:
         while work:
             depth, states, nodes = work.pop()
             steps, measurement = self.segments[depth]
-            took = partial(chooser.took, nodes)
             for step in steps:
-                states = step(states, took)
+                if step is None:
+                    states = tensor(states, PLUS)
+                    continue
+                matrix, layout, condition = step
+                rows = _ALL if condition is None else chooser.took(nodes, *condition)
+                if rows is _ALL:
+                    states = apply_ordered(states, matrix, *layout)
+                elif rows is not None:
+                    states = states.copy()
+                    states[rows] = apply_ordered(states[rows], matrix, *layout)
             if measurement is None:
                 yield states, nodes
                 continue
-            functionals, label = measurement
+            functionals, label, move = measurement
+            if move is not None:
+                shape, order = move
+                states = states.reshape(shape).transpose(order).reshape(len(states), -1)
             states, nodes = chooser.measure(depth, label, nodes, states,
                                             functionals)
             size = max(1, CAP // states.shape[1])

@@ -244,7 +244,7 @@ def run_suite(name: str, trials: int = 100, seed: int = 42,
               tolerance: float = DEFAULT_TOLERANCE) -> list[PropertyResult]:
     """Run one suite (or 'all') and return its property results; each suite
     runs its trials in order on its own generator, seeded with ``seed``."""
-    require_check_inputs(trials, tolerance)
+    trials, seed = require_check_inputs(trials, seed, tolerance)
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}, expected one of {SUITE_NAMES}")
     results = []

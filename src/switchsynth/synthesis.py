@@ -333,7 +333,7 @@ def verify_synthesis(spec: ControlledGateSpec, *, trials: int = 100,
     infidelity against CU acting directly. The trials run as one stack, with
     the same bits as running them one at a time.
     """
-    require_check_inputs(trials, tolerance)
+    trials, seed = require_check_inputs(trials, seed, tolerance)
     plan = synthesize(spec)
     target = cu_matrix(spec)
     # switch_unitary's and branch_gates' checks on the plan's two gates, run

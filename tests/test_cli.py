@@ -62,6 +62,14 @@ def test_synth_rejects_flags_its_gate_does_not_take(capsys, argv, flags):
     assert f"--gate {argv[1]} does not take {flags}" in err
 
 
+@pytest.mark.parametrize("argv", [("--gate", "cu"), ("--gate", "cnot", "--theta", "1")],
+                         ids=["missing_flags", "extra_flag"])
+def test_synth_flag_errors_print_synths_usage(capsys, argv):
+    code, out, err = run_cli(capsys, "synth", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: switchsynth synth ")
+
+
 def test_synth_cu_full(capsys):
     code, out, _ = run_cli(capsys, "synth", "--gate", "cu", "--alpha", "0.3",
                            "--theta", "0.8", "--nx", "0.0", "--ny", "0.6",

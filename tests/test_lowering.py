@@ -269,6 +269,21 @@ def test_check_equivalence_rejects_zero_trials():
         check_equivalence(circuit, lower(circuit), trials=0)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"trials": True}, "trials must be an integer, got True"),
+    ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+    ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+    ({"seed": False}, "seed must be a non-negative integer, got False"),
+])
+def test_check_equivalence_validates_trials_and_seed(kwargs, message):
+    circuit = parse_circuit(BELL_TEXT)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_equivalence(circuit, lower(circuit), **kwargs)
+    doc = check_equivalence(circuit, lower(circuit), trials=np.int64(2),
+                            seed=np.int32(5)).as_dict()
+    assert (type(doc["trials"]), type(doc["seed"])) == (int, int)
+
+
 @pytest.mark.parametrize("text,make_program,trials,assignments", [
     (THREE_GATE_TEXT, lambda c: interleaved(lower(c)), 3, 8),
     (CZ11_TEXT, lower, 1, 1024),

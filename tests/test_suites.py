@@ -58,6 +58,17 @@ def test_run_suite_rejects_zero_trials(name):
         run_suite(name, trials=0)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"trials": True}, "trials must be an integer, got True"),
+    ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+    ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+    ({"seed": "1"}, "seed must be a non-negative integer, got '1'"),
+])
+def test_run_suite_validates_trials_and_seed(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_suite("switch", **kwargs)
+
+
 @pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf])
 def test_run_suite_rejects_bad_tolerances(tolerance):
     with pytest.raises(ValueError, match="tolerance must be finite and at least 0"):

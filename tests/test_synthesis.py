@@ -297,6 +297,19 @@ def test_verify_synthesis_rejects_zero_trials():
         verify_synthesis(preset("cnot"), trials=0)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"trials": True}, "trials must be an integer, got True"),
+    ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+    ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+    ({"seed": 1.0}, "seed must be a non-negative integer, got 1.0"),
+])
+def test_verify_synthesis_validates_trials_and_seed(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_synthesis(preset("cnot"), **kwargs)
+    report = verify_synthesis(preset("cnot"), trials=np.int64(3), seed=np.uint8(7))
+    assert (type(report.trials), type(report.seed)) == (int, int)
+
+
 @pytest.mark.parametrize("spec,trials,seed,name,expected", [
     (preset("cz"), 100, 5, "cz", {
         "residual_plus": 3.268980133568449e-16,
