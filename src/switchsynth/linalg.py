@@ -392,11 +392,17 @@ def require_check_inputs(trials: int, seed: int, tolerance: float) -> tuple[int,
     ValueError, naming the argument, unless its inputs are valid."""
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
         raise ValueError(f"trials must be an integer, got {trials!r}")
-    trials = require_trials(int(trials))
+    trials, seed = require_trials(int(trials)), require_seed(seed)
+    require_tolerance(tolerance)
+    return trials, seed
+
+
+def require_seed(seed: int) -> int:
+    """A generator seed as a plain int; raises ValueError, naming ``seed``,
+    unless it is a non-negative integer (a bool is not one)."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    require_tolerance(tolerance)
-    return trials, int(seed)
+    return int(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -410,20 +416,31 @@ def projector(state: np.ndarray) -> np.ndarray:
     return np.outer(state, state.conj())
 
 
-def is_density_matrix(rho: np.ndarray, atol: float = DENSITY_ATOL) -> bool:
-    """Finite, Hermitian, unit trace, and eigenvalues above the -1e-9 floor."""
+def is_density_matrix(rho: np.ndarray, atol: float = DENSITY_ATOL) -> bool | np.ndarray:
+    """Finite, Hermitian, unit trace, and eigenvalues above the -1e-9 floor;
+    one bool per matrix of a (k, d, d) stack. No other shape is a density."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or not np.isfinite(rho).all():
-        return False
-    if np.linalg.norm(rho - dagger(rho)) > atol:
-        return False
-    if abs(np.trace(rho).real - 1.0) > atol or abs(np.trace(rho).imag) > atol:
-        return False
-    return bool(np.linalg.eigvalsh(rho).min() >= DENSITY_EIGVAL_FLOOR)
+    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
+        return np.zeros(len(rho), dtype=bool) if rho.ndim == 3 else False
+    # C order, so a trace sums as np.trace sums one matrix; a non-finite
+    # matrix is zeroed, so the checks below run on it without a warning
+    stack = np.ascontiguousarray(rho[None] if rho.ndim == 2 else rho)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    stack = stack if finite.all() else np.where(finite[:, None, None], stack, 0.0)
+    flat = (stack - dagger(stack)).reshape(len(stack), rho.shape[-1] ** 2)
+    re, im = flat.real, flat.imag  # summed as np.linalg.norm sums, bitwise
+    herm = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+    ok = [f and not (h > atol or abs(t.real - 1.0) > atol or abs(t.imag) > atol)
+          for f, h, t in zip(finite.tolist(), herm.tolist(),
+                             stack.diagonal(0, 1, 2).sum(axis=1).tolist())]
+    if any(ok):  # eigvalsh lists each matrix's eigenvalues in ascending order
+        low = iter(np.linalg.eigvalsh(stack if all(ok) else stack[ok])[:, 0].tolist())
+        ok = [f and next(low) >= DENSITY_EIGVAL_FLOOR for f in ok]
+    return ok[0] if rho.ndim == 2 else np.array(ok, dtype=bool)
 
 
 def require_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
-    if not is_density_matrix(rho):
+    if rho.ndim != 2 or not is_density_matrix(rho):
         raise ValueError(f"{name} is not a density matrix")
     return rho

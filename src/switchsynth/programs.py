@@ -32,6 +32,7 @@ from .linalg import (
     apply_ordered,
     axis_orders,
     is_unitary,
+    require_seed,
     require_square,
     state_num_qubits,
     tensor,
@@ -608,9 +609,10 @@ def simulate_program(program: SwitchProgram, input_state: np.ndarray,
     """Run a program on a data-qubit input state.
 
     Measurements sample from the exact branch probabilities with a generator
-    seeded by ``seed``; ``forced`` (a branch name, or a mapping from each
-    result label to a branch name) pins outcomes instead, in which case the
-    recorded probability is still the true probability of the forced branch.
+    seeded by ``seed`` (None, or a non-negative integer the trace keeps as an
+    int); ``forced`` (a branch name, or a mapping from each result label to
+    a branch name) pins outcomes instead, in which case the recorded
+    probability is still the true probability of the forced branch.
     A mapping that misses a result label of the program, or names one the
     program never measures, raises ``ProgramError``, as does a ``forced``
     that is neither a branch name nor a mapping.
@@ -618,6 +620,7 @@ def simulate_program(program: SwitchProgram, input_state: np.ndarray,
     The program is bound once (see the executor's section comment) and one
     path of its branch tree is walked, as a stack of one row.
     """
+    seed = None if seed is None else require_seed(seed)
     bound = _BoundProgram(program)
     if forced is None:
         rng = np.random.default_rng(seed)

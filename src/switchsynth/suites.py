@@ -206,7 +206,7 @@ def _channels_trial(rng, k: int, worst: _Ledger) -> None:
     worst("output_hermitian", np.linalg.norm(out - dagger(out)))
     if k % 8 == 0:
         choi = choi_matrix(
-            lambda m: _four_term_map(chan_a.operators, chan_b.operators, m, omega), 2)
+            lambda m: _four_term_map(chan_a.stack, chan_b.stack, m, omega), 2)
         worst("choi_positive", max(0.0, -float(np.linalg.eigvalsh(choi).min())))
     pure0 = projector(zero_state(1))
     fixed = switch_channel(chan_a, chan_b, rho, pure0)

@@ -23,6 +23,7 @@ from .linalg import (
     UNITARY_ATOL,
     Z,
     dagger,
+    is_density_matrix,
     require_density,
     require_square,
     require_unitary,
@@ -39,7 +40,8 @@ class KrausChannel:
     """A completely positive trace-preserving map given by Kraus operators.
 
     Operators must be square, finite, share one dimension, and satisfy the
-    completeness relation sum_i K_i^dag K_i = I within 1e-10.
+    completeness relation sum_i K_i^dag K_i = I within 1e-10; ``stack`` is
+    their one read-only (rank, dim, dim) copy and ``operators`` its rows.
     """
 
     def __init__(self, operators):
@@ -47,17 +49,17 @@ class KrausChannel:
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
         dim = require_square(ops[0], "Kraus operator").shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
         for k in ops:
-            k = require_square(k, "Kraus operator")
-            if k.shape[0] != dim:
+            if require_square(k, "Kraus operator").shape[0] != dim:
                 raise ValueError("Kraus operators must share one dimension")
             if not np.isfinite(k).all():
                 raise ValueError("Kraus operators must be finite")
-            total += dagger(k) @ k
+        self.stack = np.stack(ops)
+        self.stack.flags.writeable = False
+        self.operators = tuple(self.stack)
+        total = (dagger(self.stack) @ self.stack).sum(axis=0)
         if not np.linalg.norm(total - np.eye(dim)) <= UNITARY_ATOL:
             raise ValueError("Kraus operators do not satisfy completeness")
-        self.operators = ops
 
     @classmethod
     def from_unitary(cls, u: np.ndarray) -> "KrausChannel":
@@ -235,14 +237,14 @@ def _four_term_map(ops_a, ops_b, rho: np.ndarray, omega: np.ndarray) -> np.ndarr
     # are stacked over the Kraus pairs (a-major); the weighted terms are
     # summed in pair then term order, so the bits are those of the pairwise
     # Kronecker loop.
-    a, b = np.stack(ops_a)[:, None], np.stack(ops_b)[None]
+    a, b = np.asarray(ops_a)[:, None], np.asarray(ops_b)[None]
     ab, ba = (a @ b).reshape(-1, *rho.shape), (b @ a).reshape(-1, *rho.shape)
     anti, comm = ab + ba, ab - ba
     anti_rho, comm_rho = anti @ rho, comm @ rho
     anti_dag, comm_dag = dagger(anti), dagger(comm)
     terms = np.stack([anti_rho @ anti_dag, anti_rho @ comm_dag,
                       comm_rho @ anti_dag, comm_rho @ comm_dag], axis=1)
-    weights = np.stack([omega, omega @ Z, Z @ omega, Z @ omega @ Z])
+    weights = np.asarray([omega, omega @ Z, Z @ omega, Z @ omega @ Z])
     weighted = terms[..., :, None, :, None] * weights[:, None, :, None, :]
     out = np.zeros((rho.shape[0] * 2,) * 2, dtype=complex)
     for term in weighted.reshape(-1, *out.shape):
@@ -259,13 +261,31 @@ def switch_channel(chan_a: KrausChannel, chan_b: KrausChannel, rho: np.ndarray,
     [A,B] rho {A,B}^dag (x) Z omega, and [A,B] rho [A,B]^dag (x) Z omega Z,
     summed with weight 1/4. Trace preserving and completely positive.
     """
-    rho = require_density(rho, "rho")
-    omega = require_density(omega, "omega")
+    rho, omega = _require_states(rho, omega)
     if chan_a.dim != rho.shape[0] or chan_b.dim != rho.shape[0]:
         raise ValueError("channel dimensions must match rho")
     if omega.shape != (2, 2):
         raise ValueError("control omega must be a qubit state")
-    return _four_term_map(chan_a.operators, chan_b.operators, rho, omega)
+    return _four_term_map(chan_a.stack, chan_b.stack, rho, omega)
+
+
+def _require_states(rho, omega, dim: int | None = None):
+    """rho and omega as complex arrays (an omega of None, the library's own
+    state, stays None); raises naming rho, then (given ``dim``) rho's
+    dimension, then omega. One stacked check passes both states when they
+    share a 2-D shape; ``require_density`` judges any state it did not pass."""
+    rho = np.asarray(rho, dtype=complex)
+    omega = None if omega is None else np.asarray(omega, dtype=complex)
+    paired = omega is not None and rho.ndim == 2 and rho.shape == omega.shape
+    rho_ok, omega_ok = (is_density_matrix(np.asarray([rho, omega])) if paired
+                        else (False, omega is None))
+    if not rho_ok:
+        require_density(rho, "rho")
+    if dim is not None and rho.shape[0] != dim:
+        raise ValueError("rho dimension must match the channels")
+    if not omega_ok:
+        require_density(omega, "omega")
+    return rho, omega
 
 
 def uniform_control_state(num_orders: int) -> np.ndarray:
@@ -291,20 +311,16 @@ def switch_channel_n(channels, rho: np.ndarray,
     dim = channels[0].dim
     if any(ch.dim != dim for ch in channels):
         raise ValueError("all channels must share the target dimension")
-    rho = require_density(rho, "rho")
-    if rho.shape[0] != dim:
-        raise ValueError("rho dimension must match the channels")
+    rho, omega = _require_states(rho, omega, dim)
     num_orders = factorial(n)
-    if omega is None:
-        omega = uniform_control_state(num_orders)
-    omega = require_density(omega, "omega")
+    omega = uniform_control_state(num_orders) if omega is None else omega
     if omega.shape[0] != num_orders:
         raise ValueError(f"control omega must have dimension {num_orders}")
 
     # each wire's pick for every Kraus combination, combinations in
     # itertools.product order: picks[w, c] is a (dim, dim) operator
     combos = np.indices([ch.rank for ch in channels]).reshape(n, -1)
-    picks = np.stack([np.stack(ch.operators)[idx] for ch, idx in zip(channels, combos)])
+    picks = np.asarray([ch.stack[idx] for ch, idx in zip(channels, combos)])
     # extend every order prefix by each unused wire, a level at a time; the
     # prefixes stay lexicographic, so the last level is permutations(range(n))
     prefixes = [()]

@@ -246,6 +246,20 @@ def kronecker_switch_channel_n(channels, rho, omega):
     return out
 
 
+def single_density_check(rho, atol=1e-10):
+    """``linalg.is_density_matrix`` on one matrix, one check after another:
+    finite, Hermitian residual, trace, then the smallest eigenvalue against
+    the -1e-9 floor; any shape but a square 2-D one is not a density."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or not np.isfinite(rho).all():
+        return False
+    if np.linalg.norm(rho - rho.conj().T) > atol:
+        return False
+    if abs(np.trace(rho).real - 1.0) > atol or abs(np.trace(rho).imag) > atol:
+        return False
+    return bool(np.linalg.eigvalsh(rho).min() >= -1e-9)
+
+
 # ---------------------------------------------------------------------------
 # the single-qubit algebra as numpy expressions: linalg and synthesis build
 # these 2x2s (and the 4x4s around them) from Python floats, and their bytes

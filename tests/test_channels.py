@@ -319,3 +319,101 @@ def test_choi_matrix_refuses_an_input_dimension_that_is_not_an_integer(input_dim
 def test_choi_matrix_takes_a_numpy_integer_dimension():
     assert_allclose(choi_matrix(lambda m: m, np.int64(2)),
                     choi_matrix(lambda m: m, 2), atol=0)
+
+
+# states that fail (or pass) the density check in every way a caller can
+# hand one over, for a channel pair on one qubit
+_STATES = {
+    "good": I2 / 2,
+    "nan": np.array([[0.5, np.nan], [np.nan, 0.5]]),
+    "inf": np.array([[1.0, 0.0], [0.0, np.inf]]),
+    "not_hermitian": np.array([[0.5, 0.5], [-0.5, 0.5]]),
+    "trace_two": np.eye(2),
+    "negative": np.array([[1.5, 0.0], [0.0, -0.5]]),
+    "not_square": np.full((2, 3), 0.5),
+    "vector": np.array([1.0, 0.0]),
+    "stack_of_one": (I2 / 2)[None],
+    "four_dim": np.eye(4) / 4,
+    "three_dim": uniform_control_state(3),
+}
+
+
+def _first_fault(form, rho, omega):
+    """The message each form raised before one check covered both states:
+    rho's density check, then (switch_channel_n only) its dimension, then
+    omega's density check, then the remaining dimension checks."""
+    if not oracles.single_density_check(rho):
+        return "rho is not a density matrix"
+    if form == "n" and rho.shape[0] != 2:
+        return "rho dimension must match the channels"
+    if not oracles.single_density_check(omega):
+        return "omega is not a density matrix"
+    if form == "two" and rho.shape[0] != 2:
+        return "channel dimensions must match rho"
+    if omega.shape != (2, 2):
+        return ("control omega must be a qubit state" if form == "two"
+                else "control omega must have dimension 2")
+    return None
+
+
+@pytest.mark.parametrize("rho_kind", list(_STATES))
+def test_switch_channels_name_the_first_bad_state(rho_kind):
+    chan = KrausChannel.from_unitary(H)
+    rho = _STATES[rho_kind]
+    for omega_kind, omega in _STATES.items():
+        for form, run in (("two", lambda: switch_channel(chan, chan, rho, omega)),
+                          ("n", lambda: switch_channel_n([chan, chan], rho, omega))):
+            want = _first_fault(form, rho, omega)
+            if want is None:
+                assert run().shape == (4, 4), (form, omega_kind)
+                continue
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                run()
+    # the default control state is the library's own; only rho is judged
+    want = _first_fault("n", rho, uniform_control_state(2))
+    if want is None:
+        assert switch_channel_n([chan, chan], rho).shape == (4, 4)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            switch_channel_n([chan, chan], rho)
+
+
+def test_kraus_channel_keeps_one_read_only_copy_of_its_operators():
+    ops = np.stack([I2 / np.sqrt(2), X / np.sqrt(2)])
+    rows = [ops[0].copy(), ops[1].copy()]
+    for given in (ops, rows, tuple(rows)):
+        chan = KrausChannel(given)
+        assert chan.stack.shape == (2, 2, 2) and not chan.stack.flags.writeable
+        assert len(chan.operators) == chan.rank == 2
+        for op, row in zip(chan.operators, chan.stack):
+            assert np.shares_memory(op, chan.stack) and not op.flags.writeable
+            assert op.tobytes() == row.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            chan.operators[0][0, 0] = 2.0
+        before = chan.stack.copy()
+        ops[0, 0, 0] = rows[0][0, 0] = 7.0  # the caller's arrays change ...
+        assert chan.stack.tobytes() == before.tobytes()  # ... the channel's do not
+        assert chan.operators[0].tobytes() == before[0].tobytes()
+        ops[0, 0, 0] = rows[0][0, 0] = 1 / np.sqrt(2)
+
+
+def test_kraus_channel_messages_keep_their_order():
+    good = I2 / np.sqrt(2)
+    nan = good.copy()
+    nan[0, 1] = np.nan
+    wide = np.ones((2, 3))
+    square = re.escape("Kraus operator must be square, got shape (2, 3)")
+    cases = [
+        ([], "a channel needs at least one Kraus operator"),
+        ([wide, nan], square),
+        ([nan, wide], "Kraus operators must be finite"),
+        ([good, wide], square),
+        ([good, np.eye(4), nan], "Kraus operators must share one dimension"),
+        ([good, nan, np.eye(4)], "Kraus operators must be finite"),
+        ([nan], "Kraus operators must be finite"),  # before completeness
+        ([0.5 * I2], "Kraus operators do not satisfy completeness"),
+        ([good, good, good], "Kraus operators do not satisfy completeness"),
+    ]
+    for ops, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            KrausChannel(ops)

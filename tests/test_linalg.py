@@ -336,6 +336,72 @@ def test_density_checks():
     assert not is_density_matrix(np.array([[1, np.inf], [np.inf, 0]]))
 
 
+def _density_corpus():
+    """Square matrices of sizes 1-4 and 8, grouped by size: random densities,
+    non-finite entries and cases a few ulps either side of each threshold."""
+    from switchsynth.linalg import DENSITY_ATOL
+    from switchsynth.sampling import random_density
+
+    rng = np.random.default_rng(17)
+    groups = {d: [random_density(rng, d) for _ in range(12)] for d in (1, 2, 3, 4)}
+    for d, group in groups.items():
+        for bad in (np.nan, np.inf, -np.inf):
+            for entry in ((0, 0), (d - 1, 0), (0, d - 1)):
+                for value in (bad, complex(0.0, bad)):
+                    m = random_density(rng, d)
+                    m[entry] = value
+                    group.append(m)
+        u = random_unitary(rng, d)
+        for low in (-2e-9, -5e-10, 0.0):  # smallest eigenvalue
+            group.append(u @ np.diag([1.0 - low] + [0.0] * (d - 2) + [low])[:d, :d]
+                         @ u.conj().T)
+        for off in (2e-10, 5e-11, -2e-10, 2e-10j, 5e-11j):  # trace off 1
+            group.append(np.eye(d) / d + off * np.eye(d)[0][:, None] * np.eye(d)[0])
+    # Hermitian residual ||m - m^dag||_F = 2 sqrt(2) t, with t a few ulps
+    # either side of DENSITY_ATOL / (2 sqrt(2))
+    t0 = DENSITY_ATOL / (2.0 * math.sqrt(2.0))
+    for d in (2, 3, 4):
+        for ulps in range(-6, 7):
+            t = t0 * (1.0 + ulps * 2.0 ** -52)
+            for skew in (np.array([[0, t], [-t, 0]]), np.array([[0, 1j * t], [1j * t, 0]])):
+                m = np.eye(d, dtype=complex) / d
+                m[:2, :2] += skew
+                groups[d].append(m)
+    groups[1] += [np.array([[v]]) for v in (1.0, 1.0 + 2e-10, 1.0 + 5e-11, 0.5, 1j, np.nan)]
+    # at size 8 an imaginary diagonal passes the Hermitian check (residual
+    # 2 sqrt(8) eps) yet moves the trace's imaginary part by 8 eps
+    groups[8] = [random_density(rng, 8) for _ in range(3)]
+    for scale in (0.99, 1.01):
+        eps = scale * DENSITY_ATOL / (2.0 * math.sqrt(8.0))
+        groups[8] += [np.eye(8) * complex(0.125, eps), np.eye(8) * complex(0.125, eps / 8)]
+    # a trace in the last bit above 1 + DENSITY_ATOL, whose diagonal summed
+    # down a Fortran-ordered stack lands the other side of it
+    groups[8].append(np.diag([
+        0.19061908613395895, 0.19111104387221747, 0.14211142083838854, 0.10367665312627511,
+        0.06484895488612703, 0.12001473223396913, 0.12421855460198847, 0.0633995544070752]))
+    return groups
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("atol", [1e-10, 1e-9, 2.0])
+def test_stacked_density_check_matches_the_single_matrix_checks(atol):
+    seen = set()
+    for d, group in _density_corpus().items():
+        want = [oracles.single_density_check(m, atol) for m in group]
+        assert [is_density_matrix(m, atol) for m in group] == want
+        assert all(type(is_density_matrix(m, atol)) is bool for m in group)
+        for stack in (np.stack(group), np.asfortranarray(np.stack(group))):
+            got = is_density_matrix(stack, atol)
+            assert got.dtype == bool and got.tolist() == want
+        assert is_density_matrix(np.empty((0, d, d))).shape == (0,)
+        seen.update(want)
+    assert seen == {True, False}
+    # no other shape is a density, and a non-square stack is none of them
+    for shape in ((2, 3), (3,), (), (1, 2, 2, 2)):
+        assert is_density_matrix(np.full(shape, 0.5)) is False
+    assert is_density_matrix(np.full((3, 2, 1), 0.5)).tolist() == [False] * 3
+
+
 def test_hadamard_and_unitary_check():
     assert is_unitary(H)
     assert_allclose(H @ H, I2, atol=1e-15)

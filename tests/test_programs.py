@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -420,6 +421,26 @@ def test_simulate_sampling_is_seeded():
     seen = {simulate_program(program, zero_state(1), seed=s)
             .measurement_record[0][1] for s in range(20)}
     assert seen == {"plus", "minus"}
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "3", np.float64(3.0)])
+def test_simulate_refuses_a_bad_seed_naming_it(seed):
+    program = SwitchProgram(num_data_qubits=1)
+    program.instructions = tuple(switch_block(program, X, Z, 0.0, (0,), 0))
+    for forced in (None, "plus"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be a non-negative integer, got {seed!r}")):
+            simulate_program(program, zero_state(1), seed=seed, forced=forced)
+
+
+def test_simulate_records_its_seed_as_a_plain_int():
+    program = SwitchProgram(num_data_qubits=1)
+    program.instructions = tuple(switch_block(program, X, Z, 0.0, (0,), 0))
+    trace = simulate_program(program, zero_state(1), seed=np.int64(3))
+    assert type(trace.seed) is int and trace.seed == 3
+    plain = simulate_program(program, zero_state(1), seed=3)
+    assert trace.measurement_record == plain.measurement_record
+    assert simulate_program(program, zero_state(1)).seed is None
 
 
 def test_simulate_rejects_zero_probability_forced_branch():
