@@ -63,16 +63,18 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def tensor(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices or vectors."""
+    """Kronecker product of one or more matrices or vectors; matrix factors
+    may be stacks whose leading axes broadcast, one product per item."""
     if not factors:
         raise ValueError("tensor() needs at least one factor")
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:
         f = np.asarray(f, dtype=complex)
         # np.kron's own elementwise product, without its axis bookkeeping
-        if out.ndim == f.ndim == 2:
-            out = (out[:, None, :, None] * f[None, :, None, :]).reshape(
-                out.shape[0] * f.shape[0], out.shape[1] * f.shape[1])
+        if out.ndim >= 2 and f.ndim >= 2:
+            out = out[..., :, None, :, None] * f[..., None, :, None, :]
+            out = out.reshape(*out.shape[:-4], out.shape[-4] * out.shape[-3],
+                              out.shape[-2] * out.shape[-1])
         elif f.ndim == 1:  # a vector, or each row of a stack, times f
             out = (out[..., None] * f).reshape(*out.shape[:-1], -1)
         else:
@@ -92,8 +94,15 @@ def unitarity_residual(m: np.ndarray) -> float | np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    flat = (m.conj().mT @ m - np.eye(m.shape[-1])).reshape(*m.shape[:-2], -1)
-    re, im = flat.real, flat.imag  # summed as norm sums; vecdot as dot, bitwise
+    return frobenius(m.conj().mT @ m - np.eye(m.shape[-1]))
+
+
+def frobenius(m: np.ndarray) -> float | np.ndarray:
+    """||M||_F of a C-ordered complex matrix, or of each matrix of a stack,
+    bit for bit ``np.linalg.norm``: the two real dot products it sums, taken
+    with vecdot (which runs dot's loop)."""
+    flat = m.reshape(*m.shape[:-2], m.shape[-2] * m.shape[-1])
+    re, im = flat.real, flat.imag
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
@@ -427,9 +436,7 @@ def is_density_matrix(rho: np.ndarray, atol: float = DENSITY_ATOL) -> bool | np.
     stack = np.ascontiguousarray(rho[None] if rho.ndim == 2 else rho)
     finite = np.isfinite(stack).all(axis=(1, 2))
     stack = stack if finite.all() else np.where(finite[:, None, None], stack, 0.0)
-    flat = (stack - dagger(stack)).reshape(len(stack), rho.shape[-1] ** 2)
-    re, im = flat.real, flat.imag  # summed as np.linalg.norm sums, bitwise
-    herm = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+    herm = frobenius(stack - dagger(stack))
     ok = [f and not (h > atol or abs(t.real - 1.0) > atol or abs(t.imag) > atol)
           for f, h, t in zip(finite.tolist(), herm.tolist(),
                              stack.diagonal(0, 1, 2).sum(axis=1).tolist())]

@@ -1,10 +1,11 @@
 """Named property suites over seeded random inputs.
 
-Each suite is a trial function that feeds a ledger the residuals of the
-properties it declares once; ``run_suite`` returns one PropertyResult per
-property with the worst residual seen. Exact algebraic identities are held
-to 1e-12 regardless of the caller tolerance, which applies to the structural
-(1e-10 class) checks; the Choi eigenvalue floor stays at -1e-9.
+Each suite feeds a ledger, one trial at a time in trial order, the
+residuals of the properties it declares once; ``run_suite`` returns one
+PropertyResult per property with the worst residual seen. Exact algebraic
+identities are held to 1e-12 regardless of the caller tolerance, which
+applies to the structural (1e-10 class) checks; the Choi eigenvalue floor
+stays at -1e-9.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ from .linalg import (
     PLUS,
     X,
     dagger,
+    frobenius,
     operator_schmidt_rank,
     projector,
     require_check_inputs,
+    require_density,
     rotation,
     rotation_z,
     tensor,
@@ -46,9 +49,10 @@ from .switch import (
     choi_matrix,
     measure_ancilla,
     switch_channel,
-    switch_channel_n,
     switch_unitary,
     _four_term_map,
+    _orders_map,
+    _require_state_stacks,
 )
 from .synthesis import (
     block_residuals,
@@ -195,44 +199,90 @@ def _separability_trial(rng, k: int, worst: _Ledger) -> None:
           np.linalg.norm(from_factors[1] - from_full[1]))
 
 
-def _channels_trial(rng, k: int, worst: _Ledger) -> None:
-    chan_a = random_kraus_channel(rng, 2, 1 + k % 2)
-    chan_b = random_kraus_channel(rng, 2, 2 - k % 2)
-    rho, omega = random_density(rng, 2), random_density(rng, 2)
-    out = switch_channel(chan_a, chan_b, rho, omega)
-    via_kraus = switch_channel_n([chan_a, chan_b], rho, omega)
-    worst("four_term_vs_kraus_form", np.linalg.norm(out - via_kraus))
-    worst("trace_preserving", abs(np.trace(out).real - 1.0), abs(np.trace(out).imag))
-    worst("output_hermitian", np.linalg.norm(out - dagger(out)))
-    if k % 8 == 0:
-        choi = choi_matrix(
-            lambda m: _four_term_map(chan_a.stack, chan_b.stack, m, omega), 2)
-        worst("choi_positive", max(0.0, -float(np.linalg.eigvalsh(choi).min())))
-    pure0 = projector(zero_state(1))
-    fixed = switch_channel(chan_a, chan_b, rho, pure0)
+# trials the channels suite draws, then checks in stacked passes, at a time
+CHANNELS_CHUNK = 256
+
+
+def _channels_suite(rng, trials: int, worst: _Ledger) -> None:
+    # Each trial draws its two channels (Kraus ranks 1 + k % 2 and 2 - k % 2),
+    # then rho and omega, in trial order. A chunk's trials of one rank pattern
+    # then run as one stacked pass, each row bit for bit the per-trial loop
+    # that tests/oracles.py keeps, and feed the ledger in trial order.
+    pure0 = require_density(projector(zero_state(1)), "omega")
+    for start in range(0, trials, CHANNELS_CHUNK):
+        ks = range(start, min(start + CHANNELS_CHUNK, trials))
+        draws = [(random_kraus_channel(rng, 2, 1 + k % 2),
+                  random_kraus_channel(rng, 2, 2 - k % 2),
+                  random_density(rng, 2), random_density(rng, 2)) for k in ks]
+        rows = [None] * len(ks)
+        for offset in (0, 1):
+            if ks[offset::2]:
+                rows[offset::2] = _channels_pass(ks[offset::2], draws[offset::2], pure0)
+        for worst.trial, (kraus_form, trace_re, trace_im, hermitian, choi,
+                          reduces) in zip(ks, rows):
+            worst("four_term_vs_kraus_form", kraus_form)
+            worst("trace_preserving", trace_re, trace_im)
+            worst("output_hermitian", hermitian)
+            if choi is not None:
+                worst("choi_positive", choi)
+            worst("definite_order_reduces", reduces)
+
+
+def _channels_pass(ks: range, draws: list, pure0: np.ndarray) -> list[tuple]:
+    """Each trial's residuals (a choi_positive of None off the k % 8 == 0
+    trials), for trials ``ks`` of one Kraus-rank pattern and their draws."""
+    chans_a, chans_b, rhos, omegas = zip(*draws)
+    # Kraus operator i of every trial at [i]: (rank, trials, 2, 2)
+    ops_a = np.asarray([c.stack for c in chans_a]).swapaxes(0, 1)
+    ops_b = np.asarray([c.stack for c in chans_b]).swapaxes(0, 1)
+    rhos, omegas = np.asarray(rhos), np.asarray(omegas)
+    _require_state_stacks(rhos, omegas)
+    out = _four_term_map(ops_a, ops_b, rhos, omegas)
+    via_kraus = _orders_map([ops_a, ops_b], rhos, omegas)
+    traces = out.diagonal(0, 1, 2).sum(axis=1)  # C order: summed as np.trace sums
+    fixed = _four_term_map(ops_a, ops_b, rhos, np.broadcast_to(pure0, omegas.shape))
     direct = np.zeros_like(fixed)
-    for ka in chan_a.operators:
-        for kb in chan_b.operators:
+    for ka in ops_a:
+        for kb in ops_b:
             ab = ka @ kb
-            direct += tensor(ab @ rho @ dagger(ab), pure0)
-    worst("definite_order_reduces", np.linalg.norm(fixed - direct))
+            direct += tensor(ab @ rhos @ dagger(ab), pure0)
+    choi = [None] * len(ks)
+    sub = [j for j, k in enumerate(ks) if k % 8 == 0]
+    if sub:
+        stack = choi_matrix(lambda m: _four_term_map(ops_a[:, sub], ops_b[:, sub], m,
+                                                     omegas[sub]), 2)
+        for j, low in zip(sub, np.linalg.eigvalsh(stack).min(axis=1).tolist()):
+            choi[j] = max(0.0, -low)
+    return list(zip(frobenius(out - via_kraus).tolist(),
+                    np.abs(traces.real - 1.0).tolist(), np.abs(traces.imag).tolist(),
+                    frobenius(out - dagger(out)).tolist(), choi,
+                    frobenius(fixed - direct).tolist()))
 
 
-# suite name -> (its trial function, the tolerances of the properties the
-# trial feeds its ledger, in report order; None for the caller's tolerance)
+def _each_trial(trial):
+    """A suite that runs ``trial(rng, k, worst)`` for each trial k in order."""
+    def run(rng, trials: int, worst: _Ledger) -> None:
+        for worst.trial in range(trials):
+            trial(rng, worst.trial, worst)
+    return run
+
+
+# suite name -> (its run(rng, trials, ledger), the tolerances of the
+# properties it feeds its ledger, in report order; None for the caller's
+# tolerance)
 SUITES = {
-    "switch": (_switch_trial, dict(
+    "switch": (_each_trial(_switch_trial), dict(
         joint_unitarity=None, joint_forms_agree=ALGEBRA_ATOL, branch_probability_sum=None,
         branch_completeness=None, unitary_channel_conjugation=ALGEBRA_ATOL)),
-    "synthesis": (_synthesis_trial, dict(
+    "synthesis": (_each_trial(_synthesis_trial), dict(
         branch_reconstruction=None, bare_corrections_entangler=None,
         reference_decomposition=ALGEBRA_ATOL, local_conjugation_identities=ALGEBRA_ATOL,
         control_factors_fixed=ALGEBRA_ATOL, branch_unitarity=None,
         branch_probability_half=None)),
-    "separability": (_separability_trial, dict(
+    "separability": (_each_trial(_separability_trial), dict(
         tensor_products_rank_one=0.0, separable_cases_rank_one=0.0,
         noncommuting_rank_two=0.0, factorwise_branch_gates=ALGEBRA_ATOL)),
-    "channels": (_channels_trial, dict(
+    "channels": (_channels_suite, dict(
         four_term_vs_kraus_form=ALGEBRA_ATOL, trace_preserving=None,
         choi_positive=-DENSITY_EIGVAL_FLOOR, output_hermitian=None,
         definite_order_reduces=ALGEBRA_ATOL)),
@@ -249,11 +299,9 @@ def run_suite(name: str, trials: int = 100, seed: int = 42,
         raise ValueError(f"unknown suite {name!r}, expected one of {SUITE_NAMES}")
     results = []
     for suite in (SUITES if name == "all" else (name,)):
-        trial, tolerances = SUITES[suite]
-        rng = np.random.default_rng(seed)
+        run, tolerances = SUITES[suite]
         worst = _Ledger({prop: tolerance if tol is None else tol
                          for prop, tol in tolerances.items()})
-        for worst.trial in range(trials):
-            trial(rng, worst.trial, worst)
+        run(np.random.default_rng(seed), trials, worst)
         results += worst.results(suite)
     return results

@@ -233,22 +233,28 @@ def branch_gates_tensor(a_list, b_list, theta: float) -> tuple[np.ndarray, np.nd
 
 def _four_term_map(ops_a, ops_b, rho: np.ndarray, omega: np.ndarray) -> np.ndarray:
     # Anticommutator/commutator form of the two-switch supermap; linear in
-    # rho, so it also serves for Choi construction on matrix units. Products
-    # are stacked over the Kraus pairs (a-major); the weighted terms are
-    # summed in pair then term order, so the bits are those of the pairwise
-    # Kronecker loop.
+    # rho, so it also serves for Choi construction on matrix units. It runs
+    # on one item or on a stack of T trials: ops_a (ra, [T], d, d) and ops_b
+    # (rb, [T], d, d) hold Kraus operator i of every trial at [i], omega
+    # (2, 2) carries the trial axis when they do, and rho is (d, d) or
+    # (T, d, d). Products are stacked over the Kraus pairs (a-major); each
+    # pair's four weighted terms are summed in pair then term order, so every
+    # trial's bits are those of the pairwise Kronecker loop.
     a, b = np.asarray(ops_a)[:, None], np.asarray(ops_b)[None]
-    ab, ba = (a @ b).reshape(-1, *rho.shape), (b @ a).reshape(-1, *rho.shape)
+    ab, ba = a @ b, b @ a
+    ab, ba = ab.reshape(-1, *ab.shape[2:]), ba.reshape(-1, *ba.shape[2:])
     anti, comm = ab + ba, ab - ba
     anti_rho, comm_rho = anti @ rho, comm @ rho
     anti_dag, comm_dag = dagger(anti), dagger(comm)
-    terms = np.stack([anti_rho @ anti_dag, anti_rho @ comm_dag,
-                      comm_rho @ anti_dag, comm_rho @ comm_dag], axis=1)
+    terms = np.asarray([anti_rho @ anti_dag, anti_rho @ comm_dag,
+                        comm_rho @ anti_dag, comm_rho @ comm_dag])
     weights = np.asarray([omega, omega @ Z, Z @ omega, Z @ omega @ Z])
-    weighted = terms[..., :, None, :, None] * weights[:, None, :, None, :]
-    out = np.zeros((rho.shape[0] * 2,) * 2, dtype=complex)
-    for term in weighted.reshape(-1, *out.shape):
-        out += term
+    weighted = (terms[..., :, None, :, None]
+                * weights[:, None, ..., None, :, None, :])  # (term, pair, ...)
+    out = np.zeros(weighted.shape[2:-4] + (2 * rho.shape[-1],) * 2, dtype=complex)
+    for pair in zip(*weighted.reshape(*weighted.shape[:2], *out.shape)):
+        for term in pair:
+            out += term
     return 0.25 * out
 
 
@@ -288,6 +294,18 @@ def _require_states(rho, omega, dim: int | None = None):
     return rho, omega
 
 
+def _require_state_stacks(rhos: np.ndarray, omegas: np.ndarray) -> None:
+    """Stacks of rho and omega, one pair per trial, judged in one stacked
+    ``is_density_matrix`` pass; the first trial with a bad state raises what
+    ``_require_states`` raises for its pair."""
+    ok = (is_density_matrix(np.concatenate([rhos, omegas])).reshape(2, -1)
+          if rhos.shape == omegas.shape
+          else np.array([is_density_matrix(rhos), is_density_matrix(omegas)]))
+    bad = np.flatnonzero(~ok.all(axis=0))
+    if bad.size:
+        _require_states(rhos[bad[0]], omegas[bad[0]])
+
+
 def uniform_control_state(num_orders: int) -> np.ndarray:
     """Pure uniform superposition over num_orders control basis states."""
     u = np.full(num_orders, 1.0 / np.sqrt(num_orders), dtype=complex)
@@ -316,15 +334,24 @@ def switch_channel_n(channels, rho: np.ndarray,
     omega = uniform_control_state(num_orders) if omega is None else omega
     if omega.shape[0] != num_orders:
         raise ValueError(f"control omega must have dimension {num_orders}")
+    return _orders_map([ch.stack for ch in channels], rho, omega)
 
+
+def _orders_map(stacks, rho: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    # switch_channel_n's joint map without checks, on one item or on a stack
+    # of trials: each wire's Kraus stack is (rank, [T], d, d), with Kraus
+    # operator i of every trial at [i], and rho (d, d) and omega (N!, N!)
+    # carry the trial axis when the operators do. Every trial's bits are
+    # those of the single call.
+    n, dim, num_orders = len(stacks), rho.shape[-1], omega.shape[-1]
     # each wire's pick for every Kraus combination, combinations in
-    # itertools.product order: picks[w, c] is a (dim, dim) operator
-    combos = np.indices([ch.rank for ch in channels]).reshape(n, -1)
-    picks = np.asarray([ch.stack[idx] for ch, idx in zip(channels, combos)])
+    # itertools.product order: picks[w, c] is a ([T], dim, dim) operator
+    combos = np.indices([len(s) for s in stacks]).reshape(n, -1)
+    picks = np.asarray([s[idx] for s, idx in zip(stacks, combos)])
     # extend every order prefix by each unused wire, a level at a time; the
     # prefixes stay lexicographic, so the last level is permutations(range(n))
     prefixes = [()]
-    prods = np.eye(dim, dtype=complex)[None, None]
+    prods = np.eye(dim, dtype=complex).reshape((1,) * (picks.ndim - 2) + (dim, dim))
     for _ in range(n):
         steps = [(i, w) for i, p in enumerate(prefixes) for w in range(n) if w not in p]
         prods = prods[[i for i, _ in steps]] @ picks[[w for _, w in steps]]
@@ -335,8 +362,9 @@ def switch_channel_n(channels, rho: np.ndarray,
     for c in range(combos.shape[1]):
         # K = sum_k prods[k, c] (x) |k><k|: each order adds its block to a
         # +0.0 start, as the tensor(product, |k><k|) terms do
-        kraus = np.zeros((dim, num_orders, dim, num_orders), dtype=complex)
-        kraus[:, diagonal, :, diagonal] += prods[:, c]
+        kraus = np.zeros(joint_in.shape[:-2] + (dim, num_orders, dim, num_orders),
+                         dtype=complex)
+        kraus[..., :, diagonal, :, diagonal] += prods[:, c]
         kraus = kraus.reshape(joint_in.shape)
         out += kraus @ joint_in @ dagger(kraus)
     return out
@@ -347,6 +375,7 @@ def choi_matrix(apply_map, input_dim: int) -> np.ndarray:
 
     The map is completely positive exactly when the result is positive
     semidefinite. ``input_dim`` must be an integer (not a bool) of at least 1.
+    A map that returns a stack of matrices gives one Choi matrix per item.
     """
     if isinstance(input_dim, bool) or not isinstance(input_dim, (int, np.integer)):
         raise ValueError(f"input_dim must be an integer, got {input_dim!r}")

@@ -361,3 +361,51 @@ def numpy_plan_matrices(spec):
                                      factors["post_minus_target"]),
     }
     return {**factors, **products}
+
+
+def looped_channels_suite(trials, seed, tolerance=1e-10):
+    """``run_suite("channels", trials, seed, tolerance)`` as a loop, one trial
+    at a time.
+
+    Each trial draws its two channels (Kraus ranks 1 + k % 2 and 2 - k % 2),
+    rho and omega, runs the public ``switch_channel`` and ``switch_channel_n``
+    on them (each checking its own states), takes every residual with
+    ``np.linalg.norm``, ``np.trace`` and, on every eighth trial, the smallest
+    eigenvalue of one Choi matrix, and feeds the suite's ledger.
+    """
+    from switchsynth.linalg import dagger, projector, tensor, zero_state
+    from switchsynth.sampling import random_density, random_kraus_channel
+    from switchsynth.suites import SUITES, _Ledger
+    from switchsynth.switch import (
+        _four_term_map,
+        choi_matrix,
+        switch_channel,
+        switch_channel_n,
+    )
+
+    rng = np.random.default_rng(seed)
+    worst = _Ledger({prop: tolerance if tol is None else tol
+                     for prop, tol in SUITES["channels"][1].items()})
+    for k in range(trials):
+        worst.trial = k
+        chan_a = random_kraus_channel(rng, 2, 1 + k % 2)
+        chan_b = random_kraus_channel(rng, 2, 2 - k % 2)
+        rho, omega = random_density(rng, 2), random_density(rng, 2)
+        out = switch_channel(chan_a, chan_b, rho, omega)
+        via_kraus = switch_channel_n([chan_a, chan_b], rho, omega)
+        worst("four_term_vs_kraus_form", np.linalg.norm(out - via_kraus))
+        worst("trace_preserving", abs(np.trace(out).real - 1.0), abs(np.trace(out).imag))
+        worst("output_hermitian", np.linalg.norm(out - dagger(out)))
+        if k % 8 == 0:
+            choi = choi_matrix(
+                lambda m: _four_term_map(chan_a.stack, chan_b.stack, m, omega), 2)
+            worst("choi_positive", max(0.0, -float(np.linalg.eigvalsh(choi).min())))
+        pure0 = projector(zero_state(1))
+        fixed = switch_channel(chan_a, chan_b, rho, pure0)
+        direct = np.zeros_like(fixed)
+        for ka in chan_a.operators:
+            for kb in chan_b.operators:
+                ab = ka @ kb
+                direct += tensor(ab @ rho @ dagger(ab), pure0)
+        worst("definite_order_reduces", np.linalg.norm(fixed - direct))
+    return worst.results("channels")

@@ -10,6 +10,8 @@ from switchsynth.sampling import random_density, random_kraus_channel, random_un
 from switchsynth.switch import (
     KrausChannel,
     _four_term_map,
+    _orders_map,
+    _require_state_stacks,
     choi_matrix,
     switch_channel,
     switch_channel_n,
@@ -417,3 +419,56 @@ def test_kraus_channel_messages_keep_their_order():
     for ops, message in cases:
         with pytest.raises(ValueError, match=f"^{message}$"):
             KrausChannel(ops)
+
+
+def _batch(trials):
+    """Kraus stacks (rank, trials, d, d) per wire, rhos and omegas of
+    same-rank (channels, rho, omega) trials."""
+    stacks = [np.asarray([chans[w].stack for chans, _, _ in trials]).swapaxes(0, 1)
+              for w in range(len(trials[0][0]))]
+    return (stacks, np.asarray([rho for _, rho, _ in trials]),
+            np.asarray([omega for _, _, omega in trials]))
+
+
+# the channels bench's shapes: N = 2 at dims 2-4, N = 3 at dims 2-4, N = 4 at
+# dim 2, with every Kraus rank 1-4 on some wire
+@pytest.mark.parametrize("n,dim", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2)])
+def test_one_item_channel_maps_are_rows_of_a_batched_call_bitwise(n, dim):
+    rng = np.random.default_rng(300 + 10 * n + dim)
+    orders = math.factorial(n)
+    for rank in range(1, 5):
+        ranks = [(rank + w - 1) % 4 + 1 for w in range(n)]
+        trials = [([random_kraus_channel(rng, dim, r) for r in ranks],
+                   random_density(rng, dim), random_density(rng, orders))
+                  for _ in range(3)]
+        stacks, rhos, omegas = _batch(trials)
+        for row, (chans, rho, omega) in zip(_orders_map(stacks, rhos, omegas), trials):
+            assert row.tobytes() == switch_channel_n(chans, rho, omega).tobytes()
+        if n == 2:
+            for row, (chans, rho, omega) in zip(_four_term_map(*stacks, rhos, omegas),
+                                                trials):
+                assert row.tobytes() == switch_channel(*chans, rho, omega).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("which", ["rho", "omega"])
+@pytest.mark.parametrize("kind", ["nan", "inf", "not_hermitian", "trace_two", "negative"])
+def test_a_stack_with_a_bad_state_raises_the_single_calls_message(n, which, kind):
+    rng = np.random.default_rng(17)
+    chans = [random_kraus_channel(rng, 2, 2) for _ in range(n)]
+    rhos = np.asarray([random_density(rng, 2) for _ in range(4)])
+    omegas = np.asarray([random_density(rng, math.factorial(n)) for _ in range(4)])
+    _require_state_stacks(rhos, omegas)  # all good: no error
+    stack = {"rho": rhos, "omega": omegas}[which]
+    stack[2] = 0.0
+    stack[2, :2, :2] = _STATES[kind]  # the bad 2 x 2 state, padded with zeros
+    rhos[3] = _STATES["trace_two"]  # a later bad trial does not name itself
+    with pytest.raises(ValueError) as caught:
+        switch_channel_n(chans, rhos[2], omegas[2])
+    assert str(caught.value) == f"{which} is not a density matrix"
+    message = f"^{re.escape(str(caught.value))}$"
+    with pytest.raises(ValueError, match=message):
+        _require_state_stacks(rhos, omegas)
+    if n == 2:
+        with pytest.raises(ValueError, match=message):
+            switch_channel(*chans, rhos[2], omegas[2])

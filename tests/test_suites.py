@@ -2,7 +2,10 @@ import math
 
 import pytest
 
+from switchsynth import suites
 from switchsynth.suites import SUITE_NAMES, SUITES, _Ledger, run_suite
+
+import oracles
 
 EXPECTED_COUNTS = {
     "switch": 5,
@@ -95,3 +98,46 @@ def test_ledger_keeps_the_first_trial_of_a_maximum_and_of_a_count():
     residual, failures = worst.results("s")
     assert (residual.max_residual, residual.worst_trial, residual.passed) == (2.0, 1, False)
     assert (failures.max_residual, failures.worst_trial, failures.passed) == (2.0, 1, False)
+
+
+def _same_results(got, want):
+    return ([(r.name, r.max_residual.hex(), r.worst_trial, r.passed) for r in got]
+            == [(r.name, r.max_residual.hex(), r.worst_trial, r.passed) for r in want])
+
+
+@pytest.mark.parametrize("trials", [1, 2, 7, 8, 9, 16, 20, 33, 100])
+def test_channels_suite_is_the_per_trial_loop_bitwise(trials):
+    for seed in range(12):
+        assert _same_results(run_suite("channels", trials, seed),
+                             oracles.looped_channels_suite(trials, seed)), seed
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4, 7])
+def test_channels_suite_chunks_do_not_change_results(monkeypatch, chunk):
+    monkeypatch.setattr(suites, "CHANNELS_CHUNK", chunk)
+    for trials, seed in [(1, 0), (7, 1), (8, 2), (9, 3), (33, 4)]:
+        assert _same_results(run_suite("channels", trials, seed),
+                             oracles.looped_channels_suite(trials, seed)), (trials, seed)
+
+
+def test_channels_suite_crosses_its_own_chunk_size():
+    trials = suites.CHANNELS_CHUNK + 9
+    assert _same_results(run_suite("channels", trials, 5),
+                         oracles.looped_channels_suite(trials, 5))
+
+
+def test_channels_suite_sees_one_perturbed_trial(monkeypatch):
+    # the odd trials (Kraus ranks 2 and 1) run as one stack: row 3 is trial 7
+    four_term = suites._four_term_map
+
+    def perturbed(ops_a, ops_b, rho, omega):
+        out = four_term(ops_a, ops_b, rho, omega)
+        if out.ndim == 3 and len(ops_a) == 2:
+            out[3, 0, 0] += 1e-6
+        return out
+
+    monkeypatch.setattr(suites, "_four_term_map", perturbed)
+    result, = (r for r in run_suite("channels", trials=20, seed=3)
+               if r.name == "four_term_vs_kraus_form")
+    assert not result.passed and result.worst_trial == 7
+    assert result.max_residual == pytest.approx(1e-6, rel=1e-6)
