@@ -146,7 +146,7 @@ def _spec_for_gate(args, parser: argparse.ArgumentParser, flags: tuple[str, ...]
 
 
 def cmd_synth(args, parser: argparse.ArgumentParser, flags: tuple[str, ...]) -> int:
-    from .jsonio import dumps, format_float
+    from .jsonio import dumps, format_float, format_measured
     from .synthesis import synthesize, verify_synthesis
     spec = _spec_for_gate(args, parser, flags)
     plan = synthesize(spec)
@@ -185,13 +185,11 @@ def cmd_synth(args, parser: argparse.ArgumentParser, flags: tuple[str, ...]) -> 
         for key, m in matrices.items():
             lines.append(f"{key}:")
             lines += ["  " + _complex_text(row) for row in m]
-        lines.append(f"residual_plus: {format_float(report.residual_plus)}")
-        lines.append(f"residual_minus: {format_float(report.residual_minus)}")
-        lines.append(f"bare_correction_residual: {format_float(report.bare_correction_residual)}")
+        lines += [f"{key}: {format_measured(getattr(report, key))}" for key in
+                  ("residual_plus", "residual_minus", "bare_correction_residual")]
         lines.append("branch_probabilities: "
-                     f"{format_float(report.branch_probabilities[0])} "
-                     f"{format_float(report.branch_probabilities[1])}")
-        lines.append(f"max_infidelity: {format_float(report.max_infidelity)}")
+                     + " ".join(map(format_measured, report.branch_probabilities)))
+        lines.append(f"max_infidelity: {format_measured(report.max_infidelity)}")
         lines.append(f"trials: {report.trials}")
         lines.append(f"seed: {report.seed}")
         lines.append(f"passed: {str(report.passed).lower()}")
@@ -201,7 +199,7 @@ def cmd_synth(args, parser: argparse.ArgumentParser, flags: tuple[str, ...]) -> 
 
 
 def cmd_verify(args) -> int:
-    from .jsonio import dumps, format_float
+    from .jsonio import dumps, format_float, format_measured
     from .suites import run_suite
     results = run_suite(args.suite, trials=args.trials, seed=args.seed,
                         tolerance=args.tolerance)
@@ -220,7 +218,7 @@ def cmd_verify(args) -> int:
         for r in results:
             status = "pass" if r.passed else "FAIL"
             lines.append(f"  [{status}] {r.suite}/{r.name}: "
-                         f"max_residual={format_float(r.max_residual)} "
+                         f"max_residual={format_measured(r.max_residual)} "
                          f"tolerance={format_float(r.tolerance)}")
         lines.append(f"passed: {str(passed).lower()}")
         text = "\n".join(lines) + "\n"
@@ -259,7 +257,7 @@ def _initial_state(kind: str, num_qubits: int, seed: int) -> np.ndarray:
 
 def cmd_simulate(args) -> int:
     from .circuits import parse_circuit
-    from .jsonio import dumps, format_float
+    from .jsonio import dumps, format_float, format_measured
     from .lowering import check_equivalence
     from .programs import parse_program, simulate_program
     with open(args.program) as handle:
@@ -296,7 +294,7 @@ def cmd_simulate(args) -> int:
                          f"(probability {format_float(probability)})")
         if equivalence is not None:
             lines.append(f"max_infidelity: "
-                         f"{format_float(equivalence.max_infidelity)} over "
+                         f"{format_measured(equivalence.max_infidelity)} over "
                          f"{equivalence.trials} trials x "
                          f"{equivalence.branch_assignments} branch assignments")
         lines.append(f"passed: {str(passed).lower()}")

@@ -32,6 +32,17 @@ def format_float(value: float) -> str:
     return "%.17g" % value
 
 
+def measured(value):
+    """A report's value in its document: None (``null``; ``nan`` in text) for a
+    float that is not finite, as its check measured nothing and fails."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def format_measured(value: float) -> str:
+    """A report's float in text: ``nan`` where ``measured`` gives None."""
+    return "nan" if measured(value) is None else format_float(value)
+
+
 def _pairs(m: np.ndarray, pair: str, sep: str) -> str:
     """``pair % (re, im)`` of each entry of ``m``, row-major, joined by ``sep``;
     adding 0.0 turns -0.0 into 0.0, which prints as "0" as in ``format_float``."""

@@ -365,7 +365,7 @@ def apply_ordered(state: np.ndarray, matrix: np.ndarray, shape: tuple[int, ...],
 
 
 # ---------------------------------------------------------------------------
-# inputs of a sampled check
+# inputs and worst cases of a sampled check
 # ---------------------------------------------------------------------------
 
 # number text of circuit files and CLI flags, matched whole: ASCII digits only,
@@ -412,6 +412,23 @@ def require_seed(seed: int) -> int:
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return int(seed)
+
+
+def worst(values: np.ndarray, keys: np.ndarray | None = None) -> tuple[float, int]:
+    """The worst case of a sampled check: the largest of ``values`` and its key,
+    ``keys[i]`` for ``values[i]`` (by default i). A NaN, which measured nothing,
+    ranks above every number, and a tie goes to the smallest key."""
+    i = int(np.argmax(values))  # the first NaN, else the first largest value
+    top = values[i]
+    if keys is not None:
+        i = int(keys[values == top if top == top else np.isnan(values)].min())
+    return float(top), i
+
+
+def worst_rank(pair: tuple[float, int]) -> tuple:
+    """``worst``'s rule as a key of the built-in ``max`` over (value, key) pairs."""
+    value, key = pair
+    return value != value, value if value == value else 0.0, -key
 
 
 # ---------------------------------------------------------------------------

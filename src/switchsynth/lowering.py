@@ -9,7 +9,6 @@ any other gate without a controlled-gate spec is refused.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -21,7 +20,8 @@ from .circuits import (
     instruction_matrix,
     simulate_circuit,
 )
-from .linalg import DEFAULT_TOLERANCE, fidelity, require_check_inputs
+from .jsonio import measured
+from .linalg import DEFAULT_TOLERANCE, fidelity, require_check_inputs, worst, worst_rank
 from .programs import (  # MAX_EXHAUSTIVE_ASSIGNMENTS, re-exported
     MAX_EXHAUSTIVE_ASSIGNMENTS,
     AllocAncilla,
@@ -89,11 +89,11 @@ def lower(circuit: Circuit) -> SwitchProgram:
 class EquivalenceReport:
     """Worst-case deviation between a circuit and a lowered program.
 
-    ``worst_trial`` is the first trial that reaches the largest 1 - fidelity,
-    and ``worst_assignment`` the smallest branch assignment in sorted order
-    that reaches it in that trial, one branch name per result label in
-    measurement order: ``simulate_program(program, psi, forced=...)`` with
-    that trial's input replays it. Neither is part of ``as_dict()``.
+    ``worst_trial`` is the first trial that reaches the largest 1 - fidelity
+    (NaN first), and ``worst_assignment`` the smallest branch assignment in
+    sorted order that reaches it in that trial, one branch name per result
+    label in measurement order: ``simulate_program(program, psi, forced=...)``
+    with that trial's input replays it. Neither is part of ``as_dict()``.
     """
 
     max_infidelity: float
@@ -106,7 +106,7 @@ class EquivalenceReport:
     worst_assignment: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)
+        return {f.name: measured(getattr(self, f.name)) for f in fields(self)
                 if not f.name.startswith("worst_")}
 
 
@@ -126,26 +126,24 @@ def check_equivalence(circuit: Circuit, program: SwitchProgram,
     not k * 2**k, each level's blocks in stacked numpy calls.
     """
     trials, seed = require_check_inputs(trials, seed, tolerance)
-    if circuit.num_qubits != program.num_data_qubits:
-        raise ValueError(f"circuit has {circuit.num_qubits} qubits, program "
-                         f"has {program.num_data_qubits}")
     bound = _BoundProgram(program)
+    if circuit.num_qubits != bound.num_data_qubits:
+        raise ValueError(f"circuit has {circuit.num_qubits} qubits, program "
+                         f"has {bound.num_data_qubits}")
     rng = np.random.default_rng(seed)
     tree = _Tree(len(bound.labels), rng)
 
-    # the largest 1 - fidelity, its first trial and its smallest assignment
-    worst, worst_trial, worst_row = -math.inf, 0, 0
-    for trial in range(trials):
-        psi = random_state(rng, circuit.num_qubits)
-        expected = simulate_circuit(circuit, psi)
-        for states, (lo, _) in bound.walk(psi, tree):
-            scores = 1.0 - fidelity(expected, states)
-            top = scores.max()
-            row = lo[scores == top].min()
-            if top > worst or (top == worst and trial == worst_trial
-                               and row < worst_row):
-                worst, worst_trial, worst_row = top, trial, row
-    max_infidelity = max(0.0, float(worst))
+    def chunk_worsts():  # keyed trial * tree.size + row: first trial, then row
+        for trial in range(trials):
+            psi = random_state(rng, circuit.num_qubits)
+            expected = simulate_circuit(circuit, psi)
+            for states, (lo, _) in bound.walk(psi, tree):
+                top, row = worst(1.0 - fidelity(expected, states), lo)
+                yield top, trial * tree.size + row
+    top, key = max(chunk_worsts(), key=worst_rank)
+    worst_trial, worst_row = divmod(key, tree.size)
+    # a NaN stays (max keeps its first argument unless a later one is larger)
+    max_infidelity = max(top, 0.0)
     return EquivalenceReport(
         max_infidelity=max_infidelity,
         trials=trials,

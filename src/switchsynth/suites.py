@@ -1,8 +1,8 @@
 """Named property suites over seeded random inputs.
 
-Each suite feeds a ledger, one trial at a time in trial order, the
-residuals of the properties it declares once; ``run_suite`` returns one
-PropertyResult per property with the worst residual seen. Exact algebraic
+Each suite feeds a ledger, per trial or a column at a time, the residuals of
+the properties it declares once; ``run_suite`` returns one PropertyResult per
+property with the worst residual seen (``linalg.worst``'s rule). Exact algebraic
 identities are held to 1e-12 regardless of the caller tolerance, which
 applies to the structural (1e-10 class) checks; the Choi eigenvalue floor
 stays at -1e-9.
@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .jsonio import measured
 from .linalg import (
     ALGEBRA_ATOL,
     DEFAULT_TOLERANCE,
@@ -32,6 +33,8 @@ from .linalg import (
     rotation_z,
     tensor,
     unitarity_residual,
+    worst,
+    worst_rank,
     zero_state,
 )
 from .sampling import (
@@ -80,24 +83,27 @@ class PropertyResult:
     worst_trial: int
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)
+        return {f.name: measured(getattr(self, f.name)) for f in fields(self)
                 if f.name != "worst_trial"}
 
 
 class _Ledger:
-    """Each property's worst value and the first trial that reached it:
-    ``worst(name, *residuals)`` keeps ``max`` of the held value and the
-    residuals, in that order (a NaN residual never replaces it), and
-    ``worst.count(name, failed)`` counts a failed case."""
+    """Each property's worst (value, trial) from (0.0, 0) by ``linalg.worst_rank``,
+    in any feed order: ``worst(name, *residuals)`` of trial ``worst.trial``,
+    ``worst.column(name, values, trials)``; ``worst.count(name, failed)``."""
 
     def __init__(self, tolerances: dict[str, float]):
         self.tolerances, self.trial = tolerances, 0
         self.held = dict.fromkeys(tolerances, (0.0, 0))  # name -> (value, trial)
 
     def __call__(self, name: str, *residuals) -> None:
-        value = max(self.held[name][0], *residuals)
-        if value > self.held[name][0]:
-            self.held[name] = (value, self.trial)
+        self.held[name] = max(self.held[name], *((value, self.trial) for value in residuals),
+                              key=worst_rank)
+
+    def column(self, name: str, values: np.ndarray, trials) -> None:
+        """Feed ``values[i]`` of trial ``trials[i]``; ``trials`` ascend."""
+        value, i = worst(values)
+        self.held[name] = max(self.held[name], (value, trials[i]), key=worst_rank)
 
     def count(self, name: str, failed: bool) -> None:
         value, trial = self.held[name]
@@ -153,7 +159,7 @@ def _synthesis_trial(rng, k: int, worst: _Ledger) -> None:
     worst("reference_decomposition", np.linalg.norm(scalar * local @ entangling - target))
 
     worst("local_conjugation_identities",
-          max(conjugation_identities(spec.axis, spec.perp).values()))
+          *conjugation_identities(spec.axis, spec.perp).values())
     worst("control_factors_fixed", np.linalg.norm(plan.a_control - X),
           np.linalg.norm(plan.b_control - rotation_z(0.5 * math.pi)))
     worst("branch_unitarity", *unitarity_residual(np.stack(branches)))
@@ -207,30 +213,20 @@ def _channels_suite(rng, trials: int, worst: _Ledger) -> None:
     # Each trial draws its two channels (Kraus ranks 1 + k % 2 and 2 - k % 2),
     # then rho and omega, in trial order. A chunk's trials of one rank pattern
     # then run as one stacked pass, each row bit for bit the per-trial loop
-    # that tests/oracles.py keeps, and feed the ledger in trial order.
+    # that tests/oracles.py keeps, and feed the ledger a column per residual.
     pure0 = require_density(projector(zero_state(1)), "omega")
     for start in range(0, trials, CHANNELS_CHUNK):
         ks = range(start, min(start + CHANNELS_CHUNK, trials))
         draws = [(random_kraus_channel(rng, 2, 1 + k % 2),
                   random_kraus_channel(rng, 2, 2 - k % 2),
                   random_density(rng, 2), random_density(rng, 2)) for k in ks]
-        rows = [None] * len(ks)
         for offset in (0, 1):
             if ks[offset::2]:
-                rows[offset::2] = _channels_pass(ks[offset::2], draws[offset::2], pure0)
-        for worst.trial, (kraus_form, trace_re, trace_im, hermitian, choi,
-                          reduces) in zip(ks, rows):
-            worst("four_term_vs_kraus_form", kraus_form)
-            worst("trace_preserving", trace_re, trace_im)
-            worst("output_hermitian", hermitian)
-            if choi is not None:
-                worst("choi_positive", choi)
-            worst("definite_order_reduces", reduces)
+                _channels_pass(ks[offset::2], draws[offset::2], pure0, worst)
 
 
-def _channels_pass(ks: range, draws: list, pure0: np.ndarray) -> list[tuple]:
-    """Each trial's residuals (a choi_positive of None off the k % 8 == 0
-    trials), for trials ``ks`` of one Kraus-rank pattern and their draws."""
+def _channels_pass(ks: range, draws: list, pure0: np.ndarray, worst: _Ledger) -> None:
+    """Feed the ledger the residuals of trials ``ks`` (one Kraus-rank pattern)."""
     chans_a, chans_b, rhos, omegas = zip(*draws)
     # Kraus operator i of every trial at [i]: (rank, trials, 2, 2)
     ops_a = np.asarray([c.stack for c in chans_a]).swapaxes(0, 1)
@@ -246,17 +242,17 @@ def _channels_pass(ks: range, draws: list, pure0: np.ndarray) -> list[tuple]:
         for kb in ops_b:
             ab = ka @ kb
             direct += tensor(ab @ rhos @ dagger(ab), pure0)
-    choi = [None] * len(ks)
+    worst.column("four_term_vs_kraus_form", frobenius(out - via_kraus), ks)
+    worst.column("trace_preserving", np.abs(traces.real - 1.0), ks)
+    worst.column("trace_preserving", np.abs(traces.imag), ks)
+    worst.column("output_hermitian", frobenius(out - dagger(out)), ks)
     sub = [j for j, k in enumerate(ks) if k % 8 == 0]
     if sub:
         stack = choi_matrix(lambda m: _four_term_map(ops_a[:, sub], ops_b[:, sub], m,
                                                      omegas[sub]), 2)
-        for j, low in zip(sub, np.linalg.eigvalsh(stack).min(axis=1).tolist()):
-            choi[j] = max(0.0, -low)
-    return list(zip(frobenius(out - via_kraus).tolist(),
-                    np.abs(traces.real - 1.0).tolist(), np.abs(traces.imag).tolist(),
-                    frobenius(out - dagger(out)).tolist(), choi,
-                    frobenius(fixed - direct).tolist()))
+        worst.column("choi_positive", -np.linalg.eigvalsh(stack).min(axis=1),
+                     [ks[j] for j in sub])
+    worst.column("definite_order_reduces", frobenius(fixed - direct), ks)
 
 
 def _each_trial(trial):

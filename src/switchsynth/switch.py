@@ -139,8 +139,10 @@ def branch_functionals(theta: float) -> tuple[np.ndarray, np.ndarray]:
     The plus branch pairs the ancilla with (cos(theta/2), i sin(theta/2)),
     the minus branch with (i sin(theta/2), cos(theta/2)); these are the
     unconjugated basis coefficients, i.e. a measurement in the
-    complex-conjugate basis.
+    complex-conjugate basis. Raises ValueError unless theta is finite.
     """
+    if not np.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     c = np.cos(0.5 * theta)
     s = np.sin(0.5 * theta)
     return (np.array([c, 1j * s], dtype=complex),
@@ -206,10 +208,8 @@ def branch_gates(a: np.ndarray, b: np.ndarray,
 
 def branch_products(ab: np.ndarray, ba: np.ndarray,
                     theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """``branch_gates`` from the order products AB and BA, without checks."""
-    c = np.cos(0.5 * theta)
-    s = np.sin(0.5 * theta)
-    return c * ab + 1j * s * ba, 1j * s * ab + c * ba
+    """``branch_gates`` from the order products AB and BA, checking only theta."""
+    return tuple(f[0] * ab + f[1] * ba for f in branch_functionals(theta))
 
 
 def branch_gates_tensor(a_list, b_list, theta: float) -> tuple[np.ndarray, np.ndarray]:

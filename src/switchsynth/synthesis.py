@@ -22,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .jsonio import measured
 from .linalg import (
     DEFAULT_TOLERANCE,
     PLUS,
@@ -40,6 +41,7 @@ from .linalg import (
     tensor,
     two_qubit_rotation,
     unit_bloch,
+    worst,
 )
 from .sampling import random_bloch, random_states
 from .switch import (
@@ -159,8 +161,8 @@ class VerificationReport:
     ``passed`` requires every residual, the probability deviation from 1/2,
     and the worst state infidelity to sit within ``tolerance``.
 
-    ``worst_trial`` is the 0-based index of the first trial with the largest
-    infidelity; ``verify_synthesis(spec, trials=worst_trial + 1, seed=seed)``
+    ``worst_trial`` is the 0-based first trial with the largest infidelity
+    (NaN first); ``verify_synthesis(spec, trials=worst_trial + 1, seed=seed)``
     ends on it. It stays out of ``as_dict`` so documents keep their bytes.
     """
 
@@ -178,9 +180,9 @@ class VerificationReport:
 
     def as_dict(self) -> dict:
         # target_name is written as "target"
-        doc = {f.name.removesuffix("_name"): getattr(self, f.name)
+        doc = {f.name.removesuffix("_name"): measured(getattr(self, f.name))
                for f in fields(self) if f.name != "worst_trial"}
-        doc["branch_probabilities"] = list(self.branch_probabilities)
+        doc["branch_probabilities"] = list(map(measured, self.branch_probabilities))
         return doc
 
 
@@ -342,9 +344,9 @@ def verify_synthesis(spec: ControlledGateSpec, *, trials: int = 100,
     for name, unitary in zip("ab", is_unitary(np.stack((a, b)))):
         if not unitary:
             raise ValueError(f"{name} is not unitary within {UNITARY_ATOL}")
-    residual_plus, residual_minus, bare_plus, bare_minus = block_residuals(
+    residual_plus, residual_minus, *bare = block_residuals(
         plan, target, branch_products(a @ b, b @ a, plan.measurement_theta))
-    bare_correction_residual = max(bare_plus, bare_minus)
+    bare_correction_residual = worst(bare)[0]
 
     # apply_switch then measure_ancilla on every trial at once, one trial per
     # row; project_branches checks each trial's staged state for normalization
@@ -357,14 +359,12 @@ def verify_synthesis(spec: ControlledGateSpec, *, trials: int = 100,
     infidelity = np.maximum(*(
         np.where(prob > 0.0, 1.0 - fidelity(expected, matvecs(post_gate, post)), 1.0)
         for (prob, post), post_gate in zip(branches, (plan.post_plus, plan.post_minus))))
-    worst_trial = int(np.argmax(infidelity))
-    # rounding can put 1 - fidelity just below 0; the report floors it at 0
-    max_infidelity = max(0.0, float(infidelity[worst_trial]))
+    max_infidelity, worst_trial = worst(infidelity)
+    # rounding can put 1 - fidelity just below 0; the floor keeps a NaN
+    max_infidelity = max(max_infidelity, 0.0)
     (p_plus, _), (p_minus, _) = branches
-    deviation = np.abs(p_plus - 0.5)
-    worst = int(np.argmax(deviation))  # the first trial farthest from 1/2
-    worst_dev = float(deviation[worst])
-    worst_pair = (float(p_plus[worst]), float(p_minus[worst]))
+    worst_dev, farthest = worst(np.abs(p_plus - 0.5))  # the first trial farthest from 1/2
+    worst_pair = (float(p_plus[farthest]), float(p_minus[farthest]))
 
     passed = (residual_plus <= tolerance and residual_minus <= tolerance
               and bare_correction_residual <= tolerance and worst_dev <= tolerance

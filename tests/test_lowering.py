@@ -474,3 +474,17 @@ def test_equivalence_report_names_its_worst_case(make_program):
                              forced=dict(zip(labels, report.worst_assignment)))
     expected = simulate_circuit(circuit, psis[report.worst_trial])
     assert 1.0 - fidelity(expected, trace.final_state) == report.max_infidelity
+
+
+@pytest.mark.parametrize("count", ["2", True])
+def test_entry_points_refuse_a_bad_qubit_count_with_one_message(count):
+    # check_equivalence binds (validates) the program before it compares
+    # qubit counts, as serialize_program and simulate_program validate first
+    circuit = parse_circuit(BELL_TEXT)
+    program = replace(lower(circuit), num_data_qubits=count)
+    message = f"^num_data_qubits must be a non-negative integer, got {count!r}$"
+    for run in (lambda: serialize_program(program),
+                lambda: simulate_program(program, basis_state(2, 0)),
+                lambda: check_equivalence(circuit, program, trials=1)):
+        with pytest.raises(programs.ProgramError, match=message):
+            run()

@@ -237,3 +237,18 @@ def test_project_branches_checks_each_stacked_state():
 def test_measure_ancilla_rejects_nan_states(state):
     with pytest.raises(ValueError, match="state is not normalized"):
         measure_ancilla(np.array(state), 0.0)
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", ["measure_ancilla", "branch_functionals", "branch_gates",
+                                  "branch_gates_tensor"])
+def test_switch_refuses_a_non_finite_angle_by_name(call, theta):
+    a, b = random_unitary(np.random.default_rng(1), 2), X
+    run = {
+        "measure_ancilla": lambda: measure_ancilla(tensor(basis_state(1, 0), PLUS), theta),
+        "branch_functionals": lambda: branch_functionals(theta),
+        "branch_gates": lambda: branch_gates(a, b, theta),
+        "branch_gates_tensor": lambda: branch_gates_tensor([a, a], [b, b], theta),
+    }[call]
+    with pytest.raises(ValueError, match=f"^theta must be finite, got {theta}$"):
+        run()
