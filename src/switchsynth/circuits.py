@@ -110,12 +110,6 @@ class Instruction:
     qubits: tuple[int, ...]
     params: tuple[tuple[str, float], ...] = ()
 
-    def param(self, name: str) -> float:
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class Circuit:

@@ -146,27 +146,19 @@ def _spec_for_gate(args, parser: argparse.ArgumentParser, flags: tuple[str, ...]
 
 
 def cmd_synth(args, parser: argparse.ArgumentParser, flags: tuple[str, ...]) -> int:
-    from .jsonio import dumps, format_float, format_measured
+    from .jsonio import dumps, format_float, format_measured, report_document
     from .synthesis import synthesize, verify_synthesis
     spec = _spec_for_gate(args, parser, flags)
     plan = synthesize(spec)
     report = verify_synthesis(spec, trials=args.trials, seed=args.seed,
                               tolerance=args.tolerance, target_name=args.gate)
-    matrices = {
-        "pre": plan.pre,
-        "gate_a": plan.gate_a,
-        "gate_b": plan.gate_b,
-        "post_plus": plan.post_plus,
-        "post_minus": plan.post_minus,
-    }
+    matrices = {name: getattr(plan, name)
+                for name in ("pre", "gate_a", "gate_b", "post_plus", "post_minus")}
     factors = {f.name: getattr(plan, f.name) for f in fields(plan)
                if f.name.endswith(("_control", "_target"))}
     if args.format == "json":
         doc = report.as_dict()
-        doc["spec"] = {
-            "alpha": spec.alpha, "theta": spec.theta,
-            "axis": list(spec.axis), "perp": list(spec.perp),
-        }
+        doc["spec"] = report_document(spec)  # alpha, theta, axis, perp
         doc["plan"] = {
             "measurement_theta": plan.measurement_theta,
             "phase": plan.phase,
@@ -242,8 +234,8 @@ def cmd_lower(args) -> int:
 def _initial_state(kind: str, num_qubits: int, seed: int) -> np.ndarray:
     import numpy as np
     from .linalg import _INT_RE, basis_state
-    from .sampling import random_state
     if kind == "random":
+        from .sampling import random_state
         return random_state(np.random.default_rng([seed, 1]), num_qubits)
     k = "0" if kind == "zeros" else kind.removeprefix("basis:")
     if k == kind:
@@ -256,9 +248,7 @@ def _initial_state(kind: str, num_qubits: int, seed: int) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
-    from .circuits import parse_circuit
     from .jsonio import dumps, format_float, format_measured
-    from .lowering import check_equivalence
     from .programs import parse_program, simulate_program
     with open(args.program) as handle:
         program = parse_program(handle.read())
@@ -266,6 +256,8 @@ def cmd_simulate(args) -> int:
     trace = simulate_program(program, state, seed=args.seed)
     equivalence = None
     if args.check_against is not None:
+        from .circuits import parse_circuit
+        from .lowering import check_equivalence
         with open(args.check_against) as handle:
             circuit = parse_circuit(handle.read())
         equivalence = check_equivalence(circuit, program, trials=args.trials,

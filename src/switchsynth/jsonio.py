@@ -19,6 +19,7 @@ Tuples are written as lists.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from _json import encode_basestring_ascii as _quote  # json.encoder's; loads no json
 
 import numpy as np
@@ -36,6 +37,16 @@ def measured(value):
     """A report's value in its document: None (``null``; ``nan`` in text) for a
     float that is not finite, as its check measured nothing and fails."""
     return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def report_document(report) -> dict:
+    """A report's document, and ``synth``'s spec's: each field but ``worst_*``
+    (a case to replay), less any ``_name`` suffix, via ``measured``; tuples as lists."""
+    values = {f.name: getattr(report, f.name) for f in fields(report)
+              if not f.name.startswith("worst_")}
+    return {name.removesuffix("_name"):
+            list(map(measured, value)) if isinstance(value, tuple) else measured(value)
+            for name, value in values.items()}
 
 
 def format_measured(value: float) -> str:
@@ -78,51 +89,35 @@ def _scalar(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__} into a document")
 
 
-def _emit(obj, level: int, pieces: list[str]) -> None:
+_NESTED = (dict, list, tuple)
+
+
+def _refuse_key(key):
+    raise TypeError(f"document keys must be strings, got {key!r}")
+
+
+def _emit(obj, level: int) -> str:
+    """Text of ``obj``; an entry that is not a dict, list or tuple goes
+    straight to ``_scalar``, which is much cheaper than a call into ``_emit``."""
+    if not isinstance(obj, _NESTED):
+        return _scalar(obj)
     pad = "  " * (level + 1)
-    close_pad = "  " * level
     if isinstance(obj, dict):
-        if not obj:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"document keys must be strings, got {key!r}")
-            pieces.append(f"{pad}{_quote(key)}: ")
-            if isinstance(value, (dict, list, tuple)):
-                _emit(value, level + 1, pieces)
-            else:
-                pieces.append(_scalar(value))
-            pieces.append(",\n")
-        pieces[-1] = "\n"  # no comma after the last entry
-        pieces.append(close_pad + "}")
-    elif not isinstance(obj, (list, tuple)):
-        pieces.append(_scalar(obj))
-    elif not obj:
-        pieces.append("[]")
-    elif any(isinstance(el, dict) for el in obj):
-        pieces.append("[\n")
-        for el in obj:
-            pieces.append(pad)
-            _emit(el, level + 1, pieces)
-            pieces.append(",\n")
-        pieces[-1] = "\n"
-        pieces.append(close_pad + "]")
-    else:  # joined here, so a nested list leaves one string in its parent's parts
-        parts = ["["]
-        for el in obj:
-            if isinstance(el, (list, tuple)):
-                _emit(el, 0, parts)  # a nested list starts over at level 0
-            else:
-                parts.append(_scalar(el))
-            parts.append(", ")
-        parts[-1] = "]"
-        pieces.append("".join(parts))
+        body = ",\n".join([
+            f"{pad}{_quote(key) if isinstance(key, str) else _refuse_key(key)}: "
+            + (_emit(value, level + 1) if isinstance(value, _NESTED) else _scalar(value))
+            for key, value in obj.items()])
+        return f"{{\n{body}\n{pad[2:]}}}" if obj else "{}"
+    if any(isinstance(el, dict) for el in obj):  # so not empty
+        body = ",\n".join([
+            pad + (_emit(el, level + 1) if isinstance(el, _NESTED) else _scalar(el))
+            for el in obj])
+        return f"[\n{body}\n{pad[2:]}]"
+    # one line, where a nested list starts again at level 0
+    body = ", ".join([_emit(el, 0) if isinstance(el, _NESTED) else _scalar(el) for el in obj])
+    return f"[{body}]"
 
 
 def dumps(obj) -> str:
     """Serialize a document; trailing newline included."""
-    pieces: list[str] = []
-    _emit(obj, 0, pieces)
-    return "".join(pieces) + "\n"
+    return _emit(obj, 0) + "\n"

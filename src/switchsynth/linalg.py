@@ -78,7 +78,7 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
         elif f.ndim == 1:  # a vector, or each row of a stack, times f
             out = (out[..., None] * f).reshape(*out.shape[:-1], -1)
         else:
-            out = np.kron(out, f)
+            raise ValueError(f"tensor() cannot multiply shapes {out.shape} and {f.shape}")
     return out
 
 
@@ -294,9 +294,8 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     of a complex array can differ from it in the last bit.
     """
     overlap = np.vecdot(a, b)
-    if overlap.ndim == 0:
-        return float(abs(overlap) ** 2)
-    return np.hypot(overlap.real, overlap.imag) ** 2
+    value = np.hypot(overlap.real, overlap.imag) ** 2
+    return value if value.ndim else float(value)
 
 
 def matvecs(matrix: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -372,6 +371,20 @@ def apply_ordered(state: np.ndarray, matrix: np.ndarray, shape: tuple[int, ...],
 # since ``\d`` alone also matches other scripts' digits
 _INT_RE = re.compile(r"\d+", re.ASCII)
 _FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+
+
+def require_angle(value, name: str = "angle") -> float:
+    """An angle as a float; raises ValueError, naming the argument, unless it
+    is a finite int, float or numpy real (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        angle = float(value)
+    except OverflowError:  # an int beyond float range
+        angle = math.inf if value > 0 else -math.inf
+    if not math.isfinite(angle):
+        raise ValueError(f"{name} must be finite, got {angle}")
+    return angle
 
 
 def require_tolerance(tolerance: float) -> float:

@@ -9,7 +9,7 @@ any other gate without a controlled-gate spec is refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .circuits import (
     instruction_matrix,
     simulate_circuit,
 )
-from .jsonio import measured
+from .jsonio import report_document
 from .linalg import DEFAULT_TOLERANCE, fidelity, require_check_inputs, worst, worst_rank
 from .programs import (  # MAX_EXHAUSTIVE_ASSIGNMENTS, re-exported
     MAX_EXHAUSTIVE_ASSIGNMENTS,
@@ -105,9 +105,7 @@ class EquivalenceReport:
     worst_trial: int = 0
     worst_assignment: tuple[str, ...] = ()
 
-    def as_dict(self) -> dict:
-        return {f.name: measured(getattr(self, f.name)) for f in fields(self)
-                if not f.name.startswith("worst_")}
+    as_dict = report_document
 
 
 def check_equivalence(circuit: Circuit, program: SwitchProgram,

@@ -486,13 +486,12 @@ class _Path:
         self.pick = pick
 
     def measure(self, depth: int, label: str, record, states, functionals):
-        # the one state alone, on numpy's cheaper scalar arithmetic
-        plus, minus = project_branches(states[0], functionals)
-        name = self.pick(depth, float(plus[0]))
+        plus, minus = project_branches(states, functionals)
+        name = self.pick(depth, float(plus[0][0]))
         probability, post = plus if name == "plus" else minus
-        if not probability:
+        if not probability[0]:
             raise _zero_branch(name, label)
-        return post[None], record + ((label, name, float(probability)),)
+        return post, record + ((label, name, float(probability[0])),)
 
     def took(self, record, index: int, outcome: str):
         return _ALL if record[index][1] == outcome else None

@@ -11,11 +11,11 @@ stays at -1e-9.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import measured
+from .jsonio import report_document
 from .linalg import (
     ALGEBRA_ATOL,
     DEFAULT_TOLERANCE,
@@ -82,9 +82,7 @@ class PropertyResult:
     passed: bool
     worst_trial: int
 
-    def as_dict(self) -> dict:
-        return {f.name: measured(getattr(self, f.name)) for f in fields(self)
-                if f.name != "worst_trial"}
+    as_dict = report_document
 
 
 class _Ledger:

@@ -24,6 +24,7 @@ from .linalg import (
     Z,
     dagger,
     is_density_matrix,
+    require_angle,
     require_density,
     require_square,
     require_unitary,
@@ -139,10 +140,10 @@ def branch_functionals(theta: float) -> tuple[np.ndarray, np.ndarray]:
     The plus branch pairs the ancilla with (cos(theta/2), i sin(theta/2)),
     the minus branch with (i sin(theta/2), cos(theta/2)); these are the
     unconjugated basis coefficients, i.e. a measurement in the
-    complex-conjugate basis. Raises ValueError unless theta is finite.
+    complex-conjugate basis. Raises ValueError unless theta is a finite
+    real number (``require_angle``).
     """
-    if not np.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
+    theta = require_angle(theta, "theta")
     c = np.cos(0.5 * theta)
     s = np.sin(0.5 * theta)
     return (np.array([c, 1j * s], dtype=complex),

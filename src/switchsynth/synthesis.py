@@ -17,12 +17,12 @@ reconstruct CU exactly, so nothing is post-selected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .jsonio import measured
+from .jsonio import report_document
 from .linalg import (
     DEFAULT_TOLERANCE,
     PLUS,
@@ -34,6 +34,7 @@ from .linalg import (
     fidelity,
     is_unitary,
     matvecs,
+    require_angle,
     require_check_inputs,
     rotation,
     rotation_z,
@@ -59,9 +60,7 @@ Z_HAT = (0.0, 0.0, 1.0)
 
 def normalize_angle(angle: float, name: str = "angle") -> float:
     """Canonical representative of a finite angle modulo 4*pi, in (-2*pi, 2*pi]."""
-    angle = float(angle)
-    if not math.isfinite(angle):
-        raise ValueError(f"{name} must be finite, got {angle}")
+    angle = require_angle(angle, name)
     if -TWO_PI < angle <= TWO_PI:
         return angle
     folded = math.fmod(angle, 2.0 * TWO_PI)
@@ -178,12 +177,7 @@ class VerificationReport:
     passed: bool
     worst_trial: int
 
-    def as_dict(self) -> dict:
-        # target_name is written as "target"
-        doc = {f.name.removesuffix("_name"): measured(getattr(self, f.name))
-               for f in fields(self) if f.name != "worst_trial"}
-        doc["branch_probabilities"] = list(map(measured, self.branch_probabilities))
-        return doc
+    as_dict = report_document  # target_name is written as "target"
 
 
 def _controlled(u: np.ndarray) -> np.ndarray:

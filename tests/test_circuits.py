@@ -52,16 +52,14 @@ def test_parse_parameters_in_canonical_order():
     text = "qubits 2\ncu 0 1 nz=0.0 theta=1.0 alpha=0.5 nx=1.0 ny=0.0\n"
     inst = parse_circuit(text).instructions[0]
     assert [key for key, _ in inst.params] == ["alpha", "theta", "nx", "ny", "nz"]
-    assert inst.param("alpha") == 0.5
-    assert inst.param("theta") == 1.0
-    with pytest.raises(KeyError):
-        inst.param("phi")
+    assert dict(inst.params)["alpha"] == 0.5
+    assert dict(inst.params)["theta"] == 1.0
 
 
 def test_parse_snaps_almost_unit_axis():
     text = "qubits 2\ncu 0 1 alpha=0.1 theta=0.2 nx=1.0000001 ny=0.0 nz=0.0\n"
     inst = parse_circuit(text).instructions[0]
-    assert inst.param("nx") == pytest.approx(1.0, abs=1e-15)
+    assert dict(inst.params)["nx"] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_format_parse_round_trip():

@@ -567,6 +567,9 @@ COMMAND_MODULES = {
         "switchsynth", "switchsynth.circuits", "switchsynth.cli", "switchsynth.jsonio",
         "switchsynth.linalg", "switchsynth.lowering", "switchsynth.programs",
         "switchsynth.sampling", "switchsynth.switch", "switchsynth.synthesis"],
+    ("simulate", "PROGRAM"): [
+        "switchsynth", "switchsynth.cli", "switchsynth.jsonio", "switchsynth.linalg",
+        "switchsynth.programs", "switchsynth.switch"],
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import permutations
 
 import numpy as np
@@ -32,6 +33,7 @@ from switchsynth.linalg import (
     operator_schmidt_values,
     projector,
     realign,
+    require_angle,
     require_trials,
     rotation,
     rotation_z,
@@ -489,3 +491,38 @@ def test_unitarity_residual_refuses_non_square_input():
         unitarity_residual(np.ones((2, 3)))
     with pytest.raises(ValueError, match="must be square"):
         is_unitary(np.ones((4, 2, 3)))
+
+
+@pytest.mark.parametrize("first,second", [((2,), (2, 2)), ((4,), (3, 2, 2)),
+                                          ((2, 2), ()), ((), (2, 2))])
+def test_tensor_refuses_mixed_ranks_naming_both_shapes(first, second):
+    a, b = np.ones(first, dtype=complex), np.ones(second, dtype=complex)
+    message = re.escape(f"tensor() cannot multiply shapes {first} and {second}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tensor(a, b)
+
+
+@pytest.mark.parametrize("value", [0, -3, 2 ** 60, 0.25, -1e300, np.int64(7), np.uint8(3),
+                                   np.float32(0.3), np.float64(-2.5)])
+def test_require_angle_returns_a_real_as_a_float(value):
+    angle = require_angle(value, "phi")
+    assert type(angle) is float
+    assert angle == float(value)
+
+
+@pytest.mark.parametrize("value,message", [
+    ("1", "phi must be a real number, got '1'"),
+    (None, "phi must be a real number, got None"),
+    (True, "phi must be a real number, got True"),
+    (np.bool_(False), "phi must be a real number, got np.False_"),
+    (1 + 0j, "phi must be a real number, got (1+0j)"),
+    (np.array(0.5), "phi must be a real number, got array(0.5)"),
+    (math.nan, "phi must be finite, got nan"),
+    (-math.inf, "phi must be finite, got -inf"),
+    (10 ** 400, "phi must be finite, got inf"),
+    (-(10 ** 400), "phi must be finite, got -inf"),
+], ids=["str", "none", "bool", "numpy_bool", "complex", "array", "nan", "minus_inf",
+        "huge_int", "huge_negative_int"])
+def test_require_angle_names_the_argument(value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        require_angle(value, "phi")

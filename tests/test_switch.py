@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -252,3 +254,29 @@ def test_switch_refuses_a_non_finite_angle_by_name(call, theta):
     }[call]
     with pytest.raises(ValueError, match=f"^theta must be finite, got {theta}$"):
         run()
+
+
+@pytest.mark.parametrize("theta,message", [
+    ("1", "theta must be a real number, got '1'"),
+    (None, "theta must be a real number, got None"),
+    (True, "theta must be a real number, got True"),
+    (10 ** 400, "theta must be finite, got inf"),
+], ids=["str", "none", "bool", "huge_int"])
+@pytest.mark.parametrize("call", ["measure_ancilla", "branch_functionals", "branch_gates",
+                                  "branch_gates_tensor"])
+def test_switch_refuses_an_angle_that_is_not_a_real_number_by_name(call, theta, message):
+    a, b = random_unitary(np.random.default_rng(1), 2), X
+    run = {
+        "measure_ancilla": lambda: measure_ancilla(tensor(basis_state(1, 0), PLUS), theta),
+        "branch_functionals": lambda: branch_functionals(theta),
+        "branch_gates": lambda: branch_gates(a, b, theta),
+        "branch_gates_tensor": lambda: branch_gates_tensor([a, a], [b, b], theta),
+    }[call]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run()
+
+
+@pytest.mark.parametrize("theta", [1, np.int64(-3), np.float32(0.3)])
+def test_branch_functionals_of_an_int_or_numpy_real_are_those_of_its_float(theta):
+    for got, want in zip(branch_functionals(theta), branch_functionals(float(theta))):
+        assert got.tobytes() == want.tobytes()

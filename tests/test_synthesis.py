@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -476,3 +477,22 @@ def test_block_residuals_are_the_reported_residuals():
         assert (report.residual_plus, report.residual_minus) == (plus, minus)
         assert report.bare_correction_residual == max(bare_plus, bare_minus)
         assert max(plus, minus, bare_plus, bare_minus) <= 1e-12
+
+
+@pytest.mark.parametrize("field", ["alpha", "theta"])
+@pytest.mark.parametrize("value,message", [
+    ("1", "must be a real number, got '1'"),
+    (True, "must be a real number, got True"),
+    (None, "must be a real number, got None"),
+    (10 ** 400, "must be finite, got inf"),
+], ids=["str", "bool", "none", "huge_int"])
+def test_spec_refuses_an_angle_that_is_not_a_real_number_by_name(field, value, message):
+    params = {"alpha": 0.5, "theta": 1.0, "axis": (0.0, 0.0, 1.0), field: value}
+    with pytest.raises(ValueError, match=f"^{field} {re.escape(message)}$"):
+        ControlledGateSpec(**params)
+
+
+def test_spec_stores_an_int_or_numpy_real_angle_as_a_float():
+    spec = ControlledGateSpec(alpha=1, theta=np.int64(2), axis=(0.0, 0.0, 1.0))
+    assert (type(spec.alpha), type(spec.theta)) == (float, float)
+    assert (spec.alpha, spec.theta) == (1.0, 2.0)
