@@ -147,13 +147,12 @@ def _spec_for_gate(args, parser: argparse.ArgumentParser, flags: tuple[str, ...]
 
 def cmd_synth(args, parser: argparse.ArgumentParser, flags: tuple[str, ...]) -> int:
     from .jsonio import dumps, format_float, format_measured, report_document
-    from .synthesis import synthesize, verify_synthesis
+    from .synthesis import PLAN_MATRICES, synthesize, verify_synthesis
     spec = _spec_for_gate(args, parser, flags)
     plan = synthesize(spec)
     report = verify_synthesis(spec, trials=args.trials, seed=args.seed,
                               tolerance=args.tolerance, target_name=args.gate)
-    matrices = {name: getattr(plan, name)
-                for name in ("pre", "gate_a", "gate_b", "post_plus", "post_minus")}
+    matrices = {name: getattr(plan, name) for name in PLAN_MATRICES}
     factors = {f.name: getattr(plan, f.name) for f in fields(plan)
                if f.name.endswith(("_control", "_target"))}
     if args.format == "json":

@@ -106,17 +106,16 @@ def frobenius(m: np.ndarray) -> float | np.ndarray:
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
-def is_unitary(m: np.ndarray, atol: float = UNITARY_ATOL) -> bool | np.ndarray:
-    """True when ||M^dag M - I||_F <= atol; one bool per matrix of a stack."""
-    ok = unitarity_residual(m) <= atol
+def is_unitary(m: np.ndarray) -> bool | np.ndarray:
+    """True when ||M^dag M - I||_F <= UNITARY_ATOL; one bool per matrix of a stack."""
+    ok = unitarity_residual(m) <= UNITARY_ATOL
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def require_unitary(m: np.ndarray, name: str = "matrix",
-                    atol: float = UNITARY_ATOL) -> np.ndarray:
+def require_unitary(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = require_square(m, name)
-    if not is_unitary(m, atol):
-        raise ValueError(f"{name} is not unitary within {atol}")
+    if not is_unitary(m):
+        raise ValueError(f"{name} is not unitary within {UNITARY_ATOL}")
     return m
 
 
@@ -238,8 +237,8 @@ def operator_schmidt_values(m: np.ndarray) -> np.ndarray:
     return np.linalg.svd(realign(m), compute_uv=False)
 
 
-def operator_schmidt_rank(m: np.ndarray, tol: float = 1e-10) -> int:
-    """Number of Schmidt coefficients above tol relative to the largest.
+def operator_schmidt_rank(m: np.ndarray) -> int:
+    """Number of Schmidt coefficients above 1e-10 relative to the largest.
 
     Rank 1 means m is a tensor product of single-qubit operators. The zero
     matrix has rank 0.
@@ -247,7 +246,7 @@ def operator_schmidt_rank(m: np.ndarray, tol: float = 1e-10) -> int:
     s = operator_schmidt_values(m)
     if s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(np.count_nonzero(s > 1e-10 * s[0]))
 
 
 # ---------------------------------------------------------------------------

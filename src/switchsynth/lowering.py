@@ -35,7 +35,7 @@ from .programs import (  # MAX_EXHAUSTIVE_ASSIGNMENTS, re-exported
     _Tree,
 )
 from .sampling import random_state
-from .synthesis import ControlledGateSpec, synthesize
+from .synthesis import PLAN_MATRICES, ControlledGateSpec, synthesize
 
 
 def lower(circuit: Circuit) -> SwitchProgram:
@@ -46,9 +46,9 @@ def lower(circuit: Circuit) -> SwitchProgram:
     """
     program = SwitchProgram(num_data_qubits=circuit.num_qubits)
     instructions = []
-    # spec -> (pre, gate_a, gate_b, measurement angle, post_plus, post_minus),
-    # the matrices as table ids, so each distinct spec is synthesized once;
-    # specs equal under == (where -0.0 == 0.0) share one entry
+    # spec -> (measurement angle, table id of each of PLAN_MATRICES), so each
+    # distinct spec is synthesized once; specs equal under == (where
+    # -0.0 == 0.0) share one entry
     blocks: dict[ControlledGateSpec, tuple] = {}
     gate_index = 0
     for inst in circuit.instructions:
@@ -63,12 +63,9 @@ def lower(circuit: Circuit) -> SwitchProgram:
         block = blocks.get(spec)
         if block is None:
             plan = synthesize(spec)
-            block = blocks[spec] = (
-                program.add_matrix(plan.pre), program.add_matrix(plan.gate_a),
-                program.add_matrix(plan.gate_b), plan.measurement_theta,
-                program.add_matrix(plan.post_plus),
-                program.add_matrix(plan.post_minus))
-        pre, gate_a, gate_b, theta, post_plus, post_minus = block
+            block = blocks[spec] = (plan.measurement_theta, *(
+                program.add_matrix(getattr(plan, name)) for name in PLAN_MATRICES))
+        theta, pre, gate_a, gate_b, post_plus, post_minus = block
         ancilla = f"a{gate_index}"
         result = f"m{gate_index}"
         gate_index += 1

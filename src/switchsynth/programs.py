@@ -323,7 +323,12 @@ def _matrix_from_entries(entries, key: str) -> np.ndarray:
     dim = math.isqrt(len(entries))
     if dim * dim != len(entries):
         raise ProgramError(f"matrix {key!r} has {len(entries)} entries, not square")
-    return np.array([complex(re, im) for re, im in entries], dtype=complex).reshape(dim, dim)
+    values = []
+    for re, im in entries:
+        if type(re) is bool or type(im) is bool:  # complex(True, 0) is 1
+            raise ProgramError(f"matrix {key!r} entries must be numbers, got {[re, im]!r}")
+        values.append(complex(re, im))
+    return np.array(values, dtype=complex).reshape(dim, dim)
 
 
 # per op tag: the keys a record may hold besides "op"

@@ -17,8 +17,7 @@ reconstruct CU exactly, so nothing is post-selected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,6 +55,8 @@ from .switch import (
 TWO_PI = 2.0 * math.pi
 ORTHOGONALITY_ATOL = 1e-10
 Z_HAT = (0.0, 0.0, 1.0)
+# a plan's five two-qubit matrices, in the order a switch block applies them
+PLAN_MATRICES = ("pre", "gate_a", "gate_b", "post_plus", "post_minus")
 
 
 def normalize_angle(angle: float, name: str = "angle") -> float:
@@ -96,18 +97,13 @@ class ControlledGateSpec:
         object.__setattr__(self, "perp", tuple(perp.tolist()))
 
 
-def _read_only(m: np.ndarray) -> np.ndarray:
-    m.flags.writeable = False
-    return m
-
-
 @dataclass(frozen=True, eq=False)
 class SynthesisPlan:
     """Everything needed to run one controlled gate through the switch.
 
     Joint operators factor as control (x) target; the factors are stored
-    individually and the full matrices are derived properties, each built
-    once, on first use, and shared read-only. ``phase`` is the scalar
+    individually and the full matrices, named by ``PLAN_MATRICES``, are
+    built with the plan and shared read-only. ``phase`` is the scalar
     e^{i alpha/2} shared by both corrections, kept separate from their
     unitary factors.
     """
@@ -125,26 +121,22 @@ class SynthesisPlan:
     post_plus_target: np.ndarray
     post_minus_control: np.ndarray
     post_minus_target: np.ndarray
+    pre: np.ndarray = field(init=False, repr=False)
+    gate_a: np.ndarray = field(init=False, repr=False)
+    gate_b: np.ndarray = field(init=False, repr=False)
+    post_plus: np.ndarray = field(init=False, repr=False)
+    post_minus: np.ndarray = field(init=False, repr=False)
 
-    @cached_property
-    def pre(self) -> np.ndarray:
-        return _read_only(tensor(self.pre_control, self.pre_target))
-
-    @cached_property
-    def gate_a(self) -> np.ndarray:
-        return _read_only(tensor(self.a_control, self.a_target))
-
-    @cached_property
-    def gate_b(self) -> np.ndarray:
-        return _read_only(tensor(self.b_control, self.b_target))
-
-    @cached_property
-    def post_plus(self) -> np.ndarray:
-        return _read_only(self.phase * tensor(self.post_plus_control, self.post_plus_target))
-
-    @cached_property
-    def post_minus(self) -> np.ndarray:
-        return _read_only(self.phase * tensor(self.post_minus_control, self.post_minus_target))
+    def __post_init__(self):
+        products = (
+            tensor(self.pre_control, self.pre_target),
+            tensor(self.a_control, self.a_target),
+            tensor(self.b_control, self.b_target),
+            self.phase * tensor(self.post_plus_control, self.post_plus_target),
+            self.phase * tensor(self.post_minus_control, self.post_minus_target))
+        for name, m in zip(PLAN_MATRICES, products):
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
 
     def branch_operators(self) -> tuple[np.ndarray, np.ndarray]:
         """Effective switched operators S_plus, S_minus for this plan."""

@@ -570,10 +570,13 @@ COMMAND_MODULES = {
     ("simulate", "PROGRAM"): [
         "switchsynth", "switchsynth.cli", "switchsynth.jsonio", "switchsynth.linalg",
         "switchsynth.programs", "switchsynth.switch"],
+    ("simulate", "PROGRAM", "--input", "random"): [
+        "switchsynth", "switchsynth.cli", "switchsynth.jsonio", "switchsynth.linalg",
+        "switchsynth.programs", "switchsynth.sampling", "switchsynth.switch"],
 }
 
 
-@pytest.mark.parametrize("command", COMMAND_MODULES, ids=lambda command: command[0])
+@pytest.mark.parametrize("command", COMMAND_MODULES, ids=" ".join)
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
     circ = tmp_path / "bell.circ"
     circ.write_text(BELL_TEXT)

@@ -356,6 +356,15 @@ def test_parse_program_rejects_malformed_documents(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("entry", ["[true, 0]", "[0, false]"])
+def test_parse_program_refuses_a_json_bool_matrix_entry(entry):
+    # complex(True, 0) is 1, so a bool entry would parse as a number
+    text = ('{"num_data_qubits": 1, "matrices": {"m0": [' + entry + ', [0, 0], [0, 0], '
+            '[1, 0]]}, "instructions": [{"op": "apply_local", "matrix": "m0", "qubits": [0]}]}')
+    with pytest.raises(ProgramError, match=r"^matrix 'm0' entries must be numbers, got \["):
+        parse_program(text)
+
+
 def test_simulate_local_only():
     program = SwitchProgram(num_data_qubits=1)
     program.instructions = (ApplyLocal(program.add_matrix(H), (0,)),)
