@@ -31,6 +31,7 @@ from .linalg import (
     Y,
     Z,
     apply_matrix,
+    read_only,
     rotation,
     rotation_x,
     rotation_y,
@@ -44,6 +45,7 @@ CNOT_MATRIX = np.array([[1, 0, 0, 0],
                         [0, 0, 0, 1],
                         [0, 0, 1, 0]], dtype=complex)
 CZ_MATRIX = np.diag([1, 1, 1, -1]).astype(complex)
+read_only(CNOT_MATRIX, CZ_MATRIX)
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,13 @@ MAX_TRIALS = 1_000_000
 # fixed single-qubit operators
 # ---------------------------------------------------------------------------
 
+
+def read_only(*arrays: np.ndarray) -> None:
+    """Mark arrays that are shared read-only: a write into one raises ValueError."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -51,6 +58,7 @@ P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 PAULIS = (X, Y, Z)
 
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
+read_only(I2, X, Y, Z, H, P0, P1, PLUS)
 
 # ---------------------------------------------------------------------------
 # matrix helpers

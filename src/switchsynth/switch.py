@@ -24,6 +24,7 @@ from .linalg import (
     Z,
     dagger,
     is_density_matrix,
+    read_only,
     require_angle,
     require_density,
     require_square,
@@ -56,7 +57,7 @@ class KrausChannel:
             if not np.isfinite(k).all():
                 raise ValueError("Kraus operators must be finite")
         self.stack = np.stack(ops)
-        self.stack.flags.writeable = False
+        read_only(self.stack)
         self.operators = tuple(self.stack)
         total = (dagger(self.stack) @ self.stack).sum(axis=0)
         if not np.linalg.norm(total - np.eye(dim)) <= UNITARY_ATOL:

@@ -363,6 +363,25 @@ def numpy_plan_matrices(spec):
     return {**factors, **products}
 
 
+def rebuilt_block_residuals(plan, target, branches):
+    """``block_residuals`` with the phase-free plus correction built again
+    from its rotations, R_z(pi/2) (x) R_n(pi/2), not read as ``plan.gate_b``."""
+    import math
+
+    from switchsynth.linalg import (distance_up_to_phase, rotation, rotation_z,
+                                    tensor, two_qubit_rotation)
+
+    axis = plan.spec.axis
+    s_plus, s_minus = branches
+    rzn = two_qubit_rotation((0.0, 0.0, 1.0), axis, plan.spec.theta)
+    bare_plus = tensor(rotation_z(0.5 * math.pi), rotation(axis, 0.5 * math.pi))
+    bare_minus = tensor(rotation_z(-0.5 * math.pi), rotation(axis, -0.5 * math.pi))
+    return (distance_up_to_phase(plan.post_plus @ s_plus @ plan.pre, target),
+            distance_up_to_phase(plan.post_minus @ s_minus @ plan.pre, target),
+            distance_up_to_phase(bare_plus @ s_plus @ plan.pre, rzn),
+            distance_up_to_phase(bare_minus @ s_minus @ plan.pre, rzn))
+
+
 def looped_channels_suite(trials, seed, tolerance=1e-10):
     """``run_suite("channels", trials, seed, tolerance)`` as a loop, one trial
     at a time.

@@ -97,3 +97,15 @@ def test_unknown_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
         getattr(switchsynth, name)
     assert not hasattr(switchsynth, name)
+
+
+@pytest.mark.parametrize("name", ["I2", "X", "Y", "Z", "H", "P0", "P1", "PLUS",
+                                  "CNOT_MATRIX", "CZ_MATRIX"])
+def test_an_exported_constant_refuses_a_write(name):
+    # a write into PLUS would put every later ancilla in another state
+    home = "circuits" if name.endswith("_MATRIX") else "linalg"
+    constant = getattr(importlib.import_module(f"switchsynth.{home}"), name)
+    before = constant.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        constant[(0,) * constant.ndim] = 5
+    assert constant.tobytes() == before

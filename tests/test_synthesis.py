@@ -496,3 +496,93 @@ def test_spec_stores_an_int_or_numpy_real_angle_as_a_float():
     spec = ControlledGateSpec(alpha=1, theta=np.int64(2), axis=(0.0, 0.0, 1.0))
     assert (type(spec.alpha), type(spec.theta)) == (float, float)
     assert (spec.alpha, spec.theta) == (1.0, 2.0)
+
+
+# --- the plan slot and read-only plans ----------------------------------------
+
+FACTORS = tuple(f.name for f in dataclasses.fields(synthesis.SynthesisPlan)
+                if f.name.endswith(("_control", "_target")))
+
+
+def plan_arrays(plan):
+    return [getattr(plan, name) for name in (*FACTORS, *synthesis.PLAN_MATRICES)]
+
+
+def same_plan_bytes(got, want):
+    return (repr((got.measurement_theta, got.phase))
+            == repr((want.measurement_theta, want.phase))
+            and all(oracles.same_bytes(g, w)
+                    for g, w in zip(plan_arrays(got), plan_arrays(want))))
+
+
+def test_synthesize_returns_its_last_plan_for_the_same_spec_object():
+    spec = preset("cnot")
+    assert synthesize(spec) is synthesize(spec)
+
+
+def test_synthesize_builds_again_after_another_spec():
+    spec = preset("cnot")
+    first = synthesize(spec)
+    synthesize(preset("cz"))
+    again = synthesize(spec)
+    assert again is not first and same_plan_bytes(again, first)
+
+
+def test_specs_that_differ_in_a_signed_zero_get_their_own_plans():
+    plus_zero = ControlledGateSpec(alpha=0.0, theta=1.0, axis=(0.0, 0.0, 1.0))
+    minus_zero = ControlledGateSpec(alpha=-0.0, theta=1.0, axis=(0.0, 0.0, 1.0))
+    assert plus_zero == minus_zero  # equal under ==, yet not the same spec
+    plans = [synthesize(spec) for spec in (plus_zero, minus_zero)]
+    assert plans[0] is not plans[1]
+    for spec, plan in zip((plus_zero, minus_zero), plans):
+        assert plan.spec is spec
+        assert same_plan_bytes(plan, synthesize(dataclasses.replace(spec)))
+    assert [math.copysign(1.0, plan.spec.alpha) for plan in plans] == [1.0, -1.0]
+
+
+def verified_specs():
+    rng = np.random.default_rng(29)
+    return (preset("cnot"), preset("cz"), preset_barenco(0.3, 1.1, -0.4),
+            *(random_spec(rng) for _ in range(6)))
+
+
+def test_verify_synthesis_reuses_the_plan_its_caller_just_built(monkeypatch):
+    built, real = [], synthesis.SynthesisPlan
+
+    def counted(**fields):
+        built.append(None)
+        return real(**fields)
+    monkeypatch.setattr(synthesis, "SynthesisPlan", counted)
+    spec = preset("cnot")
+    synthesize(spec)
+    verify_synthesis(spec, trials=3)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_verify_synthesis_after_synthesize_matches_a_fresh_spec(index):
+    spec = verified_specs()[index]
+    synthesize(spec)
+    reused = verify_synthesis(spec, trials=30, seed=5)
+    fresh = verify_synthesis(dataclasses.replace(spec), trials=30, seed=5)
+    assert repr(reused.as_dict()) == repr(fresh.as_dict())
+    assert reused.worst_trial == fresh.worst_trial
+
+
+def test_every_array_of_a_plan_refuses_a_write():
+    plan = synthesize(preset("cnot"))
+    assert len(FACTORS) == 10
+    for name, array in zip((*FACTORS, *synthesis.PLAN_MATRICES), plan_arrays(plan)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 5
+        assert not array.flags.writeable, name
+    assert oracles.same_bytes(plan.pre, tensor(plan.pre_control, plan.pre_target))
+
+
+def test_block_residuals_match_the_rebuilt_bare_correction_bitwise():
+    rng = np.random.default_rng(31)
+    for spec in (preset("cnot"), preset("cz"), preset_barenco(0.2, 0.9, 1.7),
+                 *(random_spec(rng) for _ in range(200))):
+        plan = synthesize(spec)
+        args = (plan, cu_matrix(spec), plan.branch_operators())
+        assert repr(block_residuals(*args)) == repr(oracles.rebuilt_block_residuals(*args))
