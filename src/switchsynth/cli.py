@@ -37,6 +37,19 @@ def _write_output(text: str, path: str | None) -> None:
             handle.write(text)
 
 
+def _report(args, doc: dict, lines: list[str], passed: bool) -> int:
+    """Write a check's report in ``--format`` to ``--output`` (or stdout):
+    ``dumps(doc)``, or ``lines`` then ``passed: true|false``. Returns the
+    exit code, 0 when ``passed`` and 1 otherwise."""
+    if args.format == "json":
+        from .jsonio import dumps
+        text = dumps(doc)
+    else:
+        text = "\n".join([*lines, f"passed: {str(passed).lower()}"]) + "\n"
+    _write_output(text, args.output)
+    return 0 if passed else 1
+
+
 def _checked(pattern, convert, require=lambda value: value, prefix: str = ""):
     """argparse type: ``require(convert(text))``, a finite number spelled as
     circuit text spells it (``pattern`` matches it whole); ``prefix`` is cut
@@ -146,7 +159,7 @@ def _spec_for_gate(args, parser: argparse.ArgumentParser, flags: tuple[str, ...]
 
 
 def cmd_synth(args, parser: argparse.ArgumentParser, flags: tuple[str, ...]) -> int:
-    from .jsonio import dumps, format_float, format_measured, report_document
+    from .jsonio import format_float, format_measured, report_document
     from .synthesis import PLAN_MATRICES, synthesize, verify_synthesis
     spec = _spec_for_gate(args, parser, flags)
     plan = synthesize(spec)
@@ -155,69 +168,57 @@ def cmd_synth(args, parser: argparse.ArgumentParser, flags: tuple[str, ...]) -> 
     matrices = {name: getattr(plan, name) for name in PLAN_MATRICES}
     factors = {f.name: getattr(plan, f.name) for f in fields(plan)
                if f.name.endswith(("_control", "_target"))}
-    if args.format == "json":
-        doc = report.as_dict()
-        doc["spec"] = report_document(spec)  # alpha, theta, axis, perp
-        doc["plan"] = {
-            "measurement_theta": plan.measurement_theta,
-            "phase": plan.phase,
-            **matrices,
-            "factors": factors,
-        }
-        text = dumps(doc)
-    else:
-        lines = [f"target: {args.gate}"]
-        lines.append(f"spec: alpha={format_float(spec.alpha)} "
-                     f"theta={format_float(spec.theta)} "
-                     f"axis=({', '.join(format_float(v) for v in spec.axis)}) "
-                     f"perp=({', '.join(format_float(v) for v in spec.perp)})")
-        lines.append(f"measurement_theta: {format_float(plan.measurement_theta)}")
-        lines.append(f"phase: {_complex_text([plan.phase])}")
-        for key, m in matrices.items():
-            lines.append(f"{key}:")
-            lines += ["  " + _complex_text(row) for row in m]
-        lines += [f"{key}: {format_measured(getattr(report, key))}" for key in
-                  ("residual_plus", "residual_minus", "bare_correction_residual")]
-        lines.append("branch_probabilities: "
-                     + " ".join(map(format_measured, report.branch_probabilities)))
-        lines.append(f"max_infidelity: {format_measured(report.max_infidelity)}")
-        lines.append(f"trials: {report.trials}")
-        lines.append(f"seed: {report.seed}")
-        lines.append(f"passed: {str(report.passed).lower()}")
-        text = "\n".join(lines) + "\n"
-    _write_output(text, args.output)
-    return 0 if report.passed else 1
+    doc = report.as_dict()
+    doc["spec"] = report_document(spec)  # alpha, theta, axis, perp
+    doc["plan"] = {
+        "measurement_theta": plan.measurement_theta,
+        "phase": plan.phase,
+        **matrices,
+        "factors": factors,
+    }
+    lines = [f"target: {args.gate}",
+             f"spec: alpha={format_float(spec.alpha)} "
+             f"theta={format_float(spec.theta)} "
+             f"axis=({', '.join(format_float(v) for v in spec.axis)}) "
+             f"perp=({', '.join(format_float(v) for v in spec.perp)})",
+             f"measurement_theta: {format_float(plan.measurement_theta)}",
+             f"phase: {_complex_text([plan.phase])}"]
+    for key, m in matrices.items():
+        lines.append(f"{key}:")
+        lines += ["  " + _complex_text(row) for row in m]
+    lines += [f"{key}: {format_measured(getattr(report, key))}" for key in
+              ("residual_plus", "residual_minus", "bare_correction_residual")]
+    lines.append("branch_probabilities: "
+                 + " ".join(map(format_measured, report.branch_probabilities)))
+    lines += [f"max_infidelity: {format_measured(report.max_infidelity)}",
+              f"trials: {report.trials}", f"seed: {report.seed}"]
+    return _report(args, doc, lines, report.passed)
 
 
 def cmd_verify(args) -> int:
-    from .jsonio import dumps, format_float, format_measured
+    from .jsonio import format_float, format_measured
     from .suites import run_suite
     results = run_suite(args.suite, trials=args.trials, seed=args.seed,
                         tolerance=args.tolerance)
     passed = all(r.passed for r in results)
-    if args.format == "json":
-        doc = {
-            "suite": args.suite,
-            "trials": args.trials,
-            "seed": args.seed,
-            "properties": [r.as_dict() for r in results],
-            "passed": passed,
-        }
-        text = dumps(doc)
-    else:
-        lines = [f"suite: {args.suite} (trials={args.trials}, seed={args.seed})"]
-        for r in results:
-            status = "pass" if r.passed else "FAIL"
-            lines.append(f"  [{status}] {r.suite}/{r.name}: "
-                         f"max_residual={format_measured(r.max_residual)} "
-                         f"tolerance={format_float(r.tolerance)}")
-        lines.append(f"passed: {str(passed).lower()}")
-        text = "\n".join(lines) + "\n"
-    _write_output(text, args.output)
+    doc = {
+        "suite": args.suite,
+        "trials": args.trials,
+        "seed": args.seed,
+        "properties": [r.as_dict() for r in results],
+        "passed": passed,
+    }
+    lines = [f"suite: {args.suite} (trials={args.trials}, seed={args.seed})"]
+    for r in results:
+        status = "pass" if r.passed else "FAIL"
+        lines.append(f"  [{status}] {r.suite}/{r.name}: "
+                     f"max_residual={format_measured(r.max_residual)} "
+                     f"tolerance={format_float(r.tolerance)}")
+    code = _report(args, doc, lines, passed)
     if not passed:
         failing = ", ".join(f"{r.suite}/{r.name}" for r in results if not r.passed)
         print(f"failing properties: {failing}", file=sys.stderr)
-    return 0 if passed else 1
+    return code
 
 
 def cmd_lower(args) -> int:
@@ -247,7 +248,7 @@ def _initial_state(kind: str, num_qubits: int, seed: int) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
-    from .jsonio import dumps, format_float, format_measured
+    from .jsonio import format_float, format_measured
     from .programs import parse_program, simulate_program
     with open(args.program) as handle:
         program = parse_program(handle.read())
@@ -262,36 +263,29 @@ def cmd_simulate(args) -> int:
         equivalence = check_equivalence(circuit, program, trials=args.trials,
                                         seed=args.seed, tolerance=args.tolerance)
     passed = equivalence.passed if equivalence is not None else True
-    if args.format == "json":
-        doc = {
-            "num_data_qubits": program.num_data_qubits,
-            "input": args.input,
-            "seed": args.seed,
-            "final_state": trace.final_state,
-            "measurements": [
-                {"label": label, "outcome": outcome, "probability": probability}
-                for label, outcome, probability in trace.measurement_record
-            ],
-        }
-        if equivalence is not None:
-            doc["equivalence"] = equivalence.as_dict()
-        doc["passed"] = passed
-        text = dumps(doc)
-    else:
-        lines = [f"input: {args.input} (seed={args.seed})"]
-        lines.append(f"final_state: {_complex_text(trace.final_state)}")
-        for label, outcome, probability in trace.measurement_record:
-            lines.append(f"measured {label}: {outcome} "
-                         f"(probability {format_float(probability)})")
-        if equivalence is not None:
-            lines.append(f"max_infidelity: "
-                         f"{format_measured(equivalence.max_infidelity)} over "
-                         f"{equivalence.trials} trials x "
-                         f"{equivalence.branch_assignments} branch assignments")
-        lines.append(f"passed: {str(passed).lower()}")
-        text = "\n".join(lines) + "\n"
-    _write_output(text, args.output)
-    return 0 if passed else 1
+    doc = {
+        "num_data_qubits": program.num_data_qubits,
+        "input": args.input,
+        "seed": args.seed,
+        "final_state": trace.final_state,
+        "measurements": [
+            {"label": label, "outcome": outcome, "probability": probability}
+            for label, outcome, probability in trace.measurement_record
+        ],
+    }
+    lines = [f"input: {args.input} (seed={args.seed})",
+             f"final_state: {_complex_text(trace.final_state)}"]
+    for label, outcome, probability in trace.measurement_record:
+        lines.append(f"measured {label}: {outcome} "
+                     f"(probability {format_float(probability)})")
+    if equivalence is not None:
+        doc["equivalence"] = equivalence.as_dict()
+        lines.append(f"max_infidelity: "
+                     f"{format_measured(equivalence.max_infidelity)} over "
+                     f"{equivalence.trials} trials x "
+                     f"{equivalence.branch_assignments} branch assignments")
+    doc["passed"] = passed
+    return _report(args, doc, lines, passed)
 
 
 def main(argv=None) -> int:

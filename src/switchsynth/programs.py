@@ -241,7 +241,8 @@ def validate_program(program: SwitchProgram) -> list[tuple]:
 
     for index, inst in enumerate(program.instructions):
         total, qubits, at = n + len(held), (), None
-        if isinstance(inst, AllocAncilla):
+        kind = type(inst)  # a subclass has no tag to serialize: unknown
+        if kind is AllocAncilla:
             _string(inst.ancilla, "alloc_ancilla", "ancilla")
             if _string(inst.state, "alloc_ancilla", "state") != "plus":
                 raise ProgramError(f"unsupported ancilla state {inst.state!r}")
@@ -253,16 +254,16 @@ def validate_program(program: SwitchProgram) -> list[tuple]:
                                    f"maximum of {MAX_HELD_QUBITS}")
             held.append(inst.ancilla)
             phase[inst.ancilla] = "held"
-        elif isinstance(inst, ApplyLocal):
+        elif kind is ApplyLocal:
             qubits = _qubits(inst.qubits, "apply_local", "qubits")
             check_matrix(inst.matrix, "matrix", qubits, "apply_local")
-        elif isinstance(inst, SwitchApply):
+        elif kind is SwitchApply:
             local = _qubits(inst.qubits, "switch_apply", "qubits")
             check_matrix(inst.gate_a, "gate_a", local, "switch_apply")
             check_matrix(inst.gate_b, "gate_b", local, "switch_apply")
             check_ancilla(inst.ancilla, "held", "switch_apply")
             qubits = (*local, n + held.index(inst.ancilla))
-        elif isinstance(inst, MeasureAncilla):
+        elif kind is MeasureAncilla:
             check_ancilla(inst.ancilla, "held", "measure_ancilla")
             if _string(inst.result, "measure_ancilla", "result") in results:
                 raise ProgramError(f"result label {inst.result!r} reused")
@@ -278,14 +279,14 @@ def validate_program(program: SwitchProgram) -> list[tuple]:
             qubits = (n + held.index(inst.ancilla),)
             held.remove(inst.ancilla)  # the later ones close the gap
             phase[inst.ancilla] = "measured"
-        elif isinstance(inst, CondApply):
+        elif kind is CondApply:
             if _string(inst.outcome, "cond_apply", "outcome") not in ("plus", "minus"):
                 raise ProgramError(f"unknown outcome {inst.outcome!r}")
             if _string(inst.result, "cond_apply", "result") not in results:
                 raise ProgramError(f"cond_apply references unmeasured result {inst.result!r}")
             qubits, at = _qubits(inst.qubits, "cond_apply", "qubits"), results[inst.result]
             check_matrix(inst.matrix, "matrix", qubits, "cond_apply")
-        elif isinstance(inst, Discard):
+        elif kind is Discard:
             check_ancilla(inst.ancilla, "measured", "discard")
             phase[inst.ancilla] = "discarded"
         else:

@@ -24,6 +24,7 @@ from .linalg import (
     Z,
     dagger,
     is_density_matrix,
+    is_unitary,
     read_only,
     require_angle,
     require_density,
@@ -105,16 +106,27 @@ class MeasurementOutcome:
     post_state: np.ndarray | None
 
 
+def _require_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """a and b as complex unitaries of one square shape; raises naming, in
+    this order, a's shape, a's unitarity, b's shape, b's unitarity, then the
+    shapes' mismatch. Gates of one shape are judged in one stacked check."""
+    a = require_square(a, "a")
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape or not is_unitary(np.stack((a, b))).all():
+        require_unitary(a, "a")
+        require_unitary(b, "b")
+        if a.shape != b.shape:
+            raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return a, b
+
+
 def switch_unitary(a: np.ndarray, b: np.ndarray) -> SwitchJoint:
     """Joint gate A B (x) |0><0| + B A (x) |1><1| on target (x) control.
 
     Equivalently (1/2)[{A,B} (x) I + [A,B] (x) Z]; unitary whenever a and b
     are.
     """
-    a = require_unitary(a, "a")
-    b = require_unitary(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    a, b = _require_pair(a, b)
     return SwitchJoint(target_dim=a.shape[0], matrix=joint_matrix(a, b))
 
 
@@ -201,10 +213,7 @@ def branch_gates(a: np.ndarray, b: np.ndarray,
     coefficients swapped. They satisfy
     S_plus^dag S_plus + S_minus^dag S_minus = 2 I.
     """
-    a = require_unitary(a, "a")
-    b = require_unitary(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    a, b = _require_pair(a, b)
     return branch_products(a @ b, b @ a, theta)
 
 

@@ -25,13 +25,11 @@ from .jsonio import report_document
 from .linalg import (
     DEFAULT_TOLERANCE,
     PLUS,
-    UNITARY_ATOL,
     X,
     bloch_dot,
     canonical_perp,
     distance_up_to_phase,
     fidelity,
-    is_unitary,
     matvecs,
     read_only,
     require_angle,
@@ -48,7 +46,6 @@ from .sampling import random_bloch, random_states
 from .switch import (
     branch_functionals,
     branch_gates,
-    branch_products,
     joint_matrix,
     project_branches,
 )
@@ -340,22 +337,17 @@ def verify_synthesis(spec: ControlledGateSpec, *, trials: int = 100,
     trials, seed = require_check_inputs(trials, seed, tolerance)
     plan = synthesize(spec)
     target = cu_matrix(spec)
-    # switch_unitary's and branch_gates' checks on the plan's two gates, run
-    # once; the shapes hold by construction
-    a, b = plan.gate_a, plan.gate_b
-    for name, unitary in zip("ab", is_unitary(np.stack((a, b)))):
-        if not unitary:
-            raise ValueError(f"{name} is not unitary within {UNITARY_ATOL}")
+    # branch_operators checks the switched pair as switch_unitary does
     residual_plus, residual_minus, *bare = block_residuals(
-        plan, target, branch_products(a @ b, b @ a, plan.measurement_theta))
+        plan, target, plan.branch_operators())
     bare_correction_residual = worst(bare)[0]
 
     # apply_switch then measure_ancilla on every trial at once, one trial per
     # row; project_branches checks each trial's staged state for normalization
     psi = random_states(np.random.default_rng(seed), 2, trials)
     expected = matvecs(target, psi)
-    staged = matvecs(joint_matrix(a, b),
-                     (matvecs(plan.pre, psi)[:, :, None] * PLUS).reshape(trials, -1))
+    staged = matvecs(joint_matrix(plan.gate_a, plan.gate_b),
+                     tensor(matvecs(plan.pre, psi), PLUS))
     branches = project_branches(staged, branch_functionals(plan.measurement_theta))
     # a zero-probability branch counts as infidelity 1
     infidelity = np.maximum(*(

@@ -113,6 +113,45 @@ def test_synth_unreachable_tolerance_exits_1(capsys):
     assert json.loads(out)["passed"] is False
 
 
+# each command that runs a check, passing and failing: (argv, passed); the
+# failing runs ask for an unreachable tolerance or check another circuit
+REPORT_RUNS = [
+    (("synth", "--gate", "cnot"), True),
+    (("synth", "--gate", "cnot", "--tolerance", "1e-300"), False),
+    (("verify", "--suite", "channels"), True),
+    (("verify", "--suite", "channels", "--tolerance", "1e-300"), False),
+    (("simulate", "{program}", "--check-against", "{circuit}"), True),
+    (("simulate", "{program}", "--check-against", "{other}"), False),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("argv,passed", REPORT_RUNS, ids=[
+    "synth_pass", "synth_fail", "verify_pass", "verify_fail",
+    "simulate_pass", "simulate_fail"])
+def test_every_report_states_its_verdict_on_stdout_or_output(
+        tmp_path, capsys, fmt, argv, passed):
+    paths = {name: str(tmp_path / name) for name in ("program", "circuit", "other")}
+    (tmp_path / "circuit").write_text(BELL_TEXT)
+    (tmp_path / "other").write_text("qubits 2\nh 0\ncz 0 1\n")
+    run_cli(capsys, "lower", paths["circuit"], "--output", paths["program"])
+    argv = [arg.format(**paths) for arg in argv] + ["--trials", "2", "--format", fmt]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == (0 if passed else 1)
+    if fmt == "json":
+        assert json.loads(out)["passed"] is passed
+    else:
+        assert out.endswith(f"\npassed: {str(passed).lower()}\n")
+        assert out.count("passed:") == 1
+    if argv[0] == "verify" and not passed:
+        assert err.startswith("failing properties: channels/")
+    else:
+        assert err == ""
+    path = tmp_path / "report"
+    assert run_cli(capsys, *argv, "--output", str(path)) == (code, "", err)
+    assert path.read_bytes() == out.encode()
+
+
 def test_synth_rejects_unknown_gate(capsys):
     code, _, err = run_cli(capsys, "synth", "--gate", "toffoli")
     assert code == 2

@@ -754,6 +754,23 @@ def test_parse_validate_and_serialize_name_the_same_first_fault(records, instruc
         assert str(err.value) == "matrix 'm0' is not unitary within 1e-10"
 
 
+def test_every_entry_point_refuses_an_instruction_subclass():
+    # only the instruction set's own classes have a tag to serialize
+    class MyLocal(ApplyLocal):
+        pass
+
+    program = SwitchProgram(num_data_qubits=1)
+    inst = MyLocal(program.add_matrix(H), (0,))
+    program.instructions = (inst,)
+    for run in (validate_program, serialize_program,
+                lambda p: simulate_program(p, basis_state(1, 0), seed=0),
+                lambda p: check_equivalence(parse_circuit("qubits 1\nh 0\n"), p,
+                                            trials=1)):
+        with pytest.raises(ProgramError) as err:
+            run(program)
+        assert str(err.value) == f"unknown instruction {inst!r}"
+
+
 def test_every_entry_point_refuses_a_table_id_that_is_not_a_string():
     program = SwitchProgram(num_data_qubits=1)
     program.instructions = (ApplyLocal(program.add_matrix(H), (0,)),)

@@ -1,9 +1,11 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from switchsynth import synthesis
 from switchsynth.linalg import I2, PLUS, X, Y, Z, basis_state, dagger, normalize, tensor
 from switchsynth.sampling import random_state, random_states, random_unitary
 from switchsynth.switch import (
@@ -280,3 +282,36 @@ def test_switch_refuses_an_angle_that_is_not_a_real_number_by_name(call, theta, 
 def test_branch_functionals_of_an_int_or_numpy_real_are_those_of_its_float(theta):
     for got, want in zip(branch_functionals(theta), branch_functionals(float(theta))):
         assert got.tobytes() == want.tobytes()
+
+
+# (a, b, message): a's shape, a's unitarity, b's shape, b's unitarity, then
+# the shapes' mismatch, so each pair names its first fault in that order
+PAIR_FAULTS = [
+    (np.ones((2, 3)), X, "a must be square, got shape (2, 3)"),
+    (X, np.ones((2, 3)), "b must be square, got shape (2, 3)"),
+    (2 * X, Z, "a is not unitary within 1e-10"),
+    (X, 2 * Z, "b is not unitary within 1e-10"),
+    (2 * X, 2 * Z, "a is not unitary within 1e-10"),
+    (2 * X, np.ones((2, 3)), "a is not unitary within 1e-10"),
+    (X, np.eye(4), "dimension mismatch: (2, 2) vs (4, 4)"),
+]
+
+
+@pytest.mark.parametrize("a,b,message", PAIR_FAULTS, ids=[
+    "a_not_square", "b_not_square", "a_not_unitary", "b_not_unitary",
+    "both_not_unitary", "a_not_unitary_b_not_square", "two_shapes"])
+@pytest.mark.parametrize("call", ["switch_unitary", "branch_gates", "verify_synthesis"])
+def test_every_switched_pair_names_its_first_fault(monkeypatch, call, a, b, message):
+    # a (1, 1) control factor makes a plan's gate the target factor itself
+    one = np.ones((1, 1))
+    plan = dataclasses.replace(synthesis.synthesize(synthesis.preset("cnot")),
+                               a_control=one, a_target=a, b_control=one, b_target=b)
+    monkeypatch.setattr(synthesis, "synthesize", lambda spec: plan)
+    run = {
+        "switch_unitary": lambda: switch_unitary(a, b),
+        "branch_gates": lambda: branch_gates(a, b, 0.3),
+        "verify_synthesis": lambda: synthesis.verify_synthesis(
+            synthesis.preset("cnot"), trials=2),
+    }[call]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run()
