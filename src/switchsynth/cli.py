@@ -37,15 +37,15 @@ def _write_output(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def _report(args, doc: dict, lines: list[str], passed: bool) -> int:
+def _report(args, doc: dict, lines, passed: bool) -> int:
     """Write a check's report in ``--format`` to ``--output`` (or stdout):
-    ``dumps(doc)``, or ``lines`` then ``passed: true|false``. Returns the
-    exit code, 0 when ``passed`` and 1 otherwise."""
+    ``dumps(doc)``, or ``lines()`` (called only for text) then ``passed:
+    true|false``. Returns the exit code, 0 when ``passed`` and 1 otherwise."""
     if args.format == "json":
         from .jsonio import dumps
         text = dumps(doc)
     else:
-        text = "\n".join([*lines, f"passed: {str(passed).lower()}"]) + "\n"
+        text = "\n".join([*lines(), f"passed: {str(passed).lower()}"]) + "\n"
     _write_output(text, args.output)
     return 0 if passed else 1
 
@@ -176,22 +176,24 @@ def cmd_synth(args, parser: argparse.ArgumentParser, flags: tuple[str, ...]) -> 
         **matrices,
         "factors": factors,
     }
-    lines = [f"target: {args.gate}",
-             f"spec: alpha={format_float(spec.alpha)} "
-             f"theta={format_float(spec.theta)} "
-             f"axis=({', '.join(format_float(v) for v in spec.axis)}) "
-             f"perp=({', '.join(format_float(v) for v in spec.perp)})",
-             f"measurement_theta: {format_float(plan.measurement_theta)}",
-             f"phase: {_complex_text([plan.phase])}"]
-    for key, m in matrices.items():
-        lines.append(f"{key}:")
-        lines += ["  " + _complex_text(row) for row in m]
-    lines += [f"{key}: {format_measured(getattr(report, key))}" for key in
-              ("residual_plus", "residual_minus", "bare_correction_residual")]
-    lines.append("branch_probabilities: "
-                 + " ".join(map(format_measured, report.branch_probabilities)))
-    lines += [f"max_infidelity: {format_measured(report.max_infidelity)}",
-              f"trials: {report.trials}", f"seed: {report.seed}"]
+
+    def lines() -> list[str]:
+        out = [f"target: {args.gate}",
+               f"spec: alpha={format_float(spec.alpha)} "
+               f"theta={format_float(spec.theta)} "
+               f"axis=({', '.join(format_float(v) for v in spec.axis)}) "
+               f"perp=({', '.join(format_float(v) for v in spec.perp)})",
+               f"measurement_theta: {format_float(plan.measurement_theta)}",
+               f"phase: {_complex_text([plan.phase])}"]
+        for key, m in matrices.items():
+            out.append(f"{key}:")
+            out += ["  " + _complex_text(row) for row in m]
+        out += [f"{key}: {format_measured(getattr(report, key))}" for key in
+                ("residual_plus", "residual_minus", "bare_correction_residual")]
+        out.append("branch_probabilities: "
+                   + " ".join(map(format_measured, report.branch_probabilities)))
+        return out + [f"max_infidelity: {format_measured(report.max_infidelity)}",
+                      f"trials: {report.trials}", f"seed: {report.seed}"]
     return _report(args, doc, lines, report.passed)
 
 
@@ -208,12 +210,15 @@ def cmd_verify(args) -> int:
         "properties": [r.as_dict() for r in results],
         "passed": passed,
     }
-    lines = [f"suite: {args.suite} (trials={args.trials}, seed={args.seed})"]
-    for r in results:
-        status = "pass" if r.passed else "FAIL"
-        lines.append(f"  [{status}] {r.suite}/{r.name}: "
-                     f"max_residual={format_measured(r.max_residual)} "
-                     f"tolerance={format_float(r.tolerance)}")
+
+    def lines() -> list[str]:
+        out = [f"suite: {args.suite} (trials={args.trials}, seed={args.seed})"]
+        for r in results:
+            status = "pass" if r.passed else "FAIL"
+            out.append(f"  [{status}] {r.suite}/{r.name}: "
+                       f"max_residual={format_measured(r.max_residual)} "
+                       f"tolerance={format_float(r.tolerance)}")
+        return out
     code = _report(args, doc, lines, passed)
     if not passed:
         failing = ", ".join(f"{r.suite}/{r.name}" for r in results if not r.passed)
@@ -273,18 +278,22 @@ def cmd_simulate(args) -> int:
             for label, outcome, probability in trace.measurement_record
         ],
     }
-    lines = [f"input: {args.input} (seed={args.seed})",
-             f"final_state: {_complex_text(trace.final_state)}"]
-    for label, outcome, probability in trace.measurement_record:
-        lines.append(f"measured {label}: {outcome} "
-                     f"(probability {format_float(probability)})")
     if equivalence is not None:
         doc["equivalence"] = equivalence.as_dict()
-        lines.append(f"max_infidelity: "
-                     f"{format_measured(equivalence.max_infidelity)} over "
-                     f"{equivalence.trials} trials x "
-                     f"{equivalence.branch_assignments} branch assignments")
     doc["passed"] = passed
+
+    def lines() -> list[str]:
+        out = [f"input: {args.input} (seed={args.seed})",
+               f"final_state: {_complex_text(trace.final_state)}"]
+        for label, outcome, probability in trace.measurement_record:
+            out.append(f"measured {label}: {outcome} "
+                       f"(probability {format_float(probability)})")
+        if equivalence is not None:
+            out.append(f"max_infidelity: "
+                       f"{format_measured(equivalence.max_infidelity)} over "
+                       f"{equivalence.trials} trials x "
+                       f"{equivalence.branch_assignments} branch assignments")
+        return out
     return _report(args, doc, lines, passed)
 
 

@@ -24,7 +24,6 @@ from .linalg import (
     Z,
     dagger,
     is_density_matrix,
-    is_unitary,
     read_only,
     require_angle,
     require_density,
@@ -109,14 +108,11 @@ class MeasurementOutcome:
 def _require_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     """a and b as complex unitaries of one square shape; raises naming, in
     this order, a's shape, a's unitarity, b's shape, b's unitarity, then the
-    shapes' mismatch. Gates of one shape are judged in one stacked check."""
-    a = require_square(a, "a")
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape or not is_unitary(np.stack((a, b))).all():
-        require_unitary(a, "a")
-        require_unitary(b, "b")
-        if a.shape != b.shape:
-            raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    shapes' mismatch."""
+    a = require_unitary(a, "a")
+    b = require_unitary(b, "b")
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a, b
 
 

@@ -152,6 +152,22 @@ def test_every_report_states_its_verdict_on_stdout_or_output(
     assert path.read_bytes() == out.encode()
 
 
+def test_json_reports_never_format_their_text(tmp_path, capsys, monkeypatch):
+    # the text of a large final state is one formatted number per amplitude
+    import switchsynth.cli as cli
+
+    def refuse(values):
+        raise AssertionError("text formatted for a JSON report")
+    circuit, program = str(tmp_path / "bell.circ"), str(tmp_path / "bell.json")
+    (tmp_path / "bell.circ").write_text(BELL_TEXT)
+    run_cli(capsys, "lower", circuit, "--output", program)
+    monkeypatch.setattr(cli, "_complex_text", refuse)
+    for argv in (("synth", "--gate", "cnot"), ("simulate", program, "--check-against", circuit)):
+        assert run_cli(capsys, *argv, "--trials", "2")[0] == 0
+    with pytest.raises(AssertionError, match="text formatted"):
+        run_cli(capsys, "synth", "--gate", "cnot", "--trials", "2", "--format", "text")
+
+
 def test_synth_rejects_unknown_gate(capsys):
     code, _, err = run_cli(capsys, "synth", "--gate", "toffoli")
     assert code == 2

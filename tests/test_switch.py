@@ -315,3 +315,16 @@ def test_every_switched_pair_names_its_first_fault(monkeypatch, call, a, b, mess
     }[call]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run()
+
+
+@pytest.mark.parametrize("call", ["switch_unitary", "branch_gates"])
+def test_a_non_unitary_a_is_named_before_a_ragged_b(call):
+    # a is judged whole before b is read, so b's ragged rows are never seen
+    # (a plan cannot hold a ragged gate, so verify_synthesis has no such row)
+    a, b = 2 * X, [[1, 2], [3]]
+    run = {
+        "switch_unitary": lambda: switch_unitary(a, b),
+        "branch_gates": lambda: branch_gates(a, b, 0.3),
+    }[call]
+    with pytest.raises(ValueError, match=r"^a is not unitary within 1e-10$"):
+        run()
