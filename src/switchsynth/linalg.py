@@ -380,11 +380,16 @@ _INT_RE = re.compile(r"\d+", re.ASCII)
 _FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 
 
+def _require_real(value, name: str) -> None:
+    """Raises ValueError naming ``name`` unless ``value`` is an int, float or numpy real."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def require_angle(value, name: str = "angle") -> float:
     """An angle as a float; raises ValueError, naming the argument, unless it
     is a finite int, float or numpy real (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+    _require_real(value, name)
     try:
         angle = float(value)
     except OverflowError:  # an int beyond float range
@@ -397,9 +402,10 @@ def require_angle(value, name: str = "angle") -> float:
 def require_tolerance(tolerance: float) -> float:
     """A certificate's pass threshold, returned unchanged.
 
-    It must be finite and at least 0: a NaN or negative threshold fails
-    every check, and an infinite one passes every check.
+    It must be a finite real number, not a bool, and at least 0: a NaN or
+    negative threshold fails every check, an infinite one passes every check.
     """
+    _require_real(tolerance, "tolerance")
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and at least 0, "
                          f"got {tolerance!r}")
@@ -481,10 +487,3 @@ def is_density_matrix(rho: np.ndarray, atol: float = DENSITY_ATOL) -> bool | np.
         low = iter(np.linalg.eigvalsh(stack if all(ok) else stack[ok])[:, 0].tolist())
         ok = [f and next(low) >= DENSITY_EIGVAL_FLOOR for f in ok]
     return ok[0] if rho.ndim == 2 else np.array(ok, dtype=bool)
-
-
-def require_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or not is_density_matrix(rho):
-        raise ValueError(f"{name} is not a density matrix")
-    return rho

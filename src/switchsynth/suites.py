@@ -28,7 +28,6 @@ from .linalg import (
     operator_schmidt_rank,
     projector,
     require_check_inputs,
-    require_density,
     rotation,
     rotation_z,
     tensor,
@@ -212,7 +211,7 @@ def _channels_suite(rng, trials: int, worst: _Ledger) -> None:
     # then rho and omega, in trial order. A chunk's trials of one rank pattern
     # then run as one stacked pass, each row bit for bit the per-trial loop
     # that tests/oracles.py keeps, and feed the ledger a column per residual.
-    pure0 = require_density(projector(zero_state(1)), "omega")
+    pure0 = projector(zero_state(1))
     for start in range(0, trials, CHANNELS_CHUNK):
         ks = range(start, min(start + CHANNELS_CHUNK, trials))
         draws = [(random_kraus_channel(rng, 2, 1 + k % 2),

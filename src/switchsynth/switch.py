@@ -24,9 +24,9 @@ from .linalg import (
     Z,
     dagger,
     is_density_matrix,
+    projector,
     read_only,
     require_angle,
-    require_density,
     require_square,
     require_unitary,
     state_num_qubits,
@@ -283,21 +283,22 @@ def switch_channel(chan_a: KrausChannel, chan_b: KrausChannel, rho: np.ndarray,
 
 
 def _require_states(rho, omega, dim: int | None = None):
-    """rho and omega as complex arrays (an omega of None, the library's own
-    state, stays None); raises naming rho, then (given ``dim``) rho's
-    dimension, then omega. One stacked check passes both states when they
-    share a 2-D shape; ``require_density`` judges any state it did not pass."""
+    """rho and omega as complex arrays (given ``dim``, as switch_channel_n gives
+    it, an omega of None, the library's own state, stays None); raises naming
+    rho, then (given ``dim``) rho's dimension, then omega. Each state is judged
+    once: in one stacked check when both share a 2-D shape, else one apiece."""
     rho = np.asarray(rho, dtype=complex)
-    omega = None if omega is None else np.asarray(omega, dtype=complex)
+    omega = None if omega is None and dim is not None else np.asarray(omega, dtype=complex)
     paired = omega is not None and rho.ndim == 2 and rho.shape == omega.shape
     rho_ok, omega_ok = (is_density_matrix(np.asarray([rho, omega])) if paired
-                        else (False, omega is None))
+                        else (rho.ndim == 2 and is_density_matrix(rho), None))
     if not rho_ok:
-        require_density(rho, "rho")
+        raise ValueError("rho is not a density matrix")
     if dim is not None and rho.shape[0] != dim:
         raise ValueError("rho dimension must match the channels")
-    if not omega_ok:
-        require_density(omega, "omega")
+    if omega is not None and not (omega_ok if paired
+                                  else omega.ndim == 2 and is_density_matrix(omega)):
+        raise ValueError("omega is not a density matrix")
     return rho, omega
 
 
@@ -315,8 +316,7 @@ def _require_state_stacks(rhos: np.ndarray, omegas: np.ndarray) -> None:
 
 def uniform_control_state(num_orders: int) -> np.ndarray:
     """Pure uniform superposition over num_orders control basis states."""
-    u = np.full(num_orders, 1.0 / np.sqrt(num_orders), dtype=complex)
-    return np.outer(u, u.conj())
+    return projector(np.full(num_orders, 1.0 / np.sqrt(num_orders), dtype=complex))
 
 
 def switch_channel_n(channels, rho: np.ndarray,

@@ -55,19 +55,18 @@ ORTHOGONALITY_ATOL = 1e-10
 Z_HAT = (0.0, 0.0, 1.0)
 # a plan's five two-qubit matrices, in the order a switch block applies them
 PLAN_MATRICES = ("pre", "gate_a", "gate_b", "post_plus", "post_minus")
+MAX_FOLDED_ANGLE = 2.0 ** 20
 
 
 def normalize_angle(angle: float, name: str = "angle") -> float:
-    """Canonical representative of a finite angle modulo 4*pi, in (-2*pi, 2*pi]."""
+    """Canonical representative of a finite angle modulo 4*pi, in (-2*pi, 2*pi],
+    by one exact remainder. The double 4*pi is 4.9e-16 short, so the fold drifts
+    by |angle| * 3.9e-17 rad: an |angle| above ``MAX_FOLDED_ANGLE`` is refused."""
     angle = require_angle(angle, name)
-    if -TWO_PI < angle <= TWO_PI:
-        return angle
-    folded = math.fmod(angle, 2.0 * TWO_PI)
-    if folded <= -TWO_PI:
-        folded += 2.0 * TWO_PI
-    elif folded > TWO_PI:
-        folded -= 2.0 * TWO_PI
-    return folded
+    if abs(angle) > MAX_FOLDED_ANGLE:
+        raise ValueError(f"|{name}| must be at most 2**20, got {abs(angle)!r}")
+    folded = math.remainder(angle, 2.0 * TWO_PI)
+    return TWO_PI if folded == -TWO_PI else folded
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ class ControlledGateSpec:
 
     Angles must be finite and ``axis`` must be unit; ``perp`` must be unit
     and orthogonal to it and defaults to a deterministic perpendicular.
-    Angles are stored as their canonical representatives in (-2*pi, 2*pi].
+    Angles, at most 2**20 in magnitude, are stored folded into (-2*pi, 2*pi].
     """
 
     alpha: float
@@ -265,8 +264,8 @@ def preset_barenco(alpha_b: float, phi_b: float, theta_b: float) -> ControlledGa
 
 def barenco_matrix(alpha_b: float, phi_b: float, theta_b: float) -> np.ndarray:
     """Direct matrix of the universal three-angle controlled gate."""
-    axis = (math.cos(phi_b), math.sin(phi_b), 0.0)
-    return _controlled(np.exp(1j * alpha_b) * rotation(axis, 2.0 * theta_b))
+    return _controlled(np.exp(1j * alpha_b)  # R_n(2 theta_b), n = (cos phi_b, sin phi_b, 0)
+                       * su2(math.cos(phi_b), math.sin(phi_b), 0.0, theta_b, -1))
 
 
 def conjugation_identities(n, perp=None) -> dict[str, float]:

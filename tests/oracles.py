@@ -326,6 +326,22 @@ def numpy_cu_matrix(spec):
     return _numpy_controlled(u)
 
 
+def fmod_normalize_angle(angle):
+    """An angle's representative modulo 4*pi in (-2*pi, 2*pi], folded by
+    ``math.fmod`` and one +/-4*pi correction."""
+    import math
+
+    two_pi = 2.0 * math.pi
+    if -two_pi < angle <= two_pi:
+        return angle
+    folded = math.fmod(angle, 2.0 * two_pi)
+    if folded <= -two_pi:
+        folded += 2.0 * two_pi
+    elif folded > two_pi:
+        folded -= 2.0 * two_pi
+    return folded
+
+
 def numpy_barenco_matrix(alpha_b, phi_b, theta_b):
     import math
 

@@ -472,3 +472,43 @@ def test_a_stack_with_a_bad_state_raises_the_single_calls_message(n, which, kind
     if n == 2:
         with pytest.raises(ValueError, match=message):
             switch_channel(*chans, rhos[2], omegas[2])
+
+
+@pytest.mark.parametrize("rho_kind", list(_STATES))
+def test_each_channel_call_judges_each_state_once(monkeypatch, rho_kind):
+    from switchsynth import linalg, switch
+
+    decisions = []
+
+    def counting(rho, *args, **kwargs):
+        verdict = is_density_matrix(rho, *args, **kwargs)
+        decisions.append(1 if isinstance(verdict, bool) else len(verdict))
+        return verdict
+
+    monkeypatch.setattr(switch, "is_density_matrix", counting)
+    monkeypatch.setattr(linalg, "is_density_matrix", counting)
+    chan = KrausChannel.from_unitary(H)
+    rho = _STATES[rho_kind]
+    calls = [(f"n-{kind}", lambda omega=omega: switch_channel_n([chan, chan], rho, omega))
+             for kind, omega in _STATES.items()]
+    calls += [(f"two-{kind}", lambda omega=omega: switch_channel(chan, chan, rho, omega))
+              for kind, omega in _STATES.items()]
+    calls.append(("n-default", lambda: switch_channel_n([chan, chan], rho)))
+    for name, run in calls:
+        states = 1 if name == "n-default" else 2
+        decisions.clear()
+        try:
+            run()
+        except ValueError:
+            # a failing call judges a 2-D rho (any other shape is refused as
+            # it stands), and omega at most once
+            assert (rho.ndim == 2) <= sum(decisions) <= states, name
+        else:
+            assert sum(decisions) == states, name
+
+
+def test_switch_channel_refuses_a_missing_omega():
+    # None is the library's own control state only for switch_channel_n
+    chan = KrausChannel.from_unitary(H)
+    with pytest.raises(ValueError, match="^omega is not a density matrix$"):
+        switch_channel(chan, chan, I2 / 2, None)

@@ -767,3 +767,24 @@ def test_synth_axis_off_unit_length_is_a_usage_error_naming_the_flags(capsys, nz
                              "--theta", "1", "--nx", "0.6", "--ny", "0", "--nz", nz)
     assert (code, out) == (2, "")
     assert "error: --nx/--ny/--nz: axis (nx, ny, nz) must be unit length, got |n| = " in err
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--theta"])
+def test_synth_angle_past_the_exact_fold_exits_2(capsys, flag):
+    argv = {"--alpha": "0.5", "--theta": "1.0", "--nx": "0", "--ny": "0.6",
+            "--nz": "0.8", flag: "1e12"}
+    code, out, err = run_cli(capsys, "synth", "--gate", "cu",
+                             *(x for item in argv.items() for x in item))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: |{flag[2:]}| must be at most 2**20, got 1000000000000.0\n"
+
+
+def test_barenco_at_the_fold_bound_lowers_and_checks(tmp_path, capsys):
+    circ = tmp_path / "bound.circ"
+    circ.write_text("qubits 2\nbarenco 0 1 alpha=0.3 phi=0.7 theta=1048576\n")
+    prog = tmp_path / "bound.json"
+    assert run_cli(capsys, "lower", str(circ), "--output", str(prog))[0] == 0
+    code, out, _ = run_cli(capsys, "simulate", str(prog), "--check-against", str(circ))
+    assert code == 0
+    assert json.loads(out)["equivalence"]["max_infidelity"] <= 1e-15

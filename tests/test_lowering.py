@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from dataclasses import replace
 from itertools import product
 
@@ -488,3 +489,46 @@ def test_entry_points_refuse_a_bad_qubit_count_with_one_message(count):
                 lambda: check_equivalence(circuit, program, trials=1)):
         with pytest.raises(programs.ProgramError, match=message):
             run()
+
+
+@pytest.mark.parametrize("tolerance", [True, False, "1e-9", None])
+def test_check_equivalence_refuses_a_tolerance_that_is_not_a_real_number(tolerance):
+    circuit = parse_circuit(BELL_TEXT)
+    with pytest.raises(ValueError, match=f"^tolerance must be a real number, got "
+                                         f"{re.escape(repr(tolerance))}$"):
+        check_equivalence(circuit, lower(circuit), trials=1, tolerance=tolerance)
+
+
+@pytest.mark.parametrize("tolerance", [np.float64(1e-9), 0])
+def test_check_equivalence_accepts_numpy_and_int_tolerances(tolerance):
+    circuit = parse_circuit(BELL_TEXT)
+    report = check_equivalence(circuit, lower(circuit), trials=1, tolerance=tolerance)
+    assert report.tolerance == tolerance
+
+
+@pytest.mark.parametrize("line", [
+    "barenco 0 1 alpha=0.3 phi=0.7 theta=1e12",
+    "barenco 0 1 alpha=1e12 phi=0.7 theta=0.3",
+    "cu 0 1 alpha=0.3 theta=-1e12 nx=0 ny=0.6 nz=0.8",
+])
+def test_lower_refuses_an_angle_past_the_exact_fold(tmp_path, capsys, line):
+    # the fold would drift far enough that check_equivalence fails the program
+    with pytest.raises(ValueError, match=r"must be at most 2\*\*20, got 1000000000000.0$"):
+        lower(parse_circuit(f"qubits 2\n{line}\n"))
+    circ = tmp_path / "far.circ"
+    circ.write_text(f"qubits 2\n{line}\n")
+    assert main(["lower", str(circ)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: |") and "2**20" in captured.err
+
+
+@pytest.mark.parametrize("line", [
+    f"barenco 0 1 alpha={a} phi=0.7 theta={t}" for a, t in product((0.3, 2.0 ** 20, -2.0 ** 20),
+                                                                    (2.0 ** 20, -2.0 ** 20))
+] + [f"cu 0 1 alpha={a} theta={t} nx=0 ny=0.6 nz=0.8"
+     for a, t in product((0.3, -2.0 ** 20), (2.0 ** 20, -2.0 ** 20))])
+def test_angles_at_the_fold_bound_check_equivalent(line):
+    circuit = parse_circuit(f"qubits 2\n{line}\n")
+    report = check_equivalence(circuit, lower(circuit), trials=8, seed=3)
+    assert report.passed and report.max_infidelity <= 1e-15, report.max_infidelity

@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 
 from switchsynth import suites
@@ -141,3 +143,17 @@ def test_channels_suite_sees_one_perturbed_trial(monkeypatch):
                if r.name == "four_term_vs_kraus_form")
     assert not result.passed and result.worst_trial == 7
     assert result.max_residual == pytest.approx(1e-6, rel=1e-6)
+
+
+@pytest.mark.parametrize("tolerance", [True, False, "1e-9", None])
+def test_run_suite_refuses_a_tolerance_that_is_not_a_real_number(tolerance):
+    with pytest.raises(ValueError, match=f"^tolerance must be a real number, got "
+                                         f"{re.escape(repr(tolerance))}$"):
+        run_suite("switch", trials=1, tolerance=tolerance)
+
+
+@pytest.mark.parametrize("tolerance", [np.float64(1e-9), 0])
+def test_run_suite_accepts_numpy_and_int_tolerances(tolerance):
+    # the exact identities keep their own 1e-12
+    assert any(r.tolerance == tolerance for r in run_suite("switch", trials=1,
+                                                           tolerance=tolerance))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -586,3 +587,55 @@ def test_block_residuals_match_the_rebuilt_bare_correction_bitwise():
         plan = synthesize(spec)
         args = (plan, cu_matrix(spec), plan.branch_operators())
         assert repr(block_residuals(*args)) == repr(oracles.rebuilt_block_residuals(*args))
+
+
+def _fold_angles():
+    """Angles the fold must keep bit for bit: signed zeros, subnormals, every
+    multiple of 2*pi up to the bound with its neighbours, and seeded values."""
+    rng = np.random.default_rng(28)
+    bound = synthesis.MAX_FOLDED_ANGLE
+    angles = [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0, bound,
+              math.nextafter(bound, 0.0)]
+    for k in range(1, int(bound / (2 * math.pi)) + 1, 7):
+        a = 2 * math.pi * k
+        angles += [a, math.nextafter(a, 0.0), math.nextafter(a, math.inf)]
+    angles += rng.uniform(0.0, bound, 20_000).tolist()
+    angles += np.exp(rng.uniform(-740.0, math.log(bound), 20_000)).tolist()
+    angles += rng.uniform(0.0, 30.0, 20_000).tolist()
+    return [a for a in angles if a <= bound] + [-a for a in angles if a <= bound]
+
+
+def test_normalize_angle_is_the_fmod_fold_bit_for_bit():
+    for angle in _fold_angles():
+        got, want = normalize_angle(angle), oracles.fmod_normalize_angle(angle)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), angle
+
+
+@pytest.mark.parametrize("value", [2.0 ** 20 * (1 + 2 ** -52), 1e12, -1e12, 10 ** 30,
+                                   1.7976931348623157e308])
+def test_normalize_angle_refuses_angles_past_the_exact_fold(value):
+    # the message prints the magnitude: a barenco spec folds -theta
+    with pytest.raises(ValueError, match=rf"^\|theta\| must be at most 2\*\*20, "
+                                         rf"got {re.escape(repr(abs(float(value))))}$"):
+        normalize_angle(value, "theta")
+    with pytest.raises(ValueError, match=r"^\|alpha\| must be at most 2\*\*20"):
+        preset_barenco(value, 0.7, 0.3)
+
+
+@pytest.mark.parametrize("theta", [1.7976931348623157e308, -1.7976931348623157e308])
+def test_barenco_matrix_at_the_largest_angles_is_finite_without_a_warning(theta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.isfinite(barenco_matrix(0.3, 0.7, theta)).all()
+
+
+@pytest.mark.parametrize("tolerance", [True, False, "1e-9", None])
+def test_verify_synthesis_refuses_a_tolerance_that_is_not_a_real_number(tolerance):
+    with pytest.raises(ValueError, match=f"^tolerance must be a real number, "
+                                         f"got {re.escape(repr(tolerance))}$"):
+        verify_synthesis(preset("cnot"), trials=3, tolerance=tolerance)
+
+
+@pytest.mark.parametrize("tolerance", [np.float64(1e-9), 0])
+def test_verify_synthesis_accepts_numpy_and_int_tolerances(tolerance):
+    assert verify_synthesis(preset("cnot"), trials=3, tolerance=tolerance).tolerance == tolerance
