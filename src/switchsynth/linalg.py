@@ -213,14 +213,18 @@ def canonical_perp(n) -> np.ndarray:
     """A deterministic unit vector perpendicular to n.
 
     Projects z-hat off n and normalizes; falls back to x-hat when n is
-    (anti)parallel to z-hat.
+    (anti)parallel to z-hat. A result off orthogonal by more than
+    ALGEBRA_ATOL, as near +-z, takes one Gram-Schmidt step against n.
     """
-    x, y, z = unit_bloch(n).tolist()
+    v = unit_bloch(n)
+    x, y, z = v.tolist()
     p = np.array([0.0 - z * x, 0.0 - z * y, 1.0 - z * z])  # z-hat - z n
     norm = np.linalg.norm(p)
-    if norm <= 1e-8:
-        return np.array([1.0, 0.0, 0.0])
-    return p / norm
+    p = np.array([1.0, 0.0, 0.0]) if norm <= 1e-8 else p / norm
+    if abs(v @ p) > ALGEBRA_ATOL:  # 1 - z * z has lost its digits, or x-hat is off by x
+        p = p - (v @ p) * v
+        return p / np.linalg.norm(p)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -380,20 +384,21 @@ _INT_RE = re.compile(r"\d+", re.ASCII)
 _FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 
 
-def _require_real(value, name: str) -> None:
-    """Raises ValueError naming ``name`` unless ``value`` is an int, float or numpy real."""
+def _real(value, name: str) -> float:
+    """``value`` as a float, an int beyond float range as an infinity; raises
+    ValueError naming ``name`` unless it is an int, float or numpy real."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def require_angle(value, name: str = "angle") -> float:
     """An angle as a float; raises ValueError, naming the argument, unless it
     is a finite int, float or numpy real (a bool is not one)."""
-    _require_real(value, name)
-    try:
-        angle = float(value)
-    except OverflowError:  # an int beyond float range
-        angle = math.inf if value > 0 else -math.inf
+    angle = _real(value, name)
     if not math.isfinite(angle):
         raise ValueError(f"{name} must be finite, got {angle}")
     return angle
@@ -405,8 +410,7 @@ def require_tolerance(tolerance: float) -> float:
     It must be a finite real number, not a bool, and at least 0: a NaN or
     negative threshold fails every check, an infinite one passes every check.
     """
-    _require_real(tolerance, "tolerance")
-    if not 0.0 <= tolerance < math.inf:
+    if not 0.0 <= _real(tolerance, "tolerance") < math.inf:
         raise ValueError(f"tolerance must be finite and at least 0, "
                          f"got {tolerance!r}")
     return tolerance

@@ -29,6 +29,7 @@ from .linalg import (
     MAX_QUBITS,
     PLUS,
     UNITARY_ATOL,
+    _real,
     apply_ordered,
     axis_orders,
     is_unitary,
@@ -153,10 +154,10 @@ def _string(value, op: str, name: str) -> str:
 
 
 def _angle(value, op: str, name: str) -> float:
-    """The one type rule of an angle: an int or a float, not a bool."""
+    """The one type rule of an angle: an int or a float, not a bool, as ``_real``'s float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProgramError(f"{op} {name} must be a number, got {value!r}")
-    return value
+    return _real(value, name)
 
 
 def _qubits(value, op: str, name: str) -> tuple[int, ...]:
@@ -267,11 +268,7 @@ def validate_program(program: SwitchProgram) -> list[tuple]:
             check_ancilla(inst.ancilla, "held", "measure_ancilla")
             if _string(inst.result, "measure_ancilla", "result") in results:
                 raise ProgramError(f"result label {inst.result!r} reused")
-            try:
-                finite = math.isfinite(_angle(inst.theta, "measure_ancilla", "theta"))
-            except OverflowError:  # math.isfinite of an int beyond float range
-                finite = False
-            if not finite:
+            if not math.isfinite(_angle(inst.theta, "measure_ancilla", "theta")):
                 raise ProgramError(f"instruction {index} (measure_ancilla "
                                    f"{inst.ancilla!r}): measurement angle must "
                                    f"be finite, got {inst.theta}")
@@ -405,14 +402,16 @@ def parse_program(text: str) -> SwitchProgram:
 # along the branch tree a level at a time: the nodes at one depth are the rows
 # of one (rows, 2^total) stack and each step is one numpy call on it; a
 # conditional step updates the rows whose recorded outcome matches. At a
-# measurement (of the last qubit, after its move) a chooser projects the
-# stack and keeps the followed post-measurement states, plus branch first, as
-# the next level's rows, so a prefix shared by many branch assignments runs
-# once. Each level is cut into chunks of at most max(1, CAP // dim) rows,
-# walked depth first. A sampled or forced run is the same walk on one row.
-# Numpy's stacked matmul runs each row on the one-state product's kernel and
-# shapes, and every other step acts on each row alone, so every leaf is bit-
-# identical to a replay of its branch assignment one instruction at a time.
+# measurement (of the last qubit, after its move) the walk projects the stack,
+# a chooser says which rows follow each branch, and the walk refuses a
+# followed branch of probability 0 and keeps the followed post-measurement
+# states, plus branch first, as the next level's rows, so a prefix shared by
+# many branch assignments runs once. Each level is cut into chunks of at most
+# max(1, CAP // dim) rows, walked depth first. A sampled or forced run is the
+# same walk on one row. Numpy's stacked matmul runs each row on the one-state
+# product's kernel and shapes, and every other step acts on each row alone, so
+# every leaf is bit-identical to a replay of its branch assignment one
+# instruction at a time.
 
 CAP = 1024  # amplitudes per chunk of the walk
 
@@ -428,10 +427,6 @@ def _rows(mask: np.ndarray):
     if mask.all():
         return _ALL
     return np.flatnonzero(mask) if mask.any() else None
-
-
-def _zero_branch(name: str, label: str) -> ProgramError:
-    return ProgramError(f"branch {name!r} of {label!r} has probability 0")
 
 
 class _Tree:
@@ -459,22 +454,12 @@ class _Tree:
         """Row ``row`` of the table as branch names, in measurement order."""
         return tuple("plus" if plus else "minus" for plus in self.table[row])
 
-    def measure(self, depth: int, label: str, nodes, states, functionals):
+    def split(self, depth: int, label: str, nodes, branches):
         lo, hi = nodes
         minus_before = np.concatenate(([0], np.cumsum(~self.table[:, depth])))
         mid = lo + minus_before[hi] - minus_before[lo]
         plus, minus = mid < hi, lo < mid
-        followed = []
-        for name, (probability, post), mask in zip(
-                ("plus", "minus"), project_branches(states, functionals),
-                (plus, minus)):
-            rows = _rows(mask)
-            if rows is None:
-                continue
-            if not probability[rows].all():
-                raise _zero_branch(name, label)
-            followed.append(post[rows])
-        return (followed[0] if len(followed) == 1 else np.concatenate(followed),
+        return ((_rows(plus), _rows(minus)),
                 (np.concatenate((mid[plus], lo[minus])),
                  np.concatenate((hi[plus], mid[minus]))))
 
@@ -491,13 +476,11 @@ class _Path:
     def __init__(self, pick):
         self.pick = pick
 
-    def measure(self, depth: int, label: str, record, states, functionals):
-        plus, minus = project_branches(states, functionals)
-        name = self.pick(depth, float(plus[0][0]))
-        probability, post = plus if name == "plus" else minus
-        if not probability[0]:
-            raise _zero_branch(name, label)
-        return post, record + ((label, name, float(probability[0])),)
+    def split(self, depth: int, label: str, record, branches):
+        name = self.pick(depth, float(branches[0][0][0]))
+        probability = float(branches[0 if name == "plus" else 1][0][0])
+        return ((_ALL, None) if name == "plus" else (None, _ALL),
+                record + ((label, name, probability),))
 
     def took(self, record, index: int, outcome: str):
         return _ALL if record[index][1] == outcome else None
@@ -538,11 +521,13 @@ class _BoundProgram:
     def walk(self, input_state: np.ndarray, chooser):
         """Yield (states, nodes) for every chunk of leaves reached.
 
-        From ``chooser.root``, ``chooser.measure(depth, label, nodes, states,
-        functionals)`` returns the next level's rows and nodes, and
-        ``chooser.took(nodes, index, outcome)`` selects the rows whose
-        measurement ``index`` gave ``outcome``. An explicit stack of chunks
-        leaves depth unbounded by the interpreter's recursion limit.
+        From ``chooser.root``, ``chooser.split(depth, label, nodes,
+        branches)`` takes the stack's ``project_branches`` and returns the
+        row selections (``_rows``) of the plus and the minus branch and the
+        next nodes, and ``chooser.took(nodes, index, outcome)`` selects the
+        rows whose measurement ``index`` gave ``outcome``. A followed branch
+        of probability 0 raises ProgramError, plus checked first. An explicit
+        stack of chunks leaves depth unbounded by the recursion limit.
         """
         state = np.array(input_state, dtype=complex)
         if state_num_qubits(state) != self.num_data_qubits:
@@ -573,8 +558,17 @@ class _BoundProgram:
             if move is not None:
                 shape, order = move
                 states = states.reshape(shape).transpose(order).reshape(len(states), -1)
-            states, nodes = chooser.measure(depth, label, nodes, states,
-                                            functionals)
+            branches = project_branches(states, functionals)
+            selections, nodes = chooser.split(depth, label, nodes, branches)
+            followed = []
+            for name, (probability, post), rows in zip(("plus", "minus"), branches,
+                                                       selections):
+                if rows is None:
+                    continue
+                if not probability[rows].all():
+                    raise ProgramError(f"branch {name!r} of {label!r} has probability 0")
+                followed.append(post[rows])
+            states = followed[0] if len(followed) == 1 else np.concatenate(followed)
             size = max(1, CAP // states.shape[1])
             if len(states) <= size:
                 work.append((depth + 1, states, nodes))

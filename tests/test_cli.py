@@ -250,6 +250,17 @@ def test_simulate_random_input_is_deterministic(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_an_axis_near_z_lowers_checks_and_synthesizes(tmp_path, capsys):
+    circ = tmp_path / "near_z.circ"
+    circ.write_text("qubits 2\ncu 0 1 alpha=0 theta=1 nx=1e-9 ny=0 nz=1\n")
+    prog = tmp_path / "near_z.json"
+    assert run_cli(capsys, "lower", str(circ), "--output", str(prog))[0] == 0
+    assert run_cli(capsys, "simulate", str(prog), "--check-against", str(circ),
+                   "--trials", "2")[0] == 0
+    assert run_cli(capsys, "synth", "--gate", "cu", "--alpha", "0", "--theta", "1",
+                   "--nx", "1e-9", "--ny", "0", "--nz", "1", "--trials", "2")[0] == 0
+
+
 def test_simulate_check_against_mismatch_exits_1(tmp_path, capsys):
     circ = tmp_path / "bell.circ"
     circ.write_text(BELL_TEXT)

@@ -36,6 +36,7 @@ from switchsynth.programs import (
     validate_program,
 )
 from switchsynth.sampling import random_state
+from switchsynth.switch import project_branches
 from switchsynth.synthesis import synthesize
 
 import oracles
@@ -439,6 +440,23 @@ def test_check_equivalence_does_not_depend_on_the_chunk_size(
     assert reports[0] == reports[1]  # the worst case too
 
 
+def test_the_walk_projects_each_measured_stack_once(monkeypatch):
+    rows = []
+
+    def counting(states, functionals):
+        rows.append(len(states))
+        return project_branches(states, functionals)
+    monkeypatch.setattr(programs, "project_branches", counting)
+    monkeypatch.setattr(programs, "CAP", 2 ** 30)  # one chunk per level
+    circuit = parse_circuit(FOUR_GATE_TEXT)
+    program = lower(circuit)
+    simulate_program(program, basis_state(2, 0), forced="minus")
+    assert rows == [1] * 4
+    rows.clear()
+    check_equivalence(circuit, program, trials=3, seed=2)
+    assert rows == [1, 2, 4, 8] * 3
+
+
 @pytest.mark.parametrize("make_program", [
     lower, lambda c: corrupt_last_minus_correction(lower(c)),
 ], ids=["passing", "corrupt_last_minus"])
@@ -489,6 +507,13 @@ def test_entry_points_refuse_a_bad_qubit_count_with_one_message(count):
                 lambda: check_equivalence(circuit, program, trials=1)):
         with pytest.raises(programs.ProgramError, match=message):
             run()
+
+
+@pytest.mark.parametrize("tolerance", [10 ** 400, -(10 ** 400)], ids=["huge", "huge_negative"])
+def test_check_equivalence_refuses_an_int_tolerance_beyond_float_range(tolerance):
+    circuit = parse_circuit(BELL_TEXT)
+    with pytest.raises(ValueError, match="^tolerance must be finite and at least 0, got "):
+        check_equivalence(circuit, lower(circuit), trials=1, tolerance=tolerance)
 
 
 @pytest.mark.parametrize("tolerance", [True, False, "1e-9", None])

@@ -463,6 +463,20 @@ def test_simulate_rejects_zero_probability_forced_branch():
     assert "probability 0" in str(err.value)
 
 
+@pytest.mark.parametrize("psi,name", [((1.0, 1j), "plus"), ((1.0, -1j), "minus")])
+def test_every_walk_refuses_a_followed_zero_branch_by_name(psi, name):
+    # S_plus of (H, Z) at theta = pi/2 annihilates the +1 eigenvector of Y,
+    # and S_minus the -1 eigenvector
+    program = SwitchProgram(num_data_qubits=1)
+    program.instructions = tuple(switch_block(program, H, Z, np.pi / 2, (0,), 0))
+    psi = normalize(np.array(psi))
+    message = f"^branch '{name}' of 'm0' has probability 0$"
+    with pytest.raises(ProgramError, match=message):
+        next(programs._BoundProgram(program).walk(psi, programs._Tree(1, None)))
+    with pytest.raises(ProgramError, match=message):
+        simulate_program(program, psi, forced=name)
+
+
 def test_simulate_rejects_bad_inputs():
     program = SwitchProgram(num_data_qubits=1)
     program.instructions = tuple(switch_block(program, X, Z, 0.0, (0,), 0))
@@ -560,6 +574,17 @@ def test_non_finite_measurement_angles_are_refused_at_their_index(theta):
             f"finite, got {theta}")
     for run in (validate_program, serialize_program,
                 lambda p: simulate_program(p, zero_state(1), seed=1)):
+        with pytest.raises(ProgramError) as err:
+            run(program)
+        assert str(err.value) == want
+
+
+def test_a_measurement_angle_beyond_float_range_is_refused_as_written():
+    program = SwitchProgram(num_data_qubits=1)
+    program.instructions = tuple(switch_block(program, X, Z, 10 ** 400, (0,), 0))
+    want = (f"instruction 2 (measure_ancilla 'a0'): measurement angle must be "
+            f"finite, got 1{'0' * 400}")
+    for run in (validate_program, serialize_program):
         with pytest.raises(ProgramError) as err:
             run(program)
         assert str(err.value) == want

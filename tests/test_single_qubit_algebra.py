@@ -105,6 +105,14 @@ def test_spec_vectors_are_the_numpy_perpendicular_as_floats():
         assert all(type(v) is float for v in spec.axis + spec.perp)
 
 
+def test_canonical_perp_is_its_numpy_form_on_the_golden_and_preset_axes():
+    # the cu axes of the golden CLI documents and of the lowering tests
+    axes = [(0.0, 0.6, 0.8), (0.6, 0.0, 0.8), (0.0, 0.0, 1.0),
+            preset("cnot").axis, preset("cz").axis]
+    for n in axes:
+        assert same_bytes(canonical_perp(n), oracles.numpy_canonical_perp(n)), n
+
+
 def test_cu_matrix_is_its_numpy_form():
     for spec in SPECS:
         assert same_bytes(cu_matrix(spec), oracles.numpy_cu_matrix(spec)), spec

@@ -145,6 +145,12 @@ def test_channels_suite_sees_one_perturbed_trial(monkeypatch):
     assert result.max_residual == pytest.approx(1e-6, rel=1e-6)
 
 
+@pytest.mark.parametrize("tolerance", [10 ** 400, -(10 ** 400)], ids=["huge", "huge_negative"])
+def test_run_suite_refuses_an_int_tolerance_beyond_float_range(tolerance):
+    with pytest.raises(ValueError, match="^tolerance must be finite and at least 0, got "):
+        run_suite("switch", trials=1, tolerance=tolerance)
+
+
 @pytest.mark.parametrize("tolerance", [True, False, "1e-9", None])
 def test_run_suite_refuses_a_tolerance_that_is_not_a_real_number(tolerance):
     with pytest.raises(ValueError, match=f"^tolerance must be a real number, got "

@@ -88,6 +88,18 @@ def test_spec_validation():
         ControlledGateSpec(0.0, 0.0, (1.0, 0.0, 0.0), perp=(1.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("tilt", [0.0, *(10.0 ** -e for e in range(2, 13))])
+@pytest.mark.parametrize("nz", [1.0, -1.0])
+def test_an_axis_near_z_gets_an_orthogonal_default_perp_and_is_certified(nz, tilt):
+    # near +-z, 1 - z * z has lost its digits and x-hat is off by n_x
+    rng = np.random.default_rng(int(tilt * 1e12) + 7)
+    for phi in rng.uniform(0.0, 2 * math.pi, 4):
+        n = np.array([tilt * math.cos(phi), tilt * math.sin(phi), nz])
+        spec = ControlledGateSpec(alpha=0.3, theta=1.0, axis=n / np.linalg.norm(n))
+        assert abs(np.array(spec.axis) @ np.array(spec.perp)) <= 1e-12
+        assert verify_synthesis(spec, trials=4).passed
+
+
 def test_cu_matrix_presets_are_cnot_and_cz():
     assert_allclose(cu_matrix(preset("cnot")), CNOT, atol=1e-15)
     assert_allclose(cu_matrix(preset("cz")), CZ, atol=1e-15)
@@ -633,6 +645,12 @@ def test_barenco_matrix_at_the_largest_angles_is_finite_without_a_warning(theta)
 def test_verify_synthesis_refuses_a_tolerance_that_is_not_a_real_number(tolerance):
     with pytest.raises(ValueError, match=f"^tolerance must be a real number, "
                                          f"got {re.escape(repr(tolerance))}$"):
+        verify_synthesis(preset("cnot"), trials=3, tolerance=tolerance)
+
+
+@pytest.mark.parametrize("tolerance", [10 ** 400, -(10 ** 400)], ids=["huge", "huge_negative"])
+def test_verify_synthesis_refuses_an_int_tolerance_beyond_float_range(tolerance):
+    with pytest.raises(ValueError, match="^tolerance must be finite and at least 0, got "):
         verify_synthesis(preset("cnot"), trials=3, tolerance=tolerance)
 
 
