@@ -1,8 +1,8 @@
 """Tiny gate-circuit IR with a line-oriented text format.
 
-Format: a ``qubits N`` header (N at most ``MAX_QUBITS``), then one gate per
-line as ``name operand... key=value...`` with angles in radians and ``#``
-comments.
+Format: a ``qubits N`` header (N at most ``MAX_QUBITS``) on the first line
+that holds a token, then one gate per line as ``name operand... key=value...``
+with angles in radians and ``#`` comments; LF or CRLF line ends.
 
     qubits 2
     h 0
@@ -135,36 +135,37 @@ def _snap_axis(values: dict[str, float], error) -> None:
         values["nx"], values["ny"], values["nz"] = (float(v) for v in axis)
 
 
+def _bounded_int(token: str, col: int, line_no: int, limit: int, noun: str,
+                 too_big: str) -> int:
+    """``token`` as a decimal int below ``limit``; else raise at ``col``
+    ``malformed {noun}`` or ``too_big`` with the digits filled in."""
+    if not _INT_RE.fullmatch(token):
+        raise CircuitParseError(f"malformed {noun} {token!r}", line_no, col)
+    digits = token.lstrip("0") or "0"
+    # by length first: int() refuses more than 4,300 digits
+    if len(digits) > len(str(limit)) or int(digits) >= limit:
+        raise CircuitParseError(too_big.format(digits), line_no, col)
+    return int(digits)
+
+
 def parse_circuit(text: str) -> Circuit:
     """Parse the text format; raises CircuitParseError with location on failure."""
-    num_qubits = None
-    header_seen = False
+    lines = ((line_no, tokens) for line_no, tokens
+             in enumerate(map(_tokens_with_columns, text.splitlines()), start=1)
+             if tokens)
+    line_no, tokens = next(lines, (1, None))
+    if tokens is None:
+        raise CircuitParseError("missing 'qubits' header", 1, 1)
+    word, col = tokens[0]
+    if word != "qubits":
+        raise CircuitParseError(f"expected 'qubits' header, got {word!r}", line_no, col)
+    if len(tokens) != 2:
+        raise CircuitParseError("header must be 'qubits N'", line_no, col)
+    num_qubits = _bounded_int(*tokens[1], line_no, MAX_QUBITS + 1, "qubit count",
+                              f"qubit count {{}} exceeds the maximum of {MAX_QUBITS}")
     instructions: list[Instruction] = []
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokens_with_columns(raw)
-        if not tokens:
-            continue
-
-        if not header_seen:
-            word, col = tokens[0]
-            if word != "qubits":
-                raise CircuitParseError(f"expected 'qubits' header, got {word!r}",
-                                        line_no, col)
-            if len(tokens) != 2:
-                raise CircuitParseError("header must be 'qubits N'", line_no, col)
-            count, ccol = tokens[1]
-            if not _INT_RE.fullmatch(count):
-                raise CircuitParseError(f"malformed qubit count {count!r}", line_no, ccol)
-            digits = count.lstrip("0") or "0"
-            # by length first: int() refuses more than 4,300 digits
-            if len(digits) > len(str(MAX_QUBITS)) or int(digits) > MAX_QUBITS:
-                raise CircuitParseError(f"qubit count {digits} exceeds the "
-                                        f"maximum of {MAX_QUBITS}", line_no, ccol)
-            num_qubits = int(digits)
-            header_seen = True
-            continue
-
+    for line_no, tokens in lines:
         name, name_col = tokens[0]
         if name not in GATES:
             raise CircuitParseError(f"unknown gate {name!r}", line_no, name_col)
@@ -174,14 +175,9 @@ def parse_circuit(text: str) -> Circuit:
             raise CircuitParseError(
                 f"{name} takes {arity} qubit operand(s), got {len(tokens) - 1}",
                 line_no, name_col)
-        qubits = []
-        for token, col in tokens[1:1 + arity]:
-            if not _INT_RE.fullmatch(token):
-                raise CircuitParseError(f"malformed qubit index {token!r}", line_no, col)
-            digits = token.lstrip("0") or "0"
-            if len(digits) > len(str(num_qubits)) or int(digits) >= num_qubits:
-                raise CircuitParseError(f"qubit {digits} out of range", line_no, col)
-            qubits.append(int(digits))
+        qubits = [_bounded_int(token, col, line_no, num_qubits, "qubit index",
+                               "qubit {} out of range")
+                  for token, col in tokens[1:1 + arity]]
         if len(set(qubits)) != len(qubits):
             raise CircuitParseError("operands must be distinct qubits",
                                     line_no, name_col)
@@ -217,8 +213,6 @@ def parse_circuit(text: str) -> Circuit:
             params=tuple((key, values[key]) for key in param_names),
         ))
 
-    if not header_seen:
-        raise CircuitParseError("missing 'qubits' header", 1, 1)
     return Circuit(num_qubits=num_qubits, instructions=tuple(instructions))
 
 

@@ -410,9 +410,9 @@ def require_tolerance(tolerance: float) -> float:
     It must be a finite real number, not a bool, and at least 0: a NaN or
     negative threshold fails every check, an infinite one passes every check.
     """
-    if not 0.0 <= _real(tolerance, "tolerance") < math.inf:
-        raise ValueError(f"tolerance must be finite and at least 0, "
-                         f"got {tolerance!r}")
+    value = _real(tolerance, "tolerance")
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"tolerance must be finite and at least 0, got {value}")
     return tolerance
 
 

@@ -35,7 +35,6 @@ from .linalg import (
     is_unitary,
     require_seed,
     require_square,
-    state_num_qubits,
     tensor,
 )
 from .switch import branch_functionals, joint_matrix, project_branches
@@ -443,9 +442,8 @@ class _Tree:
         if 2 ** k <= MAX_EXHAUSTIVE_ASSIGNMENTS:
             # row i spells i in binary, first label most significant: sorted
             self.table = (np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1 == 1
-        else:  # one rng.choice per assignment
-            table = np.array([rng.choice(("plus", "minus"), size=k) == "plus"
-                              for _ in range(MAX_EXHAUSTIVE_ASSIGNMENTS)])
+        else:  # one draw: row by row the same stream as one rng.choice per row
+            table = rng.choice(("plus", "minus"), size=(MAX_EXHAUSTIVE_ASSIGNMENTS, k)) == "plus"
             self.table = table[np.lexsort(table.T[::-1])]
         self.size = len(self.table)
         self.root = (np.zeros(1, dtype=np.intp), np.full(1, self.size))
@@ -530,9 +528,9 @@ class _BoundProgram:
         stack of chunks leaves depth unbounded by the recursion limit.
         """
         state = np.array(input_state, dtype=complex)
-        if state_num_qubits(state) != self.num_data_qubits:
-            raise ProgramError(f"input has {state_num_qubits(state)} qubits, "
-                               f"program needs {self.num_data_qubits}")
+        if state.size != 2 ** self.num_data_qubits:
+            raise ProgramError(f"input has {state.size} amplitudes, "
+                               f"program needs {2 ** self.num_data_qubits}")
         norm = np.vdot(state, state).real
         if not abs(norm - 1.0) <= UNITARY_ATOL:  # NaN too
             raise ProgramError(f"input state is not normalized: squared norm {norm}")

@@ -166,7 +166,7 @@ def measure_ancilla(state: np.ndarray,
     The input must be normalized; branch probabilities then sum to 1. A
     zero-probability branch is reported with probability 0 and no post-state.
     """
-    state = np.asarray(state, dtype=complex)
+    state = np.asarray(state, dtype=complex).reshape(-1)
     if state_num_qubits(state) < 1:
         raise ValueError("state has no qubit to measure")
     plus, minus = (MeasurementOutcome(branch, float(prob), post if prob else None)

@@ -139,6 +139,13 @@ def looped_verify_trials(spec, trials, seed):
     return worst_pair, max_infidelity, worst_trial
 
 
+def looped_sampled_table(rng, k, rows):
+    """A sampled equivalence check's branch table before sorting: one
+    ``rng.choice`` per assignment, True for plus."""
+    return np.array([rng.choice(("plus", "minus"), size=k) == "plus"
+                     for _ in range(rows)])
+
+
 def replay_program(program, psi, assignment):
     """Final state and record of ``program`` on one branch assignment.
 

@@ -215,6 +215,9 @@ def test_switch_channel_n_validation():
         switch_channel_n([chan] * 5, rho)
     with pytest.raises(ValueError):
         switch_channel_n([chan, chan], rho, omega=np.eye(3) / 3)
+    wide = random_kraus_channel(rng, dim=4, rank=1)
+    with pytest.raises(ValueError, match="^all channels must share the target dimension$"):
+        switch_channel_n([chan, wide], rho)
 
 
 def test_uniform_control_state():

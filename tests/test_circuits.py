@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from switchsynth import circuits
 from switchsynth.circuits import (
     CNOT_MATRIX,
     CONTROLLED_GATES,
@@ -19,6 +20,7 @@ from switchsynth.circuits import (
     simulate_circuit,
 )
 from switchsynth.linalg import MAX_QUBITS, H, X, Y, Z, basis_state, rotation
+from switchsynth.lowering import lower
 from switchsynth.synthesis import barenco_matrix, cu_matrix, preset
 
 BELL_TEXT = """\
@@ -94,6 +96,9 @@ def test_format_parse_round_trip():
     ("qubits 2\nrx 0\n", "missing parameter 'theta'", 2, 1),
     ("qubits 2\ncu 0 1 alpha=1 theta=1 nx=1 ny=1 nz=0\n",
      "must be unit length", 2, 1),
+    ("# only comments\n\n", "missing 'qubits' header", 1, 1),
+    ("qubits 2\nh 0\n\n  qubits 2\n", "unknown gate 'qubits'", 4, 3),
+    ("qubits 2\r\n\r\nh 7\r\n", "qubit 7 out of range", 3, 3),
 ])
 def test_parse_errors_carry_location(text, fragment, line, column):
     with pytest.raises(CircuitParseError) as err:
@@ -198,6 +203,15 @@ def test_simulate_rejects_wrong_state_size():
         simulate_circuit(circuit, basis_state(3, 0))
 
 
+def test_an_instruction_naming_an_unknown_gate_is_refused_by_name():
+    inst = Instruction("foo", (0,))
+    circuit = Circuit(1, (inst,))
+    for call in (lambda: instruction_matrix(inst), lambda: lower(circuit),
+                 lambda: simulate_circuit(circuit, basis_state(1, 0))):
+        with pytest.raises(ValueError, match="^unknown gate 'foo'$"):
+            call()
+
+
 # one valid value per parameter name in the gate table (the axis is unit)
 SAMPLE_PARAMS = {"alpha": 0.3, "theta": 0.8, "phi": 0.5,
                  "nx": 0.0, "ny": 0.6, "nz": 0.8}
@@ -260,3 +274,30 @@ def test_parse_circuit_reads_ascii_digits_only(text, fragment, line, column):
         parse_circuit(text)
     assert fragment in str(err.value)
     assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_parse_reads_crlf_line_ends():
+    text = "# header next\r\n\r\nqubits 2\r\nh 0\r\ncnot 0 1\r\n"
+    assert parse_circuit(text) == parse_circuit(BELL_TEXT)
+
+
+def test_parse_reads_a_header_only_file_as_an_empty_circuit():
+    assert parse_circuit("# nothing to do\nqubits 3\n") == Circuit(3, ())
+    assert parse_circuit("qubits 0") == Circuit(0, ())
+
+
+def test_parse_stops_at_a_bad_header_before_reading_later_lines(monkeypatch):
+    calls = []
+    tokens = circuits._tokens_with_columns
+
+    def counting(line):
+        calls.append(line)
+        return tokens(line)
+
+    monkeypatch.setattr(circuits, "_tokens_with_columns", counting)
+    text = "\n# comment\nqubits x\n" + "h 0\n" * 1000
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit(text)
+    assert (err.value.reason, err.value.line, err.value.column) == (
+        "malformed qubit count 'x'", 3, 8)
+    assert len(calls) == 3

@@ -34,6 +34,7 @@ from switchsynth.linalg import (
     projector,
     realign,
     require_angle,
+    require_tolerance,
     require_trials,
     rotation,
     rotation_z,
@@ -526,3 +527,13 @@ def test_require_angle_returns_a_real_as_a_float(value):
 def test_require_angle_names_the_argument(value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         require_angle(value, "phi")
+
+
+@pytest.mark.parametrize("value,shown", [
+    (10 ** 400, "inf"), (-(10 ** 400), "-inf"), (np.float64(-1e-9), "-1e-09"), (-1, "-1.0"),
+    (math.nan, "nan"), (math.inf, "inf"),
+], ids=["huge_int", "huge_negative_int", "numpy", "int", "nan", "inf"])
+def test_require_tolerance_names_the_converted_value(value, shown):
+    message = f"tolerance must be finite and at least 0, got {shown}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        require_tolerance(value)

@@ -322,6 +322,16 @@ def test_sampled_k11_report_is_unchanged():
         "passed": True}
 
 
+@pytest.mark.parametrize("k", [11, 12, 50, 97])
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_sampled_table_is_the_looped_draw(k, seed):
+    rng, looped_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    tree = _Tree(k, rng)
+    table = oracles.looped_sampled_table(looped_rng, k, MAX_EXHAUSTIVE_ASSIGNMENTS)
+    assert np.array_equal(tree.table, sorted(map(tuple, table)))  # minus (False) first
+    assert rng.random() == looped_rng.random()
+
+
 def test_simulate_deep_program_without_recursion():
     circuit = parse_circuit("qubits 2\n" + "cz 0 1\n" * 1200)
     psi = random_state(np.random.default_rng(8), 2)

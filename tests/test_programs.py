@@ -486,6 +486,18 @@ def test_simulate_rejects_bad_inputs():
         simulate_program(program, zero_state(1), forced="maybe")
 
 
+@pytest.mark.parametrize("length", [0, 3, 8])
+def test_every_walk_refuses_an_input_of_the_wrong_length(length):
+    program = lower(parse_circuit("qubits 2\ncnot 0 1\n"))
+    psi = np.zeros(length, dtype=complex)
+    psi[:1] = 1.0
+    message = f"^input has {length} amplitudes, program needs 4$"
+    with pytest.raises(ProgramError, match=message):
+        simulate_program(program, psi, seed=0)
+    with pytest.raises(ProgramError, match=message):
+        next(programs._BoundProgram(program).walk(psi, programs._Tree(1, None)))
+
+
 def test_every_op_round_trips_through_its_record():
     program = SwitchProgram(num_data_qubits=1)
     x = program.add_matrix(X)

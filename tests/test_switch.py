@@ -137,6 +137,18 @@ def test_measure_ancilla_rejects_bad_states():
         measure_ancilla(np.array([1.0, 1.0]), 0.0)
     with pytest.raises(ValueError):
         measure_ancilla(np.array([1.0]), 0.0)
+    with pytest.raises(ValueError, match="^state length 3 is not a power of two$"):
+        measure_ancilla(np.ones(3) / np.sqrt(3), 0.0)
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (2, 2)])
+def test_measure_ancilla_reads_its_state_flat(shape):
+    state = random_state(np.random.default_rng(23), 2)
+    want = measure_ancilla(state, 0.4)
+    got = measure_ancilla(state.reshape(shape), 0.4)
+    for g, w in zip(got, want):
+        assert (g.branch, g.probability) == (w.branch, w.probability)
+        assert g.post_state.tobytes() == w.post_state.tobytes()
 
 
 def test_branch_gates_formula_and_completeness():
