@@ -149,8 +149,21 @@ def distance_up_to_phase(u: np.ndarray, v: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+# the types of the axis components refused: numpy would read a str or a bool
+# as a number, and drop a complex's imaginary part or fail on it
+_UNREAL = frozenset({str, np.str_, bool, np.bool_, complex, np.complex64, np.complex128,
+                     np.clongdouble})
+
+
 def unit_bloch(n, name: str = "axis") -> np.ndarray:
-    """Validate and return a real unit 3-vector."""
+    """Validate and return a real unit 3-vector. A str, bool or complex
+    component is refused before conversion: an array's by its dtype, a tuple's
+    or a list's (or an object array's) item by item."""
+    if isinstance(n, np.ndarray) and n.dtype.kind == "O":
+        n = n.tolist()
+    if (n.dtype.kind not in "iuf" if isinstance(n, np.ndarray)
+            else isinstance(n, (tuple, list)) and not _UNREAL.isdisjoint(map(type, n))):
+        raise ValueError(f"{name} components must be real numbers, got {n!r}")
     v = np.asarray(n, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must have exactly 3 components")
@@ -267,8 +280,15 @@ def operator_schmidt_rank(m: np.ndarray) -> int:
 
 
 def basis_state(num_qubits: int, index: int) -> np.ndarray:
-    """Computational basis state |index> on num_qubits qubits."""
-    dim = 2 ** num_qubits
+    """Computational basis state |index> on num_qubits qubits, at most
+    ``MAX_QUBITS``; each argument is an int or a numpy integer, not a bool."""
+    if not _is_integer(num_qubits) or num_qubits < 0:
+        raise ValueError(f"num_qubits must be a non-negative integer, got {num_qubits!r}")
+    if num_qubits > MAX_QUBITS:
+        raise ValueError(f"num_qubits {num_qubits} exceeds the maximum of {MAX_QUBITS}")
+    if not _is_integer(index):
+        raise ValueError(f"index must be an integer, got {index!r}")
+    dim = 2 ** int(num_qubits)
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
     state = np.zeros(dim, dtype=complex)
@@ -327,6 +347,8 @@ def apply_matrix(state: np.ndarray, matrix: np.ndarray, qubits) -> np.ndarray:
     matrix = require_square(matrix)
     n = state_num_qubits(state)
     qubits = tuple(qubits)
+    if not all(map(_is_integer, qubits)):
+        raise ValueError(f"qubit indices must be integers, got {qubits!r}")
     k = len(qubits)
     if len(set(qubits)) != k:
         raise ValueError(f"qubit indices must be distinct, got {qubits}")
@@ -384,6 +406,12 @@ _INT_RE = re.compile(r"\d+", re.ASCII)
 _FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 
 
+def _is_integer(value) -> bool:
+    """The one type rule of a count, an index or a seed: an int or a numpy
+    integer, not a bool (which numpy would read as a mask)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _real(value, name: str) -> float:
     """``value`` as a float, an int beyond float range as an infinity; raises
     ValueError naming ``name`` unless it is an int, float or numpy real."""
@@ -429,7 +457,7 @@ def require_trials(trials: int) -> int:
 def require_check_inputs(trials: int, seed: int, tolerance: float) -> tuple[int, int]:
     """A sampled check's ``trials`` and ``seed`` as plain ints; raises
     ValueError, naming the argument, unless its inputs are valid."""
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
+    if not _is_integer(trials):
         raise ValueError(f"trials must be an integer, got {trials!r}")
     trials, seed = require_trials(int(trials)), require_seed(seed)
     require_tolerance(tolerance)
@@ -439,7 +467,7 @@ def require_check_inputs(trials: int, seed: int, tolerance: float) -> tuple[int,
 def require_seed(seed: int) -> int:
     """A generator seed as a plain int; raises ValueError, naming ``seed``,
     unless it is a non-negative integer (a bool is not one)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return int(seed)
 

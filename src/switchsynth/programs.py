@@ -186,24 +186,23 @@ def validate_program(program: SwitchProgram) -> list[tuple]:
     matrices = program.matrices
     for key in matrices:  # jsonio writes a document's keys only as strings
         _string(key, "matrix", "id")
-    faults: dict[str, str] = {}  # bad id -> its message
     shapes: dict[tuple, list[str]] = {}  # shape -> the ids of that shape
     for key, m in matrices.items():
         if (isinstance(m, np.ndarray) and m.dtype == complex and m.ndim == 2
                 and m.shape[0] == m.shape[1]):
             shapes.setdefault(m.shape, []).append(key)
-        else:
-            got = (f"{m.dtype} array of shape {m.shape}"
-                   if isinstance(m, np.ndarray) else type(m).__name__)
-            faults[key] = f"matrix {key!r} must be a square 2-D complex array, got {got}"
+    unitary: dict[str, bool] = {}  # each square complex id -> its verdict
     # huge or non-finite entries raise only the ProgramError, no numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for keys in shapes.values():  # one stacked check per shape
-            unitary = is_unitary(np.stack([matrices[key] for key in keys]))
-            faults.update((key, f"matrix {key!r} is not unitary within {UNITARY_ATOL}")
-                          for key, ok in zip(keys, unitary) if not ok)
-    if faults:
-        raise ProgramError(faults[next(key for key in matrices if key in faults)])
+            unitary.update(zip(keys, is_unitary(np.stack([matrices[key] for key in keys]))))
+    for key, m in matrices.items():  # the first bad id in table order is named
+        if key not in unitary:
+            got = (f"{m.dtype} array of shape {m.shape}"
+                   if isinstance(m, np.ndarray) else type(m).__name__)
+            raise ProgramError(f"matrix {key!r} must be a square 2-D complex array, got {got}")
+        if not unitary[key]:
+            raise ProgramError(f"matrix {key!r} is not unitary within {UNITARY_ATOL}")
 
     n = program.num_data_qubits
     if type(n) is not int or n < 0:
@@ -216,77 +215,76 @@ def validate_program(program: SwitchProgram) -> list[tuple]:
     results: dict[str, int] = {}  # result label -> index in the record
     resolved: list[tuple] = []
 
-    def check_matrix(key: str, field: str, qubits: tuple[int, ...], what: str) -> None:
-        if _string(key, what, field) not in matrices:
-            raise ProgramError(f"{what} references unknown matrix {key!r}")
+    def check_matrix(key: str, field: str, qubits: tuple[int, ...], op: str) -> None:
+        if _string(key, op, field) not in matrices:
+            raise ProgramError(f"{op} references unknown matrix {key!r}")
         dim, want = matrices[key].shape[0], 2 ** len(qubits)
         if dim != want:
-            raise ProgramError(f"{what} matrix {key!r} has dim {dim}, "
-                               f"expected {want}")
+            raise ProgramError(f"{op} matrix {key!r} has dim {dim}, expected {want}")
         distinct = set(qubits)
         if len(distinct) != len(qubits):
-            raise ProgramError(f"{what} qubits must be distinct, got {qubits}")
+            raise ProgramError(f"{op} qubits must be distinct, got {qubits}")
         if not distinct <= data_qubits:
-            raise ProgramError(f"{what} qubit out of range for {n} data qubits")
+            raise ProgramError(f"{op} qubit out of range for {n} data qubits")
 
-    def check_ancilla(label: str, want: str, what: str) -> None:
+    def check_ancilla(label: str, want: str, op: str) -> None:
         # the message follows from the phase it is in
-        now = phase.get(_string(label, what, "ancilla"))
+        now = phase.get(_string(label, op, "ancilla"))
         if now != want:
             raise ProgramError({
-                None: f"{what} uses unallocated ancilla {label!r}",
-                "held": f"{what} needs ancilla {label!r} measured first",
-                "measured": f"{what} uses already measured ancilla {label!r}",
-                "discarded": f"{what} uses discarded ancilla {label!r}"}[now])
+                None: f"{op} uses unallocated ancilla {label!r}",
+                "held": f"{op} needs ancilla {label!r} measured first",
+                "measured": f"{op} uses already measured ancilla {label!r}",
+                "discarded": f"{op} uses discarded ancilla {label!r}"}[now])
 
     for index, inst in enumerate(program.instructions):
         total, qubits, at = n + len(held), (), None
-        kind = type(inst)  # a subclass has no tag to serialize: unknown
+        kind = type(inst)
+        op = _TAGS.get(kind)  # a subclass has no tag to serialize: unknown
+        if op is None:
+            raise ProgramError(f"unknown instruction {inst!r}")
         if kind is AllocAncilla:
-            _string(inst.ancilla, "alloc_ancilla", "ancilla")
-            if _string(inst.state, "alloc_ancilla", "state") != "plus":
+            _string(inst.ancilla, op, "ancilla")
+            if _string(inst.state, op, "state") != "plus":
                 raise ProgramError(f"unsupported ancilla state {inst.state!r}")
             if inst.ancilla in phase:
                 raise ProgramError(f"ancilla {inst.ancilla!r} allocated twice")
             if total == MAX_HELD_QUBITS:
-                raise ProgramError(f"instruction {index} (alloc_ancilla {inst.ancilla!r}) "
+                raise ProgramError(f"instruction {index} ({op} {inst.ancilla!r}) "
                                    f"holds {total + 1} qubits at once, above the "
                                    f"maximum of {MAX_HELD_QUBITS}")
             held.append(inst.ancilla)
             phase[inst.ancilla] = "held"
         elif kind is ApplyLocal:
-            qubits = _qubits(inst.qubits, "apply_local", "qubits")
-            check_matrix(inst.matrix, "matrix", qubits, "apply_local")
+            qubits = _qubits(inst.qubits, op, "qubits")
+            check_matrix(inst.matrix, "matrix", qubits, op)
         elif kind is SwitchApply:
-            local = _qubits(inst.qubits, "switch_apply", "qubits")
-            check_matrix(inst.gate_a, "gate_a", local, "switch_apply")
-            check_matrix(inst.gate_b, "gate_b", local, "switch_apply")
-            check_ancilla(inst.ancilla, "held", "switch_apply")
+            local = _qubits(inst.qubits, op, "qubits")
+            check_matrix(inst.gate_a, "gate_a", local, op)
+            check_matrix(inst.gate_b, "gate_b", local, op)
+            check_ancilla(inst.ancilla, "held", op)
             qubits = (*local, n + held.index(inst.ancilla))
         elif kind is MeasureAncilla:
-            check_ancilla(inst.ancilla, "held", "measure_ancilla")
-            if _string(inst.result, "measure_ancilla", "result") in results:
+            check_ancilla(inst.ancilla, "held", op)
+            if _string(inst.result, op, "result") in results:
                 raise ProgramError(f"result label {inst.result!r} reused")
-            if not math.isfinite(_angle(inst.theta, "measure_ancilla", "theta")):
-                raise ProgramError(f"instruction {index} (measure_ancilla "
-                                   f"{inst.ancilla!r}): measurement angle must "
-                                   f"be finite, got {inst.theta}")
+            if not math.isfinite(_angle(inst.theta, op, "theta")):
+                raise ProgramError(f"instruction {index} ({op} {inst.ancilla!r}): "
+                                   f"measurement angle must be finite, got {inst.theta}")
             at = results[inst.result] = len(results)
             qubits = (n + held.index(inst.ancilla),)
             held.remove(inst.ancilla)  # the later ones close the gap
             phase[inst.ancilla] = "measured"
         elif kind is CondApply:
-            if _string(inst.outcome, "cond_apply", "outcome") not in ("plus", "minus"):
+            if _string(inst.outcome, op, "outcome") not in ("plus", "minus"):
                 raise ProgramError(f"unknown outcome {inst.outcome!r}")
-            if _string(inst.result, "cond_apply", "result") not in results:
-                raise ProgramError(f"cond_apply references unmeasured result {inst.result!r}")
-            qubits, at = _qubits(inst.qubits, "cond_apply", "qubits"), results[inst.result]
-            check_matrix(inst.matrix, "matrix", qubits, "cond_apply")
-        elif kind is Discard:
-            check_ancilla(inst.ancilla, "measured", "discard")
+            if _string(inst.result, op, "result") not in results:
+                raise ProgramError(f"{op} references unmeasured result {inst.result!r}")
+            qubits, at = _qubits(inst.qubits, op, "qubits"), results[inst.result]
+            check_matrix(inst.matrix, "matrix", qubits, op)
+        else:  # Discard
+            check_ancilla(inst.ancilla, "measured", op)
             phase[inst.ancilla] = "discarded"
-        else:
-            raise ProgramError(f"unknown instruction {inst!r}")
         resolved.append((inst, qubits, total, at))
     kept = sorted(label for label, now in phase.items() if now != "discarded")
     if kept:
@@ -396,7 +394,7 @@ def parse_program(text: str) -> SwitchProgram:
 # data: the steps up to a measurement, then that measurement. A step is None,
 # an ancilla allocation, or (matrix, layout, condition): a matrix, its
 # `axis_orders` layout, and None or the (record index, outcome) of a
-# `cond_apply`. A measurement is (functionals, label, move): the (shape, order)
+# `CondApply`. A measurement is (functionals, label, move): the (shape, order)
 # that moves its ancilla last, or None if it is last. The walk applies them
 # along the branch tree a level at a time: the nodes at one depth are the rows
 # of one (rows, 2^total) stack and each step is one numpy call on it; a
@@ -495,24 +493,23 @@ class _BoundProgram:
         self.segments: list[tuple[list, tuple | None]] = []
         steps: list = []
         for inst, qubits, total, index in resolved:
-            if isinstance(inst, AllocAncilla):
+            kind = type(inst)
+            if kind is AllocAncilla:
                 steps.append(None)
-            elif isinstance(inst, SwitchApply):
-                key = (inst.gate_a, inst.gate_b)
-                if key not in joints:
-                    joints[key] = joint_matrix(matrices[inst.gate_a], matrices[inst.gate_b])
-                steps.append((joints[key], axis_orders(qubits, total), None))
-            elif isinstance(inst, MeasureAncilla):
+            elif kind is MeasureAncilla:
                 pos = qubits[0]
                 move = None if pos == total - 1 else axis_orders(
                     (*range(pos), *range(pos + 1, total), pos), total)[:2]
                 self.segments.append((steps, (branch_functionals(inst.theta), inst.result, move)))
                 steps = []
-            elif isinstance(inst, (ApplyLocal, CondApply)):
+            elif kind is not Discard:  # the state lost that ancilla at its measurement
+                if kind is SwitchApply:
+                    key = (inst.gate_a, inst.gate_b)
+                    if key not in joints:
+                        joints[key] = joint_matrix(matrices[inst.gate_a], matrices[inst.gate_b])
+                matrix = joints[key] if kind is SwitchApply else matrices[inst.matrix]
                 condition = None if index is None else (index, inst.outcome)
-                steps.append((matrices[inst.matrix], axis_orders(qubits, total),
-                               condition))
-            # Discard: the state already lost the ancilla at its measurement
+                steps.append((matrix, axis_orders(qubits, total), condition))
         self.segments.append((steps, None))
         self.labels = tuple(label for _, (_, label, _) in self.segments[:-1])
 

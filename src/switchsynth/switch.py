@@ -22,6 +22,7 @@ from .linalg import (
     P1,
     UNITARY_ATOL,
     Z,
+    _is_integer,
     dagger,
     is_density_matrix,
     projector,
@@ -256,10 +257,9 @@ def _four_term_map(ops_a, ops_b, rho: np.ndarray, omega: np.ndarray) -> np.ndarr
     terms = np.asarray([anti_rho @ anti_dag, anti_rho @ comm_dag,
                         comm_rho @ anti_dag, comm_rho @ comm_dag])
     weights = np.asarray([omega, omega @ Z, Z @ omega, Z @ omega @ Z])
-    weighted = (terms[..., :, None, :, None]
-                * weights[:, None, ..., None, :, None, :])  # (term, pair, ...)
-    out = np.zeros(weighted.shape[2:-4] + (2 * rho.shape[-1],) * 2, dtype=complex)
-    for pair in zip(*weighted.reshape(*weighted.shape[:2], *out.shape)):
+    weighted = tensor(terms, weights[:, None])  # (term, pair, ...)
+    out = np.zeros(weighted.shape[2:], dtype=complex)
+    for pair in zip(*weighted):
         for term in pair:
             out += term
     return 0.25 * out
@@ -384,7 +384,7 @@ def choi_matrix(apply_map, input_dim: int) -> np.ndarray:
     semidefinite. ``input_dim`` must be an integer (not a bool) of at least 1.
     A map that returns a stack of matrices gives one Choi matrix per item.
     """
-    if isinstance(input_dim, bool) or not isinstance(input_dim, (int, np.integer)):
+    if not _is_integer(input_dim):
         raise ValueError(f"input_dim must be an integer, got {input_dim!r}")
     if input_dim < 1:
         raise ValueError(f"input_dim must be at least 1, got {input_dim}")

@@ -45,6 +45,30 @@ def test_a_bad_axis_is_refused_with_its_message(taker, axis, message):
     assert str(info.value) == message
 
 
+# a str, bool or complex component, which numpy would convert or drop
+UNREAL_AXES = [("1", "0", "0"), [np.True_, 0, 0], (True, False, False),
+               np.array([1 + 1j, 0, 0]), (1j, 0, 0), np.array(["1", "0", "0"]),
+               np.array([True, False, False]), np.array([1j, 0, 0], dtype=object)]
+
+
+@pytest.mark.filterwarnings("error")  # refused before numpy's ComplexWarning
+@pytest.mark.parametrize("taker", sorted(AXIS_TAKERS))
+@pytest.mark.parametrize("axis", UNREAL_AXES)
+def test_an_axis_with_an_unreal_component_is_refused(taker, axis):
+    with pytest.raises(ValueError) as info:
+        AXIS_TAKERS[taker](axis)
+    assert type(info.value) is ValueError
+    assert str(info.value).startswith("axis components must be real numbers, got ")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("perp", UNREAL_AXES)
+def test_a_perp_with_an_unreal_component_is_refused(perp):
+    with pytest.raises(ValueError) as info:
+        ControlledGateSpec(alpha=0.1, theta=0.2, axis=(1.0, 0.0, 0.0), perp=perp)
+    assert str(info.value).startswith("perp components must be real numbers, got ")
+
+
 @pytest.mark.parametrize("perp,message", [
     ((0.0, 1.0, 1.0), "perp must be a unit vector, |perp|^2 = 2.0"),
     ((1.0, 0.0), "perp must have exactly 3 components"),

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from switchsynth.linalg import (
+    MAX_QUBITS,
     MAX_TRIALS,
     UNITARY_ATOL,
     H,
@@ -313,6 +314,40 @@ def test_apply_matrix_errors():
         apply_matrix(state, CNOT, [0, 2])
     with pytest.raises(ValueError):
         apply_matrix(state, X, [0, 1])
+
+
+# a count, an index or a qubit is an int or a numpy integer, never a bool
+@pytest.mark.parametrize("call,message", [
+    (lambda: basis_state(2, True), "index must be an integer, got True"),
+    (lambda: basis_state(2, np.True_), "index must be an integer, got np.True_"),
+    (lambda: basis_state(2, 1.5), "index must be an integer, got 1.5"),
+    (lambda: basis_state(-1, 0), "num_qubits must be a non-negative integer, got -1"),
+    (lambda: zero_state(2.0), "num_qubits must be a non-negative integer, got 2.0"),
+    (lambda: zero_state(True), "num_qubits must be a non-negative integer, got True"),
+    (lambda: zero_state(MAX_QUBITS + 1),
+     f"num_qubits {MAX_QUBITS + 1} exceeds the maximum of {MAX_QUBITS}"),
+    (lambda: zero_state(10 ** 12), f"num_qubits {10 ** 12} exceeds the maximum of {MAX_QUBITS}"),
+    (lambda: apply_matrix(zero_state(2), X, [True]),
+     "qubit indices must be integers, got (True,)"),
+    (lambda: apply_matrix(zero_state(2), X, [0.0]),
+     "qubit indices must be integers, got (0.0,)"),
+], ids=["bool_index", "numpy_bool_index", "float_index", "negative_count",
+        "float_count", "bool_count", "count_above_max", "huge_count", "bool_qubit",
+        "float_qubit"])
+def test_states_and_apply_matrix_take_only_integers(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+
+
+def test_numpy_integers_stay_accepted_bit_for_bit():
+    two, three = np.int64(2), np.uint8(3)
+    assert oracles.same_bytes(basis_state(two, three), basis_state(2, 3))
+    assert oracles.same_bytes(zero_state(two), zero_state(2))
+    state = normalize(np.arange(4) + 1j)
+    assert oracles.same_bytes(apply_matrix(state, H, [np.int32(1)]),
+                              apply_matrix(state, H, [1]))
 
 
 def test_states_and_fidelity():

@@ -719,6 +719,23 @@ def test_every_entry_point_applies_the_field_type_rules(index, field, value, mes
         assert str(err.value) == message.format(value)
 
 
+@pytest.mark.parametrize("tag", sorted(OPS))
+def test_every_entry_point_names_an_op_by_its_tag(tag):
+    # a 5 in the op's first string field: the message starts with its OPS tag
+    program = typed_program()
+    instructions = list(program.instructions)
+    index = next(i for i, inst in enumerate(instructions) if type(inst) is OPS[tag])
+    name = next(f.name for f in fields(OPS[tag]) if f.type == "str")
+    instructions[index] = replace(instructions[index], **{name: 5})
+    program.instructions = tuple(instructions)
+    for run in (validate_program, serialize_program,
+                lambda p: simulate_program(p, basis_state(2, 0), seed=0),
+                lambda p: check_equivalence(parse_circuit("qubits 2\n"), p, trials=1)):
+        with pytest.raises(ProgramError) as err:
+            run(program)
+        assert str(err.value).startswith(f"{tag} ")
+
+
 def test_qubit_lists_and_tuples_serialize_alike():
     program = typed_program()
     text = serialize_program(program)
