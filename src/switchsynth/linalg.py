@@ -149,26 +149,25 @@ def distance_up_to_phase(u: np.ndarray, v: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-# the types of the axis components refused: numpy would read a str or a bool
-# as a number, and drop a complex's imaginary part or fail on it
-_UNREAL = frozenset({str, np.str_, bool, np.bool_, complex, np.complex64, np.complex128,
-                     np.clongdouble})
-
-
 def unit_bloch(n, name: str = "axis") -> np.ndarray:
-    """Validate and return a real unit 3-vector. A str, bool or complex
-    component is refused before conversion: an array's by its dtype, a tuple's
-    or a list's (or an object array's) item by item."""
+    """Validate and return a real unit 3-vector. Each component is judged before
+    conversion: an array's by its dtype, a tuple's, a list's or an object array's
+    by ``_is_real``, as is any other ``n`` but a str (numpy reads its text)."""
     if isinstance(n, np.ndarray) and n.dtype.kind == "O":
         n = n.tolist()
     if (n.dtype.kind not in "iuf" if isinstance(n, np.ndarray)
-            else isinstance(n, (tuple, list)) and not _UNREAL.isdisjoint(map(type, n))):
+            else not all(map(_is_real, n)) if isinstance(n, (tuple, list))
+            else not (isinstance(n, str) or _is_real(n))):
         raise ValueError(f"{name} components must be real numbers, got {n!r}")
-    v = np.asarray(n, dtype=float)
+    try:
+        v = np.asarray(n, dtype=float)
+    except OverflowError:  # an int beyond float range is infinite, as _real reads it
+        v = np.array(_real(n, name) if _is_real(n) else [_real(c, name) for c in n])
     if v.shape != (3,):
         raise ValueError(f"{name} must have exactly 3 components")
-    if not abs(v @ v - 1.0) <= UNIT_VECTOR_ATOL:  # NaN components fail too
-        raise ValueError(f"{name} must be a unit vector, |{name}|^2 = {v @ v}")
+    if not (max(map(abs, v.tolist())) <= 2.0 and abs(v @ v - 1.0) <= UNIT_VECTOR_ATOL):
+        with np.errstate(over="ignore"):  # past 1e154 a component squares to inf
+            raise ValueError(f"{name} must be a unit vector, |{name}|^2 = {v @ v}")
     return v
 
 
@@ -197,19 +196,19 @@ def bloch_dot(n) -> np.ndarray:
 
 def rotation(n, theta: float) -> np.ndarray:
     """Rotation by theta about axis n: cos(theta/2) I - i sin(theta/2) n.sigma."""
-    return su2(*unit_bloch(n).tolist(), 0.5 * theta, -1)
+    return su2(*unit_bloch(n).tolist(), 0.5 * require_angle(theta, "theta"), -1)
 
 
 def rotation_x(theta: float) -> np.ndarray:
-    return su2(1.0, 0.0, 0.0, 0.5 * theta, -1)
+    return su2(1.0, 0.0, 0.0, 0.5 * require_angle(theta, "theta"), -1)
 
 
 def rotation_y(theta: float) -> np.ndarray:
-    return su2(0.0, 1.0, 0.0, 0.5 * theta, -1)
+    return su2(0.0, 1.0, 0.0, 0.5 * require_angle(theta, "theta"), -1)
 
 
 def rotation_z(theta: float) -> np.ndarray:
-    return su2(0.0, 0.0, 1.0, 0.5 * theta, -1)
+    return su2(0.0, 0.0, 1.0, 0.5 * require_angle(theta, "theta"), -1)
 
 
 def two_qubit_rotation(n_first, n_second, theta: float) -> np.ndarray:
@@ -217,7 +216,7 @@ def two_qubit_rotation(n_first, n_second, theta: float) -> np.ndarray:
 
     cos(theta/2) I4 - i sin(theta/2) (n_first.sigma (x) n_second.sigma).
     """
-    half = 0.5 * theta
+    half = 0.5 * require_angle(theta, "theta")
     return (np.cos(half) * np.eye(4, dtype=complex)
             - 1j * np.sin(half) * tensor(bloch_dot(n_first), bloch_dot(n_second)))
 
@@ -412,10 +411,16 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """The one real-number rule: an int, float or numpy integer or floating, not a bool."""
+    return type(value) in (int, float) or (
+        isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool))
+
+
 def _real(value, name: str) -> float:
     """``value`` as a float, an int beyond float range as an infinity; raises
-    ValueError naming ``name`` unless it is an int, float or numpy real."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+    ValueError naming ``name`` unless it is ``_is_real``."""
+    if not _is_real(value):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
         return float(value)

@@ -119,18 +119,14 @@ class SwitchProgram:
                                    repr=False, compare=False)
 
     def add_matrix(self, m: np.ndarray) -> str:
-        """Intern a matrix in the content-addressed table; returns its id."""
+        """Intern a matrix in the content-addressed table; returns its checked id."""
         m = require_square(np.asarray(m, dtype=complex))
         content = (m.shape, m.tobytes())
-        key = self._ids.get(content)
-        if key is None:
-            key = matrix_id(m)
-            # a parsed table is keyed by its document's ids, unchecked
-            held = self.matrices.get(key)
-            if held is not None and not np.array_equal(held, m):
-                raise ProgramError(f"matrix table holds other content under id {key!r}")
-            self._ids[content] = key
-        self.matrices.setdefault(key, m)
+        key = self._ids[content] = self._ids.get(content) or matrix_id(m)
+        held = self.matrices.setdefault(key, m)  # the same object, equal bytes or values
+        if not (held is m or isinstance(held, np.ndarray) and held.tobytes() == content[1]
+                or np.array_equal(held, m)):
+            raise ProgramError(f"matrix table holds other content under id {key!r}")
         return key
 
 
@@ -184,10 +180,9 @@ def validate_program(program: SwitchProgram) -> list[tuple]:
     the measurement it makes or reads, or None.
     """
     matrices = program.matrices
-    for key in matrices:  # jsonio writes a document's keys only as strings
-        _string(key, "matrix", "id")
     shapes: dict[tuple, list[str]] = {}  # shape -> the ids of that shape
     for key, m in matrices.items():
+        _string(key, "matrix", "id")  # jsonio writes a document's keys only as strings
         if (isinstance(m, np.ndarray) and m.dtype == complex and m.ndim == 2
                 and m.shape[0] == m.shape[1]):
             shapes.setdefault(m.shape, []).append(key)

@@ -51,9 +51,8 @@ class KrausChannel:
         ops = tuple(np.asarray(k, dtype=complex) for k in operators)
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
-        dim = require_square(ops[0], "Kraus operator").shape[0]
-        for k in ops:
-            if require_square(k, "Kraus operator").shape[0] != dim:
+        for k in ops:  # the first is judged square before the others match its shape
+            if require_square(k, "Kraus operator").shape != ops[0].shape:
                 raise ValueError("Kraus operators must share one dimension")
             if not np.isfinite(k).all():
                 raise ValueError("Kraus operators must be finite")
@@ -61,7 +60,7 @@ class KrausChannel:
         read_only(self.stack)
         self.operators = tuple(self.stack)
         total = (dagger(self.stack) @ self.stack).sum(axis=0)
-        if not np.linalg.norm(total - np.eye(dim)) <= UNITARY_ATOL:
+        if not np.linalg.norm(total - np.eye(len(total))) <= UNITARY_ATOL:
             raise ValueError("Kraus operators do not satisfy completeness")
 
     @classmethod
@@ -316,6 +315,8 @@ def _require_state_stacks(rhos: np.ndarray, omegas: np.ndarray) -> None:
 
 def uniform_control_state(num_orders: int) -> np.ndarray:
     """Pure uniform superposition over num_orders control basis states."""
+    if not _is_integer(num_orders) or num_orders < 1:
+        raise ValueError(f"num_orders must be a positive integer, got {num_orders!r}")
     return projector(np.full(num_orders, 1.0 / np.sqrt(num_orders), dtype=complex))
 
 

@@ -257,15 +257,17 @@ def preset_barenco(alpha_b: float, phi_b: float, theta_b: float) -> ControlledGa
     n(phi_b) = (cos phi_b, sin phi_b, 0) in the equatorial plane, which maps
     onto (alpha, theta, n) = (alpha_b, -theta_b, n(phi_b)).
     """
-    axis = (math.cos(phi_b), math.sin(phi_b), 0.0)
-    return ControlledGateSpec(alpha=alpha_b, theta=-theta_b, axis=axis,
+    alpha, phi, _ = map(require_angle, (alpha_b, phi_b, theta_b), ("alpha", "phi", "theta"))
+    axis = (math.cos(phi), math.sin(phi), 0.0)
+    return ControlledGateSpec(alpha=alpha, theta=-theta_b, axis=axis,  # an int 0 stays +0.0
                               perp=(0.0, 0.0, 1.0))
 
 
 def barenco_matrix(alpha_b: float, phi_b: float, theta_b: float) -> np.ndarray:
     """Direct matrix of the universal three-angle controlled gate."""
-    return _controlled(np.exp(1j * alpha_b)  # R_n(2 theta_b), n = (cos phi_b, sin phi_b, 0)
-                       * su2(math.cos(phi_b), math.sin(phi_b), 0.0, theta_b, -1))
+    alpha, phi, theta = map(require_angle, (alpha_b, phi_b, theta_b), ("alpha", "phi", "theta"))
+    return _controlled(np.exp(1j * alpha)  # R_n(2 theta), n = (cos phi, sin phi, 0)
+                       * su2(math.cos(phi), math.sin(phi), 0.0, theta, -1))
 
 
 def conjugation_identities(n, perp=None) -> dict[str, float]:

@@ -7,6 +7,7 @@ Python floats.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ REFUSED_AXES = [
     ((1.0, 1.0, 0.0), "axis must be a unit vector, |axis|^2 = 2.0"),
     ((0.5, 0.0, 0.0), "axis must be a unit vector, |axis|^2 = 0.25"),
     ("xyz", "could not convert string to float: 'xyz'"),
+    # an int beyond float range is infinite, as an angle reads it
+    ((10 ** 400, 0, 0), "axis must be a unit vector, |axis|^2 = inf"),
 ]
 
 
@@ -45,10 +48,14 @@ def test_a_bad_axis_is_refused_with_its_message(taker, axis, message):
     assert str(info.value) == message
 
 
-# a str, bool or complex component, which numpy would convert or drop
+# a str, bool or complex component, which numpy would convert or drop, and any
+# other component that is not a real number (a 0-d or 1-d array, None, a Fraction)
 UNREAL_AXES = [("1", "0", "0"), [np.True_, 0, 0], (True, False, False),
                np.array([1 + 1j, 0, 0]), (1j, 0, 0), np.array(["1", "0", "0"]),
-               np.array([True, False, False]), np.array([1j, 0, 0], dtype=object)]
+               np.array([True, False, False]), np.array([1j, 0, 0], dtype=object),
+               (np.array(1 + 1j), 0, 0), (np.array(True), 0, 0),
+               np.array(1j, dtype=object), (np.array([1.0]), 0, 0), (None, 0, 0),
+               (Fraction(1), 0, 0)]
 
 
 @pytest.mark.filterwarnings("error")  # refused before numpy's ComplexWarning

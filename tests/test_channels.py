@@ -227,6 +227,21 @@ def test_uniform_control_state():
     assert is_density_matrix(omega)
 
 
+@pytest.mark.parametrize("num_orders", [1, 2, 3, 4, np.int64(3)])
+def test_uniform_control_state_keeps_its_bytes(num_orders):
+    n = int(num_orders)
+    want = projector(np.full(n, 1.0 / np.sqrt(n), dtype=complex))
+    assert uniform_control_state(num_orders).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("num_orders,shown", [(0, "0"), (-1, "-1"), (2.5, "2.5"),
+                                              (True, "True")])
+def test_uniform_control_state_refuses_a_count_below_one_or_not_an_integer(num_orders, shown):
+    with pytest.raises(ValueError, match=f"^num_orders must be a positive integer, "
+                                         f"got {shown}$"):
+        uniform_control_state(num_orders)
+
+
 def test_choi_matrix_of_identity_and_unitary():
     choi = choi_matrix(lambda m: m, 2)
     bell = np.zeros(4, dtype=complex)

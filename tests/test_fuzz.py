@@ -1,14 +1,17 @@
-"""Property-based fuzzing of the outside inputs: the two parsers and the
-program contract.
+"""Property-based fuzzing of the outside inputs: the two parsers, the program
+contract and the one real-number rule of axes and angles.
 
 Each parser either returns or raises its own error type; any other exception
 would reach the CLI as a traceback. Every entry point of a program (validate,
 serialize, simulate, check) refuses the same broken programs with the same
-message, and what serialize_program writes parses back to the same text.
+message, and what serialize_program writes parses back to the same text. An
+axis or angle taker returns or raises ValueError, with no warning, and
+accepts exactly the components or angles that ``_is_real`` accepts.
 """
 
 import json
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -16,7 +19,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from switchsynth.circuits import GATES, CircuitParseError, parse_circuit
-from switchsynth.linalg import basis_state
+from switchsynth.linalg import (
+    _is_real,
+    _real,
+    basis_state,
+    rotation,
+    rotation_x,
+    rotation_y,
+    rotation_z,
+    two_qubit_rotation,
+    unit_bloch,
+)
 from switchsynth.lowering import check_equivalence, lower
 from switchsynth.programs import (
     MeasureAncilla,
@@ -26,6 +39,8 @@ from switchsynth.programs import (
     simulate_program,
     validate_program,
 )
+from switchsynth.switch import branch_functionals
+from switchsynth.synthesis import barenco_matrix
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=400)
 
@@ -187,3 +202,67 @@ def test_every_serialized_program_parses_and_reserializes_byte_for_byte(
     except ProgramError:
         return
     assert serialize_program(parse_program(text)) == text
+
+
+# real numbers of every type the rule takes, and values it refuses: bools,
+# complex numbers, text, None and 0-d arrays, which numpy would read as numbers
+UNIT_PARTS = st.sampled_from([0, 1, -1, 0.0, -0.0, 0.6, -0.8, np.int64(1), np.uint8(0),
+                              np.float64(0.6), np.float64(-1.0)])
+REALS = st.one_of(
+    UNIT_PARTS,
+    st.integers(min_value=-10 ** 400, max_value=10 ** 400),
+    st.integers(-2 ** 63 + 1, 2 ** 63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.floats(), st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+)
+UNREALS = st.one_of(
+    st.booleans(), st.booleans().map(np.bool_), st.complex_numbers(),
+    st.complex_numbers().map(np.complex128), st.text(max_size=3), st.none(),
+    st.floats().map(np.array), st.integers(-2, 2).map(np.array),
+    st.complex_numbers().map(np.array), st.booleans().map(np.array),
+)
+
+
+@FUZZ
+@given(axis=st.lists(REALS | UNREALS, min_size=3, max_size=3).map(tuple)
+       | st.lists(UNIT_PARTS, min_size=3, max_size=3).map(tuple))
+def test_unit_bloch_follows_the_one_real_number_rule(axis):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            v = unit_bloch(axis)
+        except ValueError as error:
+            assert type(error) is ValueError
+            if not all(map(_is_real, axis)):
+                assert str(error).startswith("axis components must be real numbers, got ")
+            return
+    assert all(map(_is_real, axis))
+    assert v.shape == (3,) and abs(v @ v - 1.0) <= 1e-12
+
+
+ANGLE_TAKERS = {
+    "rotation": lambda a: rotation((0.0, 0.6, 0.8), a),
+    "rotation_x": rotation_x,
+    "rotation_y": rotation_y,
+    "rotation_z": rotation_z,
+    "two_qubit_rotation": lambda a: two_qubit_rotation((1, 0, 0), (0.0, 0.6, 0.8), a),
+    "barenco_matrix_alpha": lambda a: barenco_matrix(a, 0.7, 0.3),
+    "barenco_matrix_phi": lambda a: barenco_matrix(0.3, a, 0.3),
+    "barenco_matrix_theta": lambda a: barenco_matrix(0.3, 0.7, a),
+    "branch_functionals": branch_functionals,
+}
+
+
+@FUZZ
+@given(taker=st.sampled_from(sorted(ANGLE_TAKERS)), angle=REALS | UNREALS)
+def test_an_angle_taker_accepts_exactly_the_finite_reals(taker, angle):
+    finite = _is_real(angle) and math.isfinite(_real(angle, "theta"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = ANGLE_TAKERS[taker](angle)
+        except ValueError as error:
+            assert type(error) is ValueError and not finite
+            return
+    assert finite
+    assert all(np.isfinite(array).all() for array in (out if type(out) is tuple else (out,)))

@@ -181,6 +181,23 @@ def test_add_matrix_refuses_a_parsed_id_that_holds_other_content():
     assert parsed.add_matrix(twin) == x
 
 
+def test_add_matrix_checks_the_entry_under_a_remembered_id():
+    program = SwitchProgram(num_data_qubits=1)
+    key = program.add_matrix(X)
+    program.matrices[key] = Z.copy()  # the memo still maps X's content to key
+    with pytest.raises(ProgramError, match=f"^matrix table holds other content "
+                                           f"under id '{key}'$"):
+        program.add_matrix(X)
+    assert program.matrices[key].tobytes() == Z.tobytes()
+    # a deleted entry is interned again, and a fresh equal array on a memo
+    # hit returns the same id
+    del program.matrices[key]
+    assert program.add_matrix(X) == key
+    assert program.matrices[key].tobytes() == X.tobytes()
+    assert program.add_matrix(X.copy()) == key
+    assert list(program.matrices) == [key]
+
+
 def test_validate_caps_the_qubits_held_at_once():
     program = SwitchProgram(num_data_qubits=1)
     # measured ancillas leave the state, so undiscarded ones are not held
