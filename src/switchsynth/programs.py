@@ -395,15 +395,17 @@ def parse_program(text: str) -> SwitchProgram:
 # of one (rows, 2^total) stack and each step is one numpy call on it; a
 # conditional step updates the rows whose recorded outcome matches. At a
 # measurement (of the last qubit, after its move) the walk projects the stack,
-# a chooser says which rows follow each branch, and the walk refuses a
-# followed branch of probability 0 and keeps the followed post-measurement
-# states, plus branch first, as the next level's rows, so a prefix shared by
-# many branch assignments runs once. Each level is cut into chunks of at most
-# max(1, CAP // dim) rows, walked depth first. A sampled or forced run is the
-# same walk on one row. Numpy's stacked matmul runs each row on the one-state
-# product's kernel and shapes, and every other step acts on each row alone, so
-# every leaf is bit-identical to a replay of its branch assignment one
-# instruction at a time.
+# a chooser says which rows follow each branch, and the walk refuses a state
+# whose squared norm is off 1 or a followed branch of probability 0, and keeps
+# the followed post-measurement states, plus branch first, as the next level's
+# rows, so a prefix shared by many branch assignments runs once. Each level is
+# cut into chunks of at most max(1, CAP // dim) rows, walked depth first, and a
+# chooser's nodes are a tuple of per-row arrays that each chunk slices. A
+# sampled or forced run is the same walk on one row, whose chooser keeps the
+# record. Numpy's stacked matmul runs each row on the one-state product's
+# kernel and shapes, and every other step acts on each row alone, so every
+# leaf is bit-identical to a replay of its branch assignment one instruction
+# at a time.
 
 CAP = 1024  # amplitudes per chunk of the walk
 
@@ -459,22 +461,24 @@ class _Tree:
 
 
 class _Path:
-    """Chooser of one row: ``pick(depth, plus_probability)`` names the branch
-    at each measurement, and the nodes are the measurement record."""
+    """Chooser of one row: each branch is the forced ``path``'s name, or else
+    ``rng.random() < plus_probability``; it appends (label, name, probability)
+    to ``record``, and its nodes are ``()``."""
 
     root = ()
 
-    def __init__(self, pick):
-        self.pick = pick
+    def __init__(self, path: list[str] | None, rng: np.random.Generator | None):
+        self.path, self.rng, self.record = path, rng, []
 
-    def split(self, depth: int, label: str, record, branches):
-        name = self.pick(depth, float(branches[0][0][0]))
-        probability = float(branches[0 if name == "plus" else 1][0][0])
-        return ((_ALL, None) if name == "plus" else (None, _ALL),
-                record + ((label, name, probability),))
+    def split(self, depth: int, label: str, nodes, branches):
+        plus = float(branches[0][0][0])
+        name = (self.path[depth] if self.rng is None
+                else "plus" if self.rng.random() < plus else "minus")
+        self.record.append((label, name, plus if name == "plus" else float(branches[1][0][0])))
+        return ((_ALL, None) if name == "plus" else (None, _ALL)), nodes
 
-    def took(self, record, index: int, outcome: str):
-        return _ALL if record[index][1] == outcome else None
+    def took(self, nodes, index: int, outcome: str):
+        return _ALL if self.record[index][1] == outcome else None
 
 
 class _BoundProgram:
@@ -497,14 +501,14 @@ class _BoundProgram:
                     (*range(pos), *range(pos + 1, total), pos), total)[:2]
                 self.segments.append((steps, (branch_functionals(inst.theta), inst.result, move)))
                 steps = []
+            elif kind is SwitchApply:
+                key = (inst.gate_a, inst.gate_b)
+                if key not in joints:
+                    joints[key] = joint_matrix(matrices[inst.gate_a], matrices[inst.gate_b])
+                steps.append((joints[key], axis_orders(qubits, total), None))
             elif kind is not Discard:  # the state lost that ancilla at its measurement
-                if kind is SwitchApply:
-                    key = (inst.gate_a, inst.gate_b)
-                    if key not in joints:
-                        joints[key] = joint_matrix(matrices[inst.gate_a], matrices[inst.gate_b])
-                matrix = joints[key] if kind is SwitchApply else matrices[inst.matrix]
                 condition = None if index is None else (index, inst.outcome)
-                steps.append((matrix, axis_orders(qubits, total), condition))
+                steps.append((matrices[inst.matrix], axis_orders(qubits, total), condition))
         self.segments.append((steps, None))
         self.labels = tuple(label for _, (_, label, _) in self.segments[:-1])
 
@@ -514,10 +518,11 @@ class _BoundProgram:
         From ``chooser.root``, ``chooser.split(depth, label, nodes,
         branches)`` takes the stack's ``project_branches`` and returns the
         row selections (``_rows``) of the plus and the minus branch and the
-        next nodes, and ``chooser.took(nodes, index, outcome)`` selects the
-        rows whose measurement ``index`` gave ``outcome``. A followed branch
-        of probability 0 raises ProgramError, plus checked first. An explicit
-        stack of chunks leaves depth unbounded by the recursion limit.
+        next nodes, a tuple of per-row arrays, and ``chooser.took(nodes,
+        index, outcome)`` selects the rows whose measurement ``index`` gave
+        ``outcome``. A measured state off norm 1, or a followed branch of
+        probability 0 (plus first), raises ProgramError naming the label. An
+        explicit stack of chunks leaves depth unbounded by the recursion limit.
         """
         state = np.array(input_state, dtype=complex)
         if state.size != 2 ** self.num_data_qubits:
@@ -548,7 +553,10 @@ class _BoundProgram:
             if move is not None:
                 shape, order = move
                 states = states.reshape(shape).transpose(order).reshape(len(states), -1)
-            branches = project_branches(states, functionals)
+            try:
+                branches = project_branches(states, functionals)
+            except ValueError:  # its squared norm drifted off 1 on the way
+                raise ProgramError(f"state measured into {label!r} is not normalized") from None
             selections, nodes = chooser.split(depth, label, nodes, branches)
             followed = []
             for name, (probability, post), rows in zip(("plus", "minus"), branches,
@@ -560,14 +568,9 @@ class _BoundProgram:
                 followed.append(post[rows])
             states = followed[0] if len(followed) == 1 else np.concatenate(followed)
             size = max(1, CAP // states.shape[1])
-            if len(states) <= size:
-                work.append((depth + 1, states, nodes))
-                continue
-            # the nodes of a stack of many rows are per-row arrays
             for start in reversed(range(0, len(states), size)):
                 chunk = slice(start, start + size)
-                work.append((depth + 1, states[chunk],
-                             tuple(a[chunk] for a in nodes)))
+                work.append((depth + 1, states[chunk], tuple(a[chunk] for a in nodes)))
 
 
 def _forced_path(forced, labels: tuple[str, ...]) -> list[str]:
@@ -611,16 +614,8 @@ def simulate_program(program: SwitchProgram, input_state: np.ndarray,
     """
     seed = None if seed is None else require_seed(seed)
     bound = _BoundProgram(program)
-    if forced is None:
-        rng = np.random.default_rng(seed)
-
-        def pick(depth, plus_probability):
-            return "plus" if rng.random() < plus_probability else "minus"
-    else:
-        path = _forced_path(forced, bound.labels)
-
-        def pick(depth, plus_probability):
-            return path[depth]
-    (states, record), = bound.walk(input_state, _Path(pick))
-    return SimulationTrace(final_state=states[0], measurement_record=record,
+    chooser = (_Path(None, np.random.default_rng(seed)) if forced is None
+               else _Path(_forced_path(forced, bound.labels), None))
+    (states, _), = bound.walk(input_state, chooser)
+    return SimulationTrace(final_state=states[0], measurement_record=tuple(chooser.record),
                            seed=seed)

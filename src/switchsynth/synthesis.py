@@ -259,8 +259,9 @@ def preset_barenco(alpha_b: float, phi_b: float, theta_b: float) -> ControlledGa
     """
     alpha, phi, _ = map(require_angle, (alpha_b, phi_b, theta_b), ("alpha", "phi", "theta"))
     axis = (math.cos(phi), math.sin(phi), 0.0)
-    return ControlledGateSpec(alpha=alpha, theta=-theta_b, axis=axis,  # an int 0 stays +0.0
-                              perp=(0.0, 0.0, 1.0))
+    # the Python number given negates exactly: an int 0 stays +0.0, no numpy overflow
+    theta = theta_b.item() if isinstance(theta_b, np.generic) else theta_b
+    return ControlledGateSpec(alpha=alpha, theta=-theta, axis=axis, perp=(0.0, 0.0, 1.0))
 
 
 def barenco_matrix(alpha_b: float, phi_b: float, theta_b: float) -> np.ndarray:

@@ -65,13 +65,19 @@ def test_a_bad_angle_is_refused_by_name(taker, angle, message):
 
 @pytest.mark.parametrize("taker", sorted(ANGLE_TAKERS))
 @pytest.mark.parametrize("angle", [1, -2, 7, np.int64(-3), np.float64(0.3),
-                                   np.float32(0.3), np.float64(-2.5)])
+                                   np.float32(0.3), np.float64(-2.5), np.float64(-0.0)])
 def test_an_int_or_numpy_angle_gives_the_bytes_of_its_float(taker, angle):
     _, call, to_bytes = ANGLE_TAKERS[taker]
     assert to_bytes(call(angle)) == to_bytes(call(float(angle)))
 
 
+@pytest.mark.filterwarnings("error")
 def test_preset_barenco_negates_theta_as_given():
-    # an int 0 negates to +0.0 and a float 0.0 to -0.0, as they always have
-    assert math.copysign(1.0, preset_barenco(0.3, 0.7, 0).theta) == 1.0
-    assert math.copysign(1.0, preset_barenco(0.3, 0.7, 0.0).theta) == -1.0
+    # an int 0 negates to +0.0 and a float 0.0 to -0.0, as they always have,
+    # and a numpy scalar as its Python number
+    for theta, sign in [(0, 1.0), (0.0, -1.0), (np.int64(0), 1.0), (np.float64(0.0), -1.0),
+                        (np.float64(-0.0), 1.0)]:
+        assert math.copysign(1.0, preset_barenco(0.3, 0.7, theta).theta) == sign
+    # the least np.int64 has no int64 negation: no overflow warning first
+    with pytest.raises(ValueError, match=r"^\|theta\| must be at most 2\*\*20, got "):
+        preset_barenco(0.3, 0.7, np.int64(-2 ** 63))

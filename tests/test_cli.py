@@ -521,6 +521,24 @@ def test_simulate_unknown_record_key_exits_2_naming_it(tmp_path, capsys):
     assert err == "error: unknown key 'stat' in alloc_ancilla record\n"
 
 
+def test_simulate_names_the_measurement_of_a_state_off_norm_1(tmp_path, capsys):
+    # (1 + 3e-11) I passes the table's unitary check; three of them take the
+    # measured state's squared norm 1.8e-10 off 1
+    prog = tmp_path / "drift.json"
+    prog.write_text('{"num_data_qubits": 1, "matrices": {'
+                    '"d": [[1.00000000003, 0], [0, 0], [0, 0], [1.00000000003, 0]], '
+                    '"x": [[0, 0], [1, 0], [1, 0], [0, 0]]}, "instructions": ['
+                    + '{"op": "apply_local", "matrix": "d", "qubits": [0]}, ' * 3
+                    + '{"op": "alloc_ancilla", "ancilla": "a0"}, '
+                    '{"op": "switch_apply", "gate_a": "x", "gate_b": "x", "qubits": [0], '
+                    '"ancilla": "a0"}, '
+                    '{"op": "measure_ancilla", "theta": 0.5, "ancilla": "a0", '
+                    '"result": "m0"}, {"op": "discard", "ancilla": "a0"}]}')
+    code, out, err = run_cli(capsys, "simulate", str(prog))
+    assert (code, out) == (2, "")
+    assert err == "error: state measured into 'm0' is not normalized\n"
+
+
 # every gate of the circuit language, once
 ALL_GATES_TEXT = """qubits 3
 h 0

@@ -450,6 +450,30 @@ def test_check_equivalence_does_not_depend_on_the_chunk_size(
     assert reports[0] == reports[1]  # the worst case too
 
 
+@pytest.mark.parametrize("size,chunks", [(8, [8]), (7, [7, 1]), (4, [4, 4]), (3, [3, 3, 2])],
+                         ids=["last_level_fills", "last_level_one_over",
+                              "mid_level_fills", "mid_level_one_over"])
+def test_a_level_of_size_or_size_plus_one_rows_is_cut_by_the_one_chunk_rule(
+        monkeypatch, size, chunks):
+    # three blocks on two data qubits: measured levels of 2, 4 and 8 rows of
+    # 4 amplitudes; CAP = 4 * size cuts them into chunks of at most size rows
+    circuit = parse_circuit(THREE_GATE_TEXT)
+    program = lower(circuit)
+    psi = random_state(np.random.default_rng(21), 2)
+
+    def run(cap):  # chunk lengths, each leaf's bytes by row, the report
+        monkeypatch.setattr(programs, "CAP", cap)
+        lengths, leaves = [], {}
+        for states, (lo, _) in _BoundProgram(program).walk(psi, _Tree(3, None)):
+            lengths.append(len(states))
+            leaves.update(zip(lo.tolist(), (state.tobytes() for state in states)))
+        report = check_equivalence(circuit, program, trials=2, seed=8)
+        return lengths, leaves, report.as_dict(), repr(report)
+    cut, whole = run(4 * size), run(2 ** 30)
+    assert (cut[0], whole[0]) == (chunks, [8])
+    assert cut[1:] == whole[1:]  # every leaf and the report, bit for bit
+
+
 def test_the_walk_projects_each_measured_stack_once(monkeypatch):
     rows = []
 

@@ -494,6 +494,39 @@ def test_every_walk_refuses_a_followed_zero_branch_by_name(psi, name):
         simulate_program(program, psi, forced=name)
 
 
+def drifting_program():
+    """(1 + 3e-11) I, unitary within UNITARY_ATOL, three times, then one block:
+    the table check passes, and the measured state's squared norm is
+    1 + 1.8e-10, off 1 by more than UNITARY_ATOL."""
+    program = SwitchProgram(num_data_qubits=1)
+    drift = program.add_matrix((1 + 3e-11) * np.eye(2))
+    program.instructions = ((ApplyLocal(drift, (0,)),) * 3
+                            + tuple(switch_block(program, X, X, 0.5, (0,), 0)))
+    return program
+
+
+def test_every_walk_names_the_measurement_of_a_state_off_norm_1():
+    program = drifting_program()
+    validate_program(program)
+    message = "^state measured into 'm0' is not normalized$"
+    for kwargs in ({"seed": 3}, {"forced": "plus"}, {"forced": "minus"}):
+        with pytest.raises(ProgramError, match=message):
+            simulate_program(program, zero_state(1), **kwargs)
+    with pytest.raises(ProgramError, match=message):
+        check_equivalence(parse_circuit("qubits 1\n"), program, trials=2)
+
+
+@pytest.mark.parametrize("forced", [None, "plus", {"m0": "minus", "m1": "plus"}],
+                         ids=["sampled", "forced_plus", "forced_mapping"])
+def test_a_run_records_a_tuple_of_plain_tuples(forced):
+    trace = simulate_program(two_block_program(), zero_state(1), seed=7, forced=forced)
+    record = trace.measurement_record
+    assert type(record) is tuple and len(record) == 2
+    for entry in record:
+        assert type(entry) is tuple and [type(v) for v in entry] == [str, str, float]
+    assert [label for label, _, _ in record] == ["m0", "m1"]
+
+
 def test_simulate_rejects_bad_inputs():
     program = SwitchProgram(num_data_qubits=1)
     program.instructions = tuple(switch_block(program, X, Z, 0.0, (0,), 0))
