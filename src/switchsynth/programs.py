@@ -437,8 +437,8 @@ class _Tree:
         if 2 ** k <= MAX_EXHAUSTIVE_ASSIGNMENTS:
             # row i spells i in binary, first label most significant: sorted
             self.table = (np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1 == 1
-        else:  # one draw: row by row the same stream as one rng.choice per row
-            table = rng.choice(("plus", "minus"), size=(MAX_EXHAUSTIVE_ASSIGNMENTS, k)) == "plus"
+        else:  # the indices of one rng.choice(("plus", "minus")) per row, 0 for plus
+            table = rng.integers(0, 2, size=(MAX_EXHAUSTIVE_ASSIGNMENTS, k)) == 0
             self.table = table[np.lexsort(table.T[::-1])]
         self.size = len(self.table)
         self.root = (np.zeros(1, dtype=np.intp), np.full(1, self.size))
@@ -521,8 +521,9 @@ class _BoundProgram:
         next nodes, a tuple of per-row arrays, and ``chooser.took(nodes,
         index, outcome)`` selects the rows whose measurement ``index`` gave
         ``outcome``. A measured state off norm 1, or a followed branch of
-        probability 0 (plus first), raises ProgramError naming the label. An
-        explicit stack of chunks leaves depth unbounded by the recursion limit.
+        probability 0 (plus first), raises ProgramError naming the label, and
+        a final state off norm 1 one giving its squared norm. An explicit stack
+        of chunks leaves depth unbounded by the recursion limit.
         """
         state = np.array(input_state, dtype=complex)
         if state.size != 2 ** self.num_data_qubits:
@@ -547,6 +548,11 @@ class _BoundProgram:
                     states = states.copy()
                     states[rows] = apply_ordered(states[rows], matrix, *layout)
             if measurement is None:
+                norms = np.vecdot(states, states).real
+                off = ~(abs(norms - 1.0) <= UNITARY_ATOL)  # NaN too
+                if off.any():
+                    raise ProgramError(f"final state is not normalized: "
+                                       f"squared norm {norms[off][0]}")
                 yield states, nodes
                 continue
             functionals, label, move = measurement

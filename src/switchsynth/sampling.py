@@ -59,7 +59,12 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def random_kraus_channel(rng: np.random.Generator, dim: int = 2,
                          rank: int = 2) -> KrausChannel:
-    """Random channel with the given Kraus rank.
+    """Random channel with the given Kraus rank."""
+    return KrausChannel(tuple(_kraus_stack(rng, dim, rank)))
+
+
+def _kraus_stack(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
+    """``random_kraus_channel``'s (rank, dim, dim) operators, unchecked.
 
     Stacks the operators into a (rank*dim) x dim block and orthonormalizes
     the columns with QR, which is exactly the completeness condition.
@@ -67,4 +72,4 @@ def random_kraus_channel(rng: np.random.Generator, dim: int = 2,
     g = (rng.standard_normal((rank * dim, dim))
          + 1j * rng.standard_normal((rank * dim, dim)))
     q, _ = np.linalg.qr(g)
-    return KrausChannel(tuple(q[i * dim:(i + 1) * dim, :] for i in range(rank)))
+    return q.reshape(rank, dim, dim)

@@ -37,9 +37,9 @@ from .linalg import (
     zero_state,
 )
 from .sampling import (
+    _kraus_stack,
     random_bloch,
     random_density,
-    random_kraus_channel,
     random_state,
     random_unitary,
 )
@@ -54,7 +54,6 @@ from .switch import (
     switch_unitary,
     _four_term_map,
     _orders_map,
-    _require_state_stacks,
 )
 from .synthesis import (
     block_residuals,
@@ -207,15 +206,15 @@ CHANNELS_CHUNK = 256
 
 
 def _channels_suite(rng, trials: int, worst: _Ledger) -> None:
-    # Each trial draws its two channels (Kraus ranks 1 + k % 2 and 2 - k % 2),
-    # then rho and omega, in trial order. A chunk's trials of one rank pattern
+    # Each trial draws its two Kraus stacks (ranks 1 + k % 2 and 2 - k % 2),
+    # then rho and omega, in trial order; none is judged again, since a bad
+    # draw fails trace_preserving. A chunk's trials of one rank pattern
     # then run as one stacked pass, each row bit for bit the per-trial loop
     # that tests/oracles.py keeps, and feed the ledger a column per residual.
     pure0 = projector(zero_state(1))
     for start in range(0, trials, CHANNELS_CHUNK):
         ks = range(start, min(start + CHANNELS_CHUNK, trials))
-        draws = [(random_kraus_channel(rng, 2, 1 + k % 2),
-                  random_kraus_channel(rng, 2, 2 - k % 2),
+        draws = [(_kraus_stack(rng, 2, 1 + k % 2), _kraus_stack(rng, 2, 2 - k % 2),
                   random_density(rng, 2), random_density(rng, 2)) for k in ks]
         for offset in (0, 1):
             if ks[offset::2]:
@@ -224,12 +223,11 @@ def _channels_suite(rng, trials: int, worst: _Ledger) -> None:
 
 def _channels_pass(ks: range, draws: list, pure0: np.ndarray, worst: _Ledger) -> None:
     """Feed the ledger the residuals of trials ``ks`` (one Kraus-rank pattern)."""
-    chans_a, chans_b, rhos, omegas = zip(*draws)
+    stacks_a, stacks_b, rhos, omegas = zip(*draws)
     # Kraus operator i of every trial at [i]: (rank, trials, 2, 2)
-    ops_a = np.asarray([c.stack for c in chans_a]).swapaxes(0, 1)
-    ops_b = np.asarray([c.stack for c in chans_b]).swapaxes(0, 1)
+    ops_a = np.asarray(stacks_a).swapaxes(0, 1)
+    ops_b = np.asarray(stacks_b).swapaxes(0, 1)
     rhos, omegas = np.asarray(rhos), np.asarray(omegas)
-    _require_state_stacks(rhos, omegas)
     out = _four_term_map(ops_a, ops_b, rhos, omegas)
     via_kraus = _orders_map([ops_a, ops_b], rhos, omegas)
     traces = out.diagonal(0, 1, 2).sum(axis=1)  # C order: summed as np.trace sums

@@ -301,18 +301,6 @@ def _require_states(rho, omega, dim: int | None = None):
     return rho, omega
 
 
-def _require_state_stacks(rhos: np.ndarray, omegas: np.ndarray) -> None:
-    """Stacks of rho and omega, one pair per trial, judged in one stacked
-    ``is_density_matrix`` pass; the first trial with a bad state raises what
-    ``_require_states`` raises for its pair."""
-    ok = (is_density_matrix(np.concatenate([rhos, omegas])).reshape(2, -1)
-          if rhos.shape == omegas.shape
-          else np.array([is_density_matrix(rhos), is_density_matrix(omegas)]))
-    bad = np.flatnonzero(~ok.all(axis=0))
-    if bad.size:
-        _require_states(rhos[bad[0]], omegas[bad[0]])
-
-
 def uniform_control_state(num_orders: int) -> np.ndarray:
     """Pure uniform superposition over num_orders control basis states."""
     if not _is_integer(num_orders) or num_orders < 1:

@@ -6,12 +6,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from switchsynth.linalg import H, I2, X, Z, is_density_matrix, projector, tensor
-from switchsynth.sampling import random_density, random_kraus_channel, random_unitary
+from switchsynth.sampling import (
+    _kraus_stack,
+    random_density,
+    random_kraus_channel,
+    random_unitary,
+)
 from switchsynth.switch import (
     KrausChannel,
     _four_term_map,
     _orders_map,
-    _require_state_stacks,
     choi_matrix,
     switch_channel,
     switch_channel_n,
@@ -93,6 +97,17 @@ def test_random_kraus_channel_is_complete():
         assert chan.rank == rank
         total = sum(k.conj().T @ k for k in chan.operators)
         assert np.linalg.norm(total - I2) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_kraus_stack_is_the_checked_channels_stack(dim, rank):
+    rng, checked_rng = np.random.default_rng(rank), np.random.default_rng(rank)
+    for _ in range(5):
+        stack = _kraus_stack(rng, dim, rank)
+        assert stack.shape == (rank, dim, dim)
+        assert stack.tobytes() == random_kraus_channel(checked_rng, dim, rank).stack.tobytes()
+    assert rng.random() == checked_rng.random()
 
 
 def test_switch_channel_matches_kraus_oracle():
@@ -476,17 +491,13 @@ def test_a_stack_with_a_bad_state_raises_the_single_calls_message(n, which, kind
     chans = [random_kraus_channel(rng, 2, 2) for _ in range(n)]
     rhos = np.asarray([random_density(rng, 2) for _ in range(4)])
     omegas = np.asarray([random_density(rng, math.factorial(n)) for _ in range(4)])
-    _require_state_stacks(rhos, omegas)  # all good: no error
     stack = {"rho": rhos, "omega": omegas}[which]
     stack[2] = 0.0
     stack[2, :2, :2] = _STATES[kind]  # the bad 2 x 2 state, padded with zeros
-    rhos[3] = _STATES["trace_two"]  # a later bad trial does not name itself
     with pytest.raises(ValueError) as caught:
         switch_channel_n(chans, rhos[2], omegas[2])
     assert str(caught.value) == f"{which} is not a density matrix"
     message = f"^{re.escape(str(caught.value))}$"
-    with pytest.raises(ValueError, match=message):
-        _require_state_stacks(rhos, omegas)
     if n == 2:
         with pytest.raises(ValueError, match=message):
             switch_channel(*chans, rhos[2], omegas[2])

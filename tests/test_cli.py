@@ -539,6 +539,19 @@ def test_simulate_names_the_measurement_of_a_state_off_norm_1(tmp_path, capsys):
     assert err == "error: state measured into 'm0' is not normalized\n"
 
 
+def test_simulate_refuses_a_final_state_off_norm_1(tmp_path, capsys):
+    # three (1 + 3e-11) I and no measurement: the drift reaches the final state
+    prog = tmp_path / "drift.json"
+    prog.write_text('{"num_data_qubits": 1, "matrices": {'
+                    '"d": [[1.00000000003, 0], [0, 0], [0, 0], [1.00000000003, 0]]}, '
+                    '"instructions": ['
+                    + ", ".join(['{"op": "apply_local", "matrix": "d", "qubits": [0]}'] * 3)
+                    + ']}')
+    code, out, err = run_cli(capsys, "simulate", str(prog))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: final state is not normalized: squared norm ")
+
+
 # every gate of the circuit language, once
 ALL_GATES_TEXT = """qubits 3
 h 0

@@ -322,14 +322,17 @@ def test_sampled_k11_report_is_unchanged():
         "passed": True}
 
 
-@pytest.mark.parametrize("k", [11, 12, 50, 97])
+@pytest.mark.parametrize("k", [11, 12, 37, 50, 97, 150])
 @pytest.mark.parametrize("seed", [1, 7, 42])
 def test_sampled_table_is_the_looped_draw(k, seed):
-    rng, looped_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    rng, looped_rng, string_rng = (np.random.default_rng(seed) for _ in range(3))
     tree = _Tree(k, rng)
     table = oracles.looped_sampled_table(looped_rng, k, MAX_EXHAUSTIVE_ASSIGNMENTS)
+    # the looped draw is also one string draw of the whole table
+    strings = string_rng.choice(("plus", "minus"), size=(MAX_EXHAUSTIVE_ASSIGNMENTS, k))
+    assert np.array_equal(strings == "plus", table)
     assert np.array_equal(tree.table, sorted(map(tuple, table)))  # minus (False) first
-    assert rng.random() == looped_rng.random()
+    assert rng.random() == looped_rng.random() == string_rng.random()
 
 
 def test_simulate_deep_program_without_recursion():

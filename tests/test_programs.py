@@ -516,6 +516,24 @@ def test_every_walk_names_the_measurement_of_a_state_off_norm_1():
         check_equivalence(parse_circuit("qubits 1\n"), program, trials=2)
 
 
+@pytest.mark.parametrize("applies,drift", [(2, 1.2e-10), (100, 6.0e-9)])
+def test_every_walk_refuses_a_final_state_off_norm_1(applies, drift):
+    # each (1 + 3e-11) I passes the table's unitary check; with no
+    # measurement, the drift reaches the final state
+    program = SwitchProgram(num_data_qubits=1)
+    program.instructions = (ApplyLocal(program.add_matrix((1 + 3e-11) * np.eye(2)),
+                                       (0,)),) * applies
+    validate_program(program)
+    message = "^final state is not normalized: squared norm "
+    for kwargs in ({"seed": 3}, {"forced": {}}, {"forced": "plus"}):
+        with pytest.raises(ProgramError, match=message) as caught:
+            simulate_program(program, zero_state(1), **kwargs)
+        norm = float(str(caught.value).rsplit(" ", 1)[1])
+        assert norm - 1.0 == pytest.approx(drift, rel=1e-2)
+    with pytest.raises(ProgramError, match=message):
+        check_equivalence(parse_circuit("qubits 1\n"), program, trials=2)
+
+
 @pytest.mark.parametrize("forced", [None, "plus", {"m0": "minus", "m1": "plus"}],
                          ids=["sampled", "forced_plus", "forced_mapping"])
 def test_a_run_records_a_tuple_of_plain_tuples(forced):

@@ -128,6 +128,28 @@ def test_channels_suite_crosses_its_own_chunk_size():
                          oracles.looped_channels_suite(trials, 5))
 
 
+def test_channels_suite_judges_none_of_its_own_draws(monkeypatch):
+    from switchsynth import linalg, switch
+
+    want = run_suite("channels", 9)
+
+    def refuse(*args):
+        raise AssertionError("the channels suite judged one of its own draws")
+
+    for module in (linalg, switch):
+        monkeypatch.setattr(module, "is_density_matrix", refuse)
+    monkeypatch.setattr(switch.KrausChannel, "__init__", refuse)
+    assert _same_results(run_suite("channels", 9), want)
+
+
+def test_channels_suite_fails_a_faulty_kraus_sampler(monkeypatch):
+    kraus_stack = suites._kraus_stack
+    monkeypatch.setattr(suites, "_kraus_stack",
+                        lambda rng, dim, rank: 1.01 * kraus_stack(rng, dim, rank))
+    failed = {r.name for r in run_suite("channels", 9) if not r.passed}
+    assert "trace_preserving" in failed
+
+
 def test_channels_suite_sees_one_perturbed_trial(monkeypatch):
     # the odd trials (Kraus ranks 2 and 1) run as one stack: row 3 is trial 7
     four_term = suites._four_term_map
