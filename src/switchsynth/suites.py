@@ -37,7 +37,8 @@ from .linalg import (
     zero_state,
 )
 from .sampling import (
-    _kraus_stack,
+    _kraus_from,
+    _wishart,
     random_bloch,
     random_density,
     random_state,
@@ -206,28 +207,33 @@ CHANNELS_CHUNK = 256
 
 
 def _channels_suite(rng, trials: int, worst: _Ledger) -> None:
-    # Each trial draws its two Kraus stacks (ranks 1 + k % 2 and 2 - k % 2),
-    # then rho and omega, in trial order; none is judged again, since a bad
-    # draw fails trace_preserving. A chunk's trials of one rank pattern
-    # then run as one stacked pass, each row bit for bit the per-trial loop
-    # that tests/oracles.py keeps, and feed the ledger a column per residual.
+    # Each trial takes 40 normals, in trial order and in the stream order of
+    # one-trial draws: the Gaussian parts of its two Kraus stacks (ranks
+    # 1 + k % 2 and 2 - k % 2, 8 per rank), then of rho and omega (8 each).
+    # A chunk takes its trials' normals in one call, and its trials of one
+    # rank pattern run the draw kernels and the checks as one stacked pass,
+    # each row bit for bit the per-trial loop that tests/oracles.py keeps.
+    # No draw is judged again, since a bad one fails trace_preserving.
     pure0 = projector(zero_state(1))
     for start in range(0, trials, CHANNELS_CHUNK):
         ks = range(start, min(start + CHANNELS_CHUNK, trials))
-        draws = [(_kraus_stack(rng, 2, 1 + k % 2), _kraus_stack(rng, 2, 2 - k % 2),
-                  random_density(rng, 2), random_density(rng, 2)) for k in ks]
+        normals = rng.standard_normal((len(ks), 40))
         for offset in (0, 1):
-            if ks[offset::2]:
-                _channels_pass(ks[offset::2], draws[offset::2], pure0, worst)
+            rows, rank_a = normals[offset::2], 1 + (start + offset) % 2
+            if len(rows):
+                a, b, rho, omega = (part.reshape(len(rows), 2, -1, 2) for part
+                                    in np.split(rows, [8 * rank_a, 24, 32], axis=1))
+                # Kraus operator i of every trial at [i]: (rank, trials, 2, 2)
+                _channels_pass(ks[offset::2], _kraus_from(a, rank_a).swapaxes(0, 1),
+                               _kraus_from(b, 3 - rank_a).swapaxes(0, 1),
+                               _wishart(rho), _wishart(omega), pure0, worst)
 
 
-def _channels_pass(ks: range, draws: list, pure0: np.ndarray, worst: _Ledger) -> None:
-    """Feed the ledger the residuals of trials ``ks`` (one Kraus-rank pattern)."""
-    stacks_a, stacks_b, rhos, omegas = zip(*draws)
-    # Kraus operator i of every trial at [i]: (rank, trials, 2, 2)
-    ops_a = np.asarray(stacks_a).swapaxes(0, 1)
-    ops_b = np.asarray(stacks_b).swapaxes(0, 1)
-    rhos, omegas = np.asarray(rhos), np.asarray(omegas)
+def _channels_pass(ks: range, ops_a: np.ndarray, ops_b: np.ndarray, rhos: np.ndarray,
+                   omegas: np.ndarray, pure0: np.ndarray, worst: _Ledger) -> None:
+    """Feed the ledger the residuals of trials ``ks`` (one Kraus-rank pattern),
+    whose Kraus operators ``ops_a[i]``, ``ops_b[i]`` and states are stacked
+    over the trials."""
     out = _four_term_map(ops_a, ops_b, rhos, omegas)
     via_kraus = _orders_map([ops_a, ops_b], rhos, omegas)
     traces = out.diagonal(0, 1, 2).sum(axis=1)  # C order: summed as np.trace sums

@@ -42,9 +42,10 @@ ZERO_BRANCH_ATOL = 1e-18
 class KrausChannel:
     """A completely positive trace-preserving map given by Kraus operators.
 
-    Operators must be square, finite, share one dimension, and satisfy the
-    completeness relation sum_i K_i^dag K_i = I within 1e-10; ``stack`` is
-    their one read-only (rank, dim, dim) copy and ``operators`` its rows.
+    Operators must be square, at least 1x1, finite, share one dimension, and
+    satisfy the completeness relation sum_i K_i^dag K_i = I within 1e-10;
+    ``stack`` is their one read-only (rank, dim, dim) copy and ``operators``
+    its rows.
     """
 
     def __init__(self, operators):
@@ -56,6 +57,8 @@ class KrausChannel:
                 raise ValueError("Kraus operators must share one dimension")
             if not np.isfinite(k).all():
                 raise ValueError("Kraus operators must be finite")
+        if not len(ops[0]):
+            raise ValueError(f"Kraus operators must be at least 1x1, got shape {ops[0].shape}")
         self.stack = np.stack(ops)
         read_only(self.stack)
         self.operators = tuple(self.stack)

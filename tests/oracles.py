@@ -283,6 +283,22 @@ def same_bytes(got, want) -> bool:
             and got.tobytes() == want.tobytes())
 
 
+def numpy_random_density(rng, dim):
+    """A normalized Wishart density from two ``standard_normal`` calls."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def numpy_kraus_stack(rng, dim, rank):
+    """(rank, dim, dim) Kraus operators: the QR of a (rank*dim) x dim complex
+    Gaussian block from two ``standard_normal`` calls."""
+    g = (rng.standard_normal((rank * dim, dim))
+         + 1j * rng.standard_normal((rank * dim, dim)))
+    q, _ = np.linalg.qr(g)
+    return q.reshape(rank, dim, dim)
+
+
 def numpy_bloch_dot(n):
     from switchsynth.linalg import unit_bloch
 

@@ -69,6 +69,13 @@ def test_kraus_channel_validation():
         KrausChannel([0.5 * I2])
 
 
+def test_kraus_channel_refuses_0x0_operators():
+    message = re.escape("Kraus operators must be at least 1x1, got shape (0, 0)")
+    for ops in ([np.zeros((0, 0))], [np.zeros((0, 0)), np.zeros((0, 0))]):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            KrausChannel(ops)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_kraus_channel_refuses_non_finite_operators(bad):
     op = I2 / np.sqrt(2)

@@ -143,9 +143,9 @@ def test_channels_suite_judges_none_of_its_own_draws(monkeypatch):
 
 
 def test_channels_suite_fails_a_faulty_kraus_sampler(monkeypatch):
-    kraus_stack = suites._kraus_stack
-    monkeypatch.setattr(suites, "_kraus_stack",
-                        lambda rng, dim, rank: 1.01 * kraus_stack(rng, dim, rank))
+    kraus_from = suites._kraus_from
+    monkeypatch.setattr(suites, "_kraus_from",
+                        lambda parts, rank: 1.01 * kraus_from(parts, rank))
     failed = {r.name for r in run_suite("channels", 9) if not r.passed}
     assert "trace_preserving" in failed
 
